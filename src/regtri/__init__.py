@@ -72,6 +72,7 @@ from .lifting import (
     LiftSpec,
     LiftedConfiguration,
     auto_epsilons,
+    auto_lift,
     contraction,
     double_contraction,
     lex_lift,

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, NonUniqueIndex, TooFewPoints
 from .geometry import PointConfiguration, centroid, facets, is_face
-from .lifting import LiftSpec, auto_epsilons, contraction, lex_lift
+from .lifting import auto_lift, contraction
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,8 @@ def single_lift(base: PointConfiguration, order, check_convex: bool = True):
     reordered = PointConfiguration(
         base.dim, tuple(base.point(l) for l in order), order
     )
-    spec = auto_epsilons(reordered, _lift_apex(reordered), check_convex=check_convex)
-    lifted = lex_lift(reordered, spec, check_convex=check_convex)
-    return lifted.lifted, spec
+    lifted = auto_lift(reordered, _lift_apex(reordered), check_convex=check_convex)
+    return lifted.lifted, lifted.spec
 
 
 def double_lift(
@@ -205,7 +204,8 @@ class FingerprintStore:
 
     File format: 4-byte big-endian record length followed by a JSON
     object {"fingerprint": hex, "provenance": {...}}.  The in-memory
-    index is rebuilt on open; a fresh open sees a consistent snapshot.
+    index is rebuilt on open; a fresh open sees a consistent snapshot
+    and truncates a partial trailing record.
     """
 
     def __init__(self, path):
@@ -216,6 +216,7 @@ class FingerprintStore:
             self._load()
 
     def _load(self):
+        end = 0  # offset just past the last complete record
         with open(self.path, "rb") as fh:
             while True:
                 header = fh.read(4)
@@ -224,10 +225,15 @@ class FingerprintStore:
                 (length,) = struct.unpack(">I", header)
                 body = fh.read(length)
                 if len(body) < length:
-                    break  # trailing partial write; ignore
+                    break  # trailing partial write; truncated below
                 rec = json.loads(body)
                 self._index.add(bytes.fromhex(rec["fingerprint"]))
                 self._records.append(rec)
+                end = fh.tell()
+        # drop a torn tail left by an interrupted write, so the next
+        # append starts on a record boundary instead of inside it
+        if os.path.getsize(self.path) > end:
+            os.truncate(self.path, end)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -295,8 +301,9 @@ def census(
     exactly one double lift per permutation is then fingerprinted and
     deduplicated in the store.  Runs exhaustively over all n!
     permutations when they fit the budget, otherwise samples distinct
-    permutations with the given seed.  The reported bound is the count
-    of recoverable order suffixes, n!/d!.
+    permutations with the given seed.  The reported count covers the
+    fingerprints of this call only, whatever else the store holds; the
+    reported bound is the count of recoverable order suffixes, n!/d!.
     """
     if d % 2 or d < 2:
         raise ValueError("census varies a double lift; d must be even")
@@ -318,11 +325,12 @@ def census(
     else:
         perms = [tuple(p) for p in itertools.permutations(labels)]
         budget_hit = False
-    attempted = 0
+    produced = set()
     for sigma in perms:
         specs = []
         lifted = double_lift(base, sigma, verify=False, specs=specs)
         fp = fingerprint(lifted)
+        produced.add(fp.data)
         store.add(
             fp,
             {
@@ -333,10 +341,9 @@ def census(
                 "spec_digest": _spec_digest(specs),
             },
         )
-        attempted += 1
     return CensusReport(
-        distinct=len(store),
-        attempted=attempted,
+        distinct=len(produced),
+        attempted=len(perms),
         bound=math.factorial(n) // math.factorial(d),
         bound_params={"n": n, "d": d, "formula": "n!/d!"},
         budget_hit=budget_hit,

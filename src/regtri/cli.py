@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from .enumeration import (
 )
 from .errors import BudgetExceeded, RegtriError
 from .geometry import PointConfiguration, cyclic_configuration, format_rational
-from .lifting import LiftSpec, auto_epsilons, contraction, lex_lift
+from .lifting import LiftSpec, auto_lift, contraction, lex_lift
 from .triangulations import (
     Triangulation,
     f_vector,
@@ -99,7 +101,7 @@ def lift(config_file, spec_file, apex, output):
     def go():
         base = _load_config(config_file)
         if spec_file:
-            spec = LiftSpec.from_json(Path(spec_file).read_text())
+            lifted = lex_lift(base, LiftSpec.from_json(Path(spec_file).read_text()))
         else:
             if apex:
                 apex_pt = [x.strip() for x in apex.split(",")]
@@ -107,13 +109,12 @@ def lift(config_file, spec_file, apex, output):
                 from .census import _lift_apex
 
                 apex_pt = _lift_apex(base)
-            spec = auto_epsilons(base, apex_pt)
-        lifted = lex_lift(base, spec)
+            lifted = auto_lift(base, apex_pt)
         _emit(output, lifted.lifted.to_json())
         _write_manifest(
             output,
             "lift",
-            {"spec": json.loads(spec.to_json())},
+            {"spec": json.loads(lifted.spec.to_json())},
             {},
             [config_file] + ([spec_file] if spec_file else []),
             started,
@@ -203,39 +204,44 @@ def regular(config_file, triangulation_file, output):
 def enumerate(config_file, oracle, budget, output):
     """Enumerate (regular) triangulations as JSON lines plus summary."""
     started = time.monotonic()
-    config = _load_config(config_file)
-    lines = []
-    budget_hit = False
-    try:
-        found = (
-            enumerate_all_oracle(config, budget=budget)
-            if oracle
-            else enumerate_regular(config, budget=budget)
+
+    def go():
+        config = _load_config(config_file)
+        lines = []
+        budget_hit = False
+        try:
+            found = (
+                enumerate_all_oracle(config, budget=budget)
+                if oracle
+                else enumerate_regular(config, budget=budget)
+            )
+        except BudgetExceeded as exc:
+            # partial results are emitted, then the exit code says so
+            found = exc.partial or set()
+            budget_hit = True
+        certified = 0
+        for t in sorted(found, key=lambda t: sorted(sorted(c) for c in t.cells)):
+            reg = is_regular(t, config).regular if oracle else True
+            certified += reg
+            lines.append(json.dumps({"cells": sorted(sorted(c) for c in t.cells), "regular": reg}))
+        lines.append(
+            json.dumps(
+                {"count": len(found), "certified_regular": certified, "budget_hit": budget_hit}
+            )
         )
-    except BudgetExceeded as exc:
-        found = exc.partial or set()
-        budget_hit = True
-    certified = 0
-    for t in sorted(found, key=lambda t: sorted(sorted(c) for c in t.cells)):
-        reg = is_regular(t, config).regular if oracle else True
-        certified += reg
-        lines.append(json.dumps({"cells": sorted(sorted(c) for c in t.cells), "regular": reg}))
-    lines.append(
-        json.dumps(
-            {"count": len(found), "certified_regular": certified, "budget_hit": budget_hit}
+        _emit(output, "\n".join(lines) + "\n")
+        _write_manifest(
+            output,
+            "enumerate",
+            {"oracle": oracle, "budget": budget},
+            {},
+            [config_file],
+            started,
         )
-    )
-    _emit(output, "\n".join(lines) + "\n")
-    _write_manifest(
-        output,
-        "enumerate",
-        {"oracle": oracle, "budget": budget},
-        {},
-        [config_file],
-        started,
-    )
-    if budget_hit:
-        sys.exit(2)
+        if budget_hit:
+            sys.exit(2)
+
+    _run(go)
 
 
 @main.command()
@@ -353,11 +359,9 @@ def verify_bounds(construction, n, d, seed, store_path, output):
                 "status": "PASS" if count >= bound else "FAIL",
             }
         else:
-            import tempfile
-
-            path = store_path or tempfile.mktemp(suffix=".store")
-            store = FingerprintStore(path)
-            report = run_census(n, d, store, seed=seed)
+            with tempfile.TemporaryDirectory() as scratch:
+                path = store_path or os.path.join(scratch, "census.store")
+                report = run_census(n, d, FingerprintStore(path), seed=seed)
             payload = {
                 "construction": "census",
                 "n": n,

@@ -20,6 +20,7 @@ from .errors import (
     BudgetExceeded,
     GenericityFailure,
     NonTriangulationSnapshot,
+    NotATriangulation,
     NotAVertex,
     RegtriError,
 )
@@ -35,12 +36,14 @@ from .geometry import (
     orientation,
     parse_rational,
 )
-from .linprog import solve_lp
+from .linprog import solve_lp  # noqa: F401  (perfbench traces this import site)
 from .triangulations import (
     Triangulation,
     barycentric,
+    height_separation_rows,
     is_regular,
     make_cells,
+    max_margin,
     placing_triangulation,
     regular_subdivision,
     simplices_properly_intersect,
@@ -235,42 +238,22 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     labels = sorted(config.labels)
     idx = {l: k for k, l in enumerate(labels)}
     nv = len(labels) + 1
-    a_ub, b_ub = [], []
-
-    def add_system(sub: PointConfiguration, cells, height_label):
-        # height_label maps a sub label to the w variable it reads
-        for cell in sorted(cells, key=sorted):
-            for lab in sub.labels:
-                if lab in cell:
-                    continue
-                coords = barycentric(sub, cell, lab)
-                if coords is None:
-                    return False
-                row = [Fraction(0)] * nv
-                row[idx[height_label(lab)]] = Fraction(-1)
-                for l, lam in coords.items():
-                    row[idx[height_label(l)]] += lam
-                row[-1] = Fraction(1)
-                a_ub.append(row)
-                b_ub.append(Fraction(0))
-        return True
-
     without_j = config.delete([j])
     without_i = config.delete([i])
     t_on_i = t.relabel({i: j})  # uses j in place of i
-    ok = add_system(without_j, t.cells, lambda l: l)
-    ok = ok and add_system(without_i, t_on_i.cells, lambda l: i if l == j else l)
-    if not ok:
+    try:
+        rows = height_separation_rows(
+            without_j, t.cells, {l: idx[l] for l in without_j.labels}, nv
+        )
+        rows += height_separation_rows(
+            without_i,
+            t_on_i.cells,
+            {l: idx[i if l == j else l] for l in without_i.labels},
+            nv,
+        )
+    except NotATriangulation:
         return None
-    for k in range(nv):
-        # margin box keeps the LP bounded when no separation rows exist
-        row = [Fraction(0)] * nv
-        row[k] = Fraction(1)
-        a_ub.append(row)
-        b_ub.append(Fraction(2) if k < len(labels) else Fraction(1))
-    c = [Fraction(0)] * nv
-    c[-1] = Fraction(1)
-    res = solve_lp(c, a_ub, b_ub, nonneg=True)
+    _, _, _, res = max_margin(rows, nv)
     if not res.optimal or res.value <= 0:
         return None
     return {lab: res.x[k] - 1 for k, lab in enumerate(labels)}

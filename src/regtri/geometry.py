@@ -282,6 +282,31 @@ def is_face(config: PointConfiguration, labels: Iterable[int]) -> bool:
     return meet == s
 
 
+def _strictly_separable(base, below, on=()) -> bool:
+    """Whether some a with |a_j| <= 1 has a.(x - base) = 0 for every x
+    in `on` and a.(x - base) < 0 for every x in `below`.  Exact LP over
+    (a, delta): maximize delta subject to a.(x - base) <= -delta."""
+    d = len(base)
+    nv = d + 1
+    a_ub = [[x - y for x, y in zip(q, base)] + [Fraction(1)] for q in below]
+    b_ub = [Fraction(0)] * len(a_ub)
+    for j in range(d):
+        for s in (1, -1):
+            row = [Fraction(0)] * nv
+            row[j] = Fraction(s)
+            a_ub.append(row)
+            b_ub.append(Fraction(1))
+    row = [Fraction(0)] * nv
+    row[-1] = Fraction(-1)
+    a_ub.append(row)
+    b_ub.append(Fraction(0))
+    a_eq = [[x - y for x, y in zip(q, base)] + [Fraction(0)] for q in on]
+    c = [Fraction(0)] * nv
+    c[-1] = Fraction(1)
+    res = solve_lp(c, a_ub, b_ub, a_eq, [Fraction(0)] * len(a_eq))
+    return res.optimal and res.value > 0
+
+
 def visibility(config: PointConfiguration, face: Iterable[int], p) -> tuple[bool, bool]:
     """(visible, hidden) for a face of the hull viewed from p.
 
@@ -289,49 +314,22 @@ def visibility(config: PointConfiguration, face: Iterable[int], p) -> tuple[bool
     positive at p, strictly negative on the remaining configuration
     points; hidden asks for strictly negative at p instead.  A face that
     is not a facet can be both.  Decided by exact LP feasibility with a
-    maximized margin.
+    maximized margin, with the functional's offset fixed by a face point.
     """
     face = frozenset(face)
     if not is_face(config, face):
         raise NotAFace(f"{sorted(face)} is not a face")
     p = tuple(parse_rational(x) for x in p)
-    d = config.dim
-
-    def side(sign_at_p: int) -> bool:
-        # variables: a_1..a_d, b, delta; maximize delta
-        nv = d + 2
-        a_eq, b_eq, a_ub, b_ub = [], [], [], []
-        for lab in sorted(face):
-            q = config.point(lab)
-            a_eq.append(list(q) + [Fraction(-1), Fraction(0)])
-            b_eq.append(Fraction(0))
-        # sign_at_p * f(p) >= delta
-        a_ub.append([-sign_at_p * x for x in p] + [Fraction(sign_at_p), Fraction(1)])
-        b_ub.append(Fraction(0))
-        for lab, q in zip(config.labels, config.points):
-            if lab in face:
-                continue
-            a_ub.append(list(q) + [Fraction(-1), Fraction(1)])
-            b_ub.append(Fraction(0))
-        for j in range(d):
-            row = [Fraction(0)] * nv
-            row[j] = Fraction(1)
-            a_ub.append(row)
-            b_ub.append(Fraction(1))
-            row = [Fraction(0)] * nv
-            row[j] = Fraction(-1)
-            a_ub.append(row)
-            b_ub.append(Fraction(1))
-        row = [Fraction(0)] * nv
-        row[-1] = Fraction(-1)
-        a_ub.append(row)
-        b_ub.append(Fraction(0))
-        c = [Fraction(0)] * nv
-        c[-1] = Fraction(1)
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-        return res.optimal and res.value > 0
-
-    return side(+1), side(-1)
+    first, *rest = sorted(face)
+    base = config.point(first)
+    on = [config.point(lab) for lab in rest]
+    others = [q for lab, q in zip(config.labels, config.points) if lab not in face]
+    # a.(mirror - base) = -a.(p - base): mirror below means p above
+    mirror = tuple(2 * b - x for b, x in zip(base, p))
+    return (
+        _strictly_separable(base, [mirror] + others, on),
+        _strictly_separable(base, [p] + others, on),
+    )
 
 
 def classify_visibility(config: PointConfiguration, face, p) -> str:
@@ -372,30 +370,8 @@ def is_vertex(config: PointConfiguration, label: int) -> bool:
     """Exact test for p being a vertex of the hull."""
     if config.dim == 0:
         return config.n == 1
-    p = config.point(label)
-    d = config.dim
-    # maximize delta s.t. a.(p' - p) <= -delta for all p' != p, |a_j| <= 1
-    nv = d + 1
-    a_ub, b_ub = [], []
-    for lab, q in zip(config.labels, config.points):
-        if lab == label:
-            continue
-        a_ub.append([x - y for x, y in zip(q, p)] + [Fraction(1)])
-        b_ub.append(Fraction(0))
-    for j in range(d):
-        for s in (1, -1):
-            row = [Fraction(0)] * nv
-            row[j] = Fraction(s)
-            a_ub.append(row)
-            b_ub.append(Fraction(1))
-    row = [Fraction(0)] * nv
-    row[-1] = Fraction(-1)
-    a_ub.append(row)
-    b_ub.append(Fraction(0))
-    c = [Fraction(0)] * nv
-    c[-1] = Fraction(1)
-    res = solve_lp(c, a_ub, b_ub)
-    return res.optimal and res.value > 0
+    others = [q for lab, q in zip(config.labels, config.points) if lab != label]
+    return _strictly_separable(config.point(label), others)
 
 
 def in_convex_position(config: PointConfiguration) -> bool:

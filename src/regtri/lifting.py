@@ -124,22 +124,30 @@ def lex_lift(
     return LiftedConfiguration(base, lifted, apex_label, spec)
 
 
-def auto_epsilons(
+def auto_lift(
     base: PointConfiguration, apex, max_halvings: int = 64, check_convex: bool = True
-) -> LiftSpec:
-    """Find a validating epsilon chain by geometric back-off: eps_i =
-    beta^i, halving beta until the lift validates."""
+) -> LiftedConfiguration:
+    """Lift with a validating epsilon chain found by geometric back-off:
+    eps_i = beta^i, halving beta until the lift validates.  Convex
+    position is checked on the first attempt only; halving beta does
+    not change the base."""
     apex = tuple(parse_rational(x) for x in apex)
     beta = Fraction(1, 2)
-    for _ in range(max_halvings):
+    for k in range(max_halvings):
         eps = tuple(beta ** (i + 1) for i in range(base.n))
         spec = LiftSpec(apex, eps)
         try:
-            lex_lift(base, spec, check_convex=check_convex)
-            return spec
+            return lex_lift(base, spec, check_convex=check_convex and k == 0)
         except ValidationFailed:
             beta /= 2
     raise RegtriError("no validating epsilon chain found; base may be degenerate")
+
+
+def auto_epsilons(
+    base: PointConfiguration, apex, max_halvings: int = 64, check_convex: bool = True
+) -> LiftSpec:
+    """The epsilon chain of auto_lift."""
+    return auto_lift(base, apex, max_halvings, check_convex).spec
 
 
 def contraction(config: PointConfiguration, p_label: int) -> PointConfiguration:

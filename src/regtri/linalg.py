@@ -1,8 +1,10 @@
 """Small exact linear algebra helpers over the rationals.
 
-Determinants go through integer Bareiss elimination after clearing
-denominators, which is considerably faster than fraction-by-fraction
-Gaussian elimination for the homogenized point matrices we feed it.
+There are two elimination kernels.  Determinants go through integer
+Bareiss elimination after clearing denominators, which is considerably
+faster than fraction-by-fraction Gaussian elimination for the
+homogenized point matrices we feed it.  `solve`, `rank` and
+`kernel_vector` share one Gauss-Jordan reduction, `_rref`.
 """
 
 from __future__ import annotations
@@ -58,31 +60,15 @@ def det_sign(rows) -> int:
     return (d > 0) - (d < 0)
 
 
-def solve(a, b):
-    """Solve the square system a x = b exactly; None if singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def rank(rows) -> int:
+def _rref(rows):
+    """Gauss-Jordan reduction over the rationals: the reduced rows and
+    the pivot column of each nonzero row, in order."""
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
         piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
@@ -93,10 +79,21 @@ def rank(rows) -> int:
             if i != r and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+        pivots.append(col)
+    return m, pivots
+
+
+def solve(a, b):
+    """Solve the square system a x = b exactly; None if singular."""
+    n = len(a)
+    m, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return [m[i][n] for i in range(n)]
+
+
+def rank(rows) -> int:
+    return len(_rref(rows)[1])
 
 
 def kernel_vector(columns):
@@ -104,22 +101,7 @@ def kernel_vector(columns):
     or None if the kernel is trivial or has dimension > 1."""
     ncols = len(columns)
     nrows = len(columns[0]) if columns else 0
-    m = [[Fraction(columns[j][i]) for j in range(ncols)] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
+    m, pivots = _rref([[columns[j][i] for j in range(ncols)] for i in range(nrows)])
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         return None

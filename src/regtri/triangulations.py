@@ -226,42 +226,45 @@ class RegularityResult:
     certificate_valid: bool | None = None
 
 
-def _regularity_lp(t: Triangulation, config: PointConfiguration):
-    """Build the margin-maximization LP over shifted heights in [0, 2].
-
-    One row per (cell, outside point): the lifted point must clear the
-    cell's lifted hyperplane by at least the margin.  The constraint is
-    invariant under a common shift of all heights, so the [0, 2] box is
-    just a normalization of [-1, 1].
-    """
-    labels = sorted(config.labels)
-    idx = {l: i for i, l in enumerate(labels)}
-    nv = len(labels) + 1  # heights + margin, all nonnegative
-    a_ub, b_ub = [], []
-    for cell in sorted(t.cells, key=sorted):
-        for lab in labels:
+def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
+    """Rows of the height-separation LP, one per (cell, outside point):
+    the lifted point must clear the cell's lifted hyperplane by at least
+    the margin, the last of the nv variables.  column maps each label of
+    config to the height variable it reads; points are visited in its
+    iteration order."""
+    rows = []
+    for cell in sorted(cells, key=sorted):
+        for lab in column:
             if lab in cell:
                 continue
             coords = barycentric(config, cell, lab)
             if coords is None:
                 raise NotATriangulation(("degenerate cell", tuple(sorted(cell))))
             row = [Fraction(0)] * nv
-            row[idx[lab]] = Fraction(-1)
+            row[column[lab]] = Fraction(-1)
             for l, lam in coords.items():
-                row[idx[l]] += lam
+                row[column[l]] += lam
             row[-1] = Fraction(1)
-            a_ub.append(row)
-            b_ub.append(Fraction(0))
+            rows.append(row)
+    return rows
+
+
+def max_margin(rows, nv: int):
+    """Maximize the margin of the separation rows over shifted heights
+    in [0, 2].  The rows are invariant under a common shift of all
+    heights, so the [0, 2] box is just a normalization of [-1, 1].
+    Returns the LP (c, a_ub, b_ub) and its result."""
+    a_ub, b_ub = list(rows), [Fraction(0)] * len(rows)
     for i in range(nv):
         # boxes on the heights and on the margin keep the LP bounded
         # even when no separation rows exist (the simplex case)
         row = [Fraction(0)] * nv
         row[i] = Fraction(1)
         a_ub.append(row)
-        b_ub.append(Fraction(2) if i < len(labels) else Fraction(1))
+        b_ub.append(Fraction(2) if i < nv - 1 else Fraction(1))
     c = [Fraction(0)] * nv
     c[-1] = Fraction(1)
-    return labels, c, a_ub, b_ub
+    return c, a_ub, b_ub, solve_lp(c, a_ub, b_ub, nonneg=True)
 
 
 def _check_certificate(c, a_ub, b_ub, dual) -> bool:
@@ -287,14 +290,17 @@ def is_regular(
         ok, witness = is_triangulation(t.cells, config)
         if not ok:
             raise NotATriangulation(witness)
-    labels, c, a_ub, b_ub = _regularity_lp(t, config)
-    res = solve_lp(c, a_ub, b_ub, nonneg=True)
+    labels = sorted(config.labels)
+    nv = len(labels) + 1  # heights + margin, all nonnegative
+    rows = height_separation_rows(
+        config, t.cells, {l: i for i, l in enumerate(labels)}, nv
+    )
+    c, a_ub, b_ub, res = max_margin(rows, nv)
     if not res.optimal:  # cannot happen: zero heights are feasible
         raise NotATriangulation("regularity LP unsolvable")
     if res.value > 0:
         w = {lab: res.x[i] - 1 for i, lab in enumerate(labels)}
         return RegularityResult(True, witness=w, margin=res.value)
-    cert = (c, a_ub, b_ub, res.dual)
     return RegularityResult(
         False,
         margin=res.value,

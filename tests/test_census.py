@@ -172,6 +172,28 @@ def test_store_roundtrip(tmp_path):
     assert reopened.records[0]["provenance"] == {"run": 1}
 
 
+def test_store_truncates_torn_tail_on_open(tmp_path):
+    path = tmp_path / "census.store"
+    FingerprintStore(path).add(FacetFingerprint(b"abc"), {"run": 1})
+    with open(path, "ab") as fh:
+        fh.write(b"\x00\x00\x00\x40{\"fing")  # interrupted append
+    store = FingerprintStore(path)
+    assert len(store) == 1
+    assert store.add(FacetFingerprint(b"xyz"), {"run": 2})
+    reopened = FingerprintStore(path)
+    assert len(reopened) == 2
+    assert [r["provenance"] for r in reopened.records] == [{"run": 1}, {"run": 2}]
+
+
+def test_census_counts_only_its_own_fingerprints(tmp_path):
+    fresh = census(3, 2, FingerprintStore(tmp_path / "fresh.store"))
+    shared = FingerprintStore(tmp_path / "shared.store")
+    census(4, 2, shared)
+    after = census(3, 2, shared)
+    assert fresh.distinct == after.distinct == 6
+    assert len(shared) > after.distinct
+
+
 def test_census_single_permutation_budget(tmp_path):
     store = FingerprintStore(tmp_path / "c.store")
     report = census(5, 4, store, budget=1, seed=3)

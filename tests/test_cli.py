@@ -2,6 +2,7 @@ import json
 
 from click.testing import CliRunner
 
+from regtri import geometry
 from regtri.cli import main
 from regtri.geometry import PointConfiguration
 from regtri.triangulations import Triangulation, heights_to_json
@@ -35,6 +36,16 @@ def test_enumerate_budget_exit_code(tmp_path):
     assert result.exit_code == 2
     summary = json.loads(result.output.strip().splitlines()[-1])
     assert summary["budget_hit"]
+
+
+def test_enumerate_degenerate_start_is_a_json_error(tmp_path):
+    cfg_path = tmp_path / "collinear.json"
+    cfg = PointConfiguration.from_rows([[0, 0], [1, 0], [2, 0], [0, 1]])
+    cfg_path.write_text(cfg.to_json())
+    result = CliRunner().invoke(main, ["enumerate", str(cfg_path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert json.loads(result.stderr)["error"] == "DegenerateStep"
 
 
 def test_triangulate_and_regular_roundtrip(tmp_path):
@@ -99,6 +110,24 @@ def test_lift_and_contract(tmp_path):
     assert result.exit_code == 0, result.output
     back = PointConfiguration.from_json(result.output)
     assert (back.dim, back.n) == (2, 4)
+
+
+def test_lift_proves_convex_position_once(tmp_path, monkeypatch):
+    calls = []
+    real = geometry.is_vertex
+    monkeypatch.setattr(
+        geometry, "is_vertex", lambda cfg, lab: calls.append(lab) or real(cfg, lab)
+    )
+    # a pentagon order whose lift needs at least one epsilon halving
+    pentagon = PointConfiguration.from_rows([[5, 3], [-1, 3], [2, 5], [4, 0], [0, 0]])
+    cfg_path = tmp_path / "pentagon.json"
+    cfg_path.write_text(pentagon.to_json())
+    lifted_path = tmp_path / "lifted.json"
+    result = CliRunner().invoke(main, ["lift", str(cfg_path), "--output", str(lifted_path)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == pentagon.n
+    manifest = json.loads((tmp_path / "lifted.json.manifest.json").read_text())
+    assert manifest["parameters"]["spec"]["epsilons"][0] != "1/2"
 
 
 def test_contract_invalid_label_exits_one(tmp_path):

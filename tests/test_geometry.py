@@ -2,10 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from regtri.errors import NotAFace, NotFullDimensional
 from regtri.geometry import (
     PointConfiguration,
+    affine_dim,
     classify_visibility,
     configuration_in_general_position,
     cyclic_configuration,
@@ -169,6 +172,31 @@ def test_is_vertex_and_convex_position():
     assert not is_vertex(cfg, 5)
     assert not in_convex_position(cfg)
     assert in_convex_position(square())
+
+
+@st.composite
+def small_configurations(draw):
+    """2-D and 3-D configurations on a small integer grid, so that
+    interior points and points on edges and facets come up often."""
+    d = draw(st.sampled_from([2, 3]))
+    coords = st.tuples(*[st.integers(0, 3)] * d)
+    rows = draw(st.lists(coords, min_size=d + 1, max_size=7, unique=True))
+    cfg = PointConfiguration.from_rows(rows)
+    assume(affine_dim(cfg) == d)
+    probe = draw(st.tuples(*[st.integers(-1, 4)] * d))
+    return cfg, tuple(F(2 * x + 1, 2) for x in probe)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_configurations())
+def test_separation_lps_agree_with_brute_force_facets(case):
+    cfg, p = case
+    for lab in cfg.labels:
+        assert is_vertex(cfg, lab) == is_face(cfg, {lab})
+    for f in facets(cfg):
+        v = f.value(p)
+        assert visibility(cfg, f.labels, p) == (v > 0, v < 0)
 
 
 def test_cyclic_configuration_validation():

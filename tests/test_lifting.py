@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from regtri import geometry
+from regtri.census import single_lift
 from regtri.errors import NotAVertex, NotConvexPosition, ValidationFailed
 from regtri.geometry import (
     PointConfiguration,
@@ -15,6 +17,7 @@ from regtri.geometry import (
 from regtri.lifting import (
     LiftSpec,
     auto_epsilons,
+    auto_lift,
     contraction,
     double_contraction,
     lex_lift,
@@ -90,10 +93,34 @@ def test_auto_epsilons_validates_pentagon():
     lex_lift(base, spec)  # must not raise
 
 
+def test_convex_position_proved_once_per_auto_lift(monkeypatch):
+    # this insertion order of the pentagon fails validation at beta = 1/2
+    order = (3, 5, 4, 2, 1)
+    base = pentagon()
+    reordered = PointConfiguration(2, tuple(base.point(l) for l in order), order)
+    calls = []
+    real = geometry.is_vertex
+    monkeypatch.setattr(
+        geometry, "is_vertex", lambda cfg, lab: calls.append(lab) or real(cfg, lab)
+    )
+    lifted, spec = single_lift(base, order)
+    assert spec.epsilons[0] < F(1, 2)
+    assert len(calls) == base.n
+    calls.clear()
+    assert auto_epsilons(reordered, apex_over(reordered)) == spec
+    assert len(calls) == base.n
+    calls.clear()
+    lc = auto_lift(reordered, apex_over(reordered))
+    assert (lc.lifted, lc.spec) == (lifted, spec)
+    assert len(calls) == base.n
+
+
 def test_lift_requires_convex_position():
     cfg = pentagon().append_point((2, 2))
     with pytest.raises(NotConvexPosition):
         lex_lift(cfg, LiftSpec(apex_over(cfg), tuple(F(1, 2) ** (i + 1) for i in range(6))))
+    with pytest.raises(NotConvexPosition):
+        auto_lift(cfg, apex_over(cfg))
 
 
 def test_lift_orientation_preserved_under_apex_contraction():

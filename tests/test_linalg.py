@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from regtri import linalg
 
@@ -85,3 +86,27 @@ def test_kernel_vector_random_dependences():
             continue  # degenerate sample
         for i in range(d + 1):
             assert sum(cols[j][i] * v[j] for j in range(d + 2)) == 0
+
+
+def largest_nonzero_minor(m):
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for r in combinations(range(rows), k):
+            for c in combinations(range(cols), k):
+                if naive_det([[m[i][j] for j in c] for i in r]) != 0:
+                    return k
+    return 0
+
+
+def test_rank_matches_largest_nonzero_minor_on_deficient_matrices():
+    rng = random.Random(13)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        k = rng.randint(0, min(rows, cols) - 1)
+        # a product through k dimensions has rank at most k
+        left = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+                for _ in range(rows)]
+        right = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(k)]
+        m = [[sum((a[t] * right[t][j] for t in range(k)), Fraction(0))
+              for j in range(cols)] for a in left]
+        assert linalg.rank(m) == largest_nonzero_minor(m) <= k
