@@ -10,7 +10,6 @@ lower bound work.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -194,8 +193,12 @@ class FacetFingerprint:
         return cls(bytes.fromhex(s))
 
 
+# a census fingerprints each lift once; caching would keep every lift alive
+_uncached_facets = facets.__wrapped__
+
+
 def fingerprint(config: PointConfiguration) -> FacetFingerprint:
-    sets = sorted(sorted(f.labels) for f in facets(config))
+    sets = sorted(sorted(f.labels) for f in _uncached_facets(config))
     return FacetFingerprint(json.dumps(sets, separators=(",", ":")).encode())
 
 
@@ -281,6 +284,8 @@ class CensusReport:
 
 
 def _spec_digest(specs) -> str:
+    import hashlib  # here, as it loads OpenSSL, which only the census needs
+
     h = hashlib.sha256()
     for s in specs:
         h.update(s.to_json().encode())

@@ -1,16 +1,16 @@
 """Small exact linear algebra helpers over the rationals.
 
-There are two elimination kernels.  Determinants go through integer
-Bareiss elimination after clearing denominators, which is considerably
-faster than fraction-by-fraction Gaussian elimination for the
-homogenized point matrices we feed it.  `solve`, `rank` and
-`kernel_vector` share one Gauss-Jordan reduction, `_rref`.
+Elimination runs on integers, each row cleared of denominators once
+(`clear_denominators`).  Determinants use Bareiss elimination
+(`_int_det`); `solve`, `rank` and `kernel_vector` share one Gauss-Jordan
+reduction, `_rref`, built on `pivot`, the fraction-free step that also
+drives the exact simplex in `linprog`.  Fractions appear only in results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -30,70 +30,89 @@ def _int_det(m: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = m[k][k]
+        pv = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+                m[i][j] = (m[i][j] * pv - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
-        prev = pivot
+        prev = pv
     return sign * m[n - 1][n - 1]
 
 
-def _scaled_rows(rows):
-    scaled = []
-    denom = 1
-    for row in rows:
-        mult = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        scaled.append([int(Fraction(x) * mult) for x in row])
-        denom *= mult
-    return scaled, denom
+def clear_denominators(row):
+    """(m, integer row) where m is the least positive multiplier that
+    makes the rational row integral."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    m = lcm(*(x.denominator for x in row))
+    return m, [x.numerator * (m // x.denominator) for x in row]
+
+
+def pivot(rows, r, c, den) -> int:
+    """One fraction-free Gauss-Jordan step (Edmonds 1967) on integer
+    rows standing for rows / den: pivot on rows[r][c], return the new den.
+
+    The pivot row is kept; every other row becomes (p*x - f*y) // den, p
+    the pivot, f the row's entry in column c, y the pivot row, exact by
+    Sylvester's identity.  A negative pivot row is negated first, so the
+    denominator stays positive."""
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow = rows[r] = [-y for y in prow]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * x - f * y) // den for x, y in zip(row, prow)]
+        elif p != den:
+            rows[i] = [p * x // den for x in row]
+    return p
 
 
 def det(rows) -> Fraction:
-    scaled, denom = _scaled_rows([list(r) for r in rows])
-    return Fraction(_int_det(scaled), denom)
+    cleared = [clear_denominators(row) for row in rows]
+    num = _int_det([ints for _, ints in cleared])
+    return Fraction(num, prod(m for m, _ in cleared))
 
 
 def det_sign(rows) -> int:
-    scaled, _ = _scaled_rows([list(r) for r in rows])
-    d = _int_det(scaled)
+    d = _int_det([clear_denominators(row)[1] for row in rows])
     return (d > 0) - (d < 0)
 
 
 def _rref(rows):
-    """Gauss-Jordan reduction over the rationals: the reduced rows and
-    the pivot column of each nonzero row, in order."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Gauss-Jordan reduction: integer rows that, over the returned
+    positive denominator, are the reduced row echelon form, and the
+    pivot column of each nonzero row, in order."""
+    m = [clear_denominators(row)[1] for row in rows]
+    den = 1
     pivots = []
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
         if r == len(m):
             break
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        den = pivot(m, r, col, den)
         pivots.append(col)
-    return m, pivots
+    return m, den, pivots
 
 
 def solve(a, b):
     """Solve the square system a x = b exactly; None if singular."""
     n = len(a)
-    m, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(a)])
+    m, den, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         return None
-    return [m[i][n] for i in range(n)]
+    return [Fraction(m[i][n], den) for i in range(n)]
 
 
 def rank(rows) -> int:
-    return len(_rref(rows)[1])
+    return len(_rref(rows)[2])
 
 
 def kernel_vector(columns):
@@ -101,7 +120,9 @@ def kernel_vector(columns):
     or None if the kernel is trivial or has dimension > 1."""
     ncols = len(columns)
     nrows = len(columns[0]) if columns else 0
-    m, pivots = _rref([[columns[j][i] for j in range(ncols)] for i in range(nrows)])
+    m, den, pivots = _rref(
+        [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
+    )
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         return None
@@ -109,5 +130,5 @@ def kernel_vector(columns):
     vec = [Fraction(0)] * ncols
     vec[f] = Fraction(1)
     for row_idx, col in enumerate(pivots):
-        vec[col] = -m[row_idx][f]
+        vec[col] = Fraction(-m[row_idx][f], den)
     return vec

@@ -1,16 +1,21 @@
 """Exact rational linear programming.
 
-A dense two-phase tableau simplex with Bland's rule: slow, but exact,
-deterministic, and able to hand back dual multipliers, which is what the
-regularity certificates need.  Problem sizes here are tiny (tens of
-variables, low hundreds of constraints), so no effort is spent on
-sparsity or revised-simplex bookkeeping.
+A dense two-phase tableau simplex with Bland's rule: exact, deterministic,
+and able to hand back the dual multipliers the regularity certificates
+need.  The tableau is fraction-free: each row is cleared of denominators
+once, and every entry is then an integer over one common denominator,
+updated by `linalg.pivot` with exact divisions.  Bland's rule reads only
+signs and ratio comparisons, which that scaling preserves, so pivots,
+solutions and duals are those of the rational simplex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+from .linalg import clear_denominators, pivot
 
 Z = Fraction(0)
 
@@ -29,46 +34,30 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _pivot(tab, obj, basis, row, col):
-    pv = tab[row][col]
-    tab[row] = [x / pv for x in tab[row]]
-    prow = tab[row]
-    for r, trow in enumerate(tab):
-        if r != row and trow[col] != 0:
-            f = trow[col]
-            tab[r] = [x - f * y for x, y in zip(trow, prow)]
-    if obj[col] != 0:
-        f = obj[col]
-        for j, y in enumerate(prow):
-            if y != 0:
-                obj[j] -= f * y
-    basis[row] = col
-
-
-def _run_simplex(tab, obj, basis, allowed):
-    """Maximize with Bland's rule; obj holds z_j - c_j entries plus the
-    running objective value in the last slot (negated)."""
-    ncols = len(tab[0]) - 1
+def _run_simplex(tab, basis, nrows, ncols, den):
+    """Maximize with Bland's rule over the first ncols columns.  The
+    last row of tab holds the reduced costs z_j - c_j and, in its last
+    slot, minus the objective value, all over den.  Returns the status
+    and the final denominator."""
     while True:
-        enter = None
-        for j in range(ncols):
-            if allowed[j] and obj[j] < 0:
-                enter = j
-                break
+        obj = tab[-1]
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
-            return "optimal"
+            return "optimal", den
         leave = None
-        best = None
-        for r, trow in enumerate(tab):
-            a = trow[enter]
+        for r in range(nrows):
+            a = tab[r][enter]
             if a > 0:
-                ratio = trow[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+                # compare ratios rhs / a by cross-multiplication
+                rhs = tab[r][-1]
+                if leave is None or rhs * best_a < best_rhs * a or (
+                    rhs * best_a == best_rhs * a and basis[r] < basis[leave]
+                ):
+                    leave, best_rhs, best_a = r, rhs, a
         if leave is None:
-            return "unbounded"
-        _pivot(tab, obj, basis, leave, enter)
+            return "unbounded", den
+        den = pivot(tab, leave, enter, den)
+        basis[leave] = enter
 
 
 def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False) -> LPResult:
@@ -79,121 +68,95 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False) -> LPResult:
     """
     c = [Fraction(v) for v in c]
     nfree = len(c)
-    rows = []
-    for coeffs, rhs in zip(a_ub, b_ub):
-        rows.append(([Fraction(v) for v in coeffs], Fraction(rhs), "ub"))
-    for coeffs, rhs in zip(a_eq, b_eq):
-        rows.append(([Fraction(v) for v in coeffs], Fraction(rhs), "eq"))
-    nrows = len(rows)
+    # Row i is multiplied by m_i: the lcm of its denominators, negated
+    # when its right-hand side is negative.  Its slack keeps coefficient
+    # +-1, so it stands for |m_i| times the rational slack.
+    ub_rows = list(zip(a_ub, b_ub))
+    tab = []
+    mults = []
+    for coeffs, rhs in ub_rows + list(zip(a_eq, b_eq)):
+        m, ints = clear_denominators(list(coeffs) + [rhs])
+        if ints[-1] < 0:
+            m, ints = -m, [-v for v in ints]
+        tab.append(ints)
+        mults.append(m)
+    nrows = len(tab)
     if nrows == 0:
         if all(v == 0 for v in c) or (nonneg and all(v <= 0 for v in c)):
             return LPResult("optimal", x=[Z] * nfree, value=Z, dual=[])
         return LPResult("unbounded")
 
-    if nonneg:
-        nvars = nfree
-        expand = lambda coeffs: list(coeffs)
-        cvec = list(c)
-    else:
-        nvars = 2 * nfree
-        expand = lambda coeffs: list(coeffs) + [-v for v in coeffs]
-        cvec = list(c) + [-v for v in c]
+    nvars = nfree if nonneg else 2 * nfree
+    expand = (lambda v: v) if nonneg else (lambda v: v + [-x for x in v])
+    # Columns: structural | one slack per <= row (the <= rows come
+    # first, so row i's slack is column nvars + i) | one artificial per
+    # equality row or negated row.  Only the first nreal may enter.
+    n_ub = len(ub_rows)
+    nreal = nvars + n_ub
+    art_rows = [i for i, m in enumerate(mults) if i >= n_ub or m < 0]
+    art_col = {i: nreal + k for k, i in enumerate(art_rows)}
+    ncols = nreal + len(art_rows)
+    for i, ints in enumerate(tab):
+        row = expand(ints[:-1]) + [0] * (ncols - nvars) + [ints[-1]]
+        if i < n_ub:
+            row[nvars + i] = 1 if mults[i] > 0 else -1
+        if i in art_col:
+            row[art_col[i]] = 1
+        tab[i] = row
+    basis = [art_col.get(i, nvars + i) for i in range(nrows)]
+    marker = basis[:]  # unit column identifying each row, for dual recovery
 
-    n_ub = sum(1 for _, _, kind in rows if kind == "ub")
-    ncols = nvars + n_ub + nrows  # structural | slacks | artificials
-    tab = []
-    basis = []
-    flipped = []
-    marker = []  # unit column identifying each row, for dual recovery
-    needs_art = []
-    slack_idx = 0
-    for coeffs, rhs, kind in rows:
-        flip = rhs < 0
-        if flip:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-        row = expand(coeffs) + [Z] * (n_ub + nrows) + [rhs]
-        art = True
-        if kind == "ub":
-            scol = nvars + slack_idx
-            slack_idx += 1
-            row[scol] = Fraction(-1) if flip else Fraction(1)
-            if not flip:
-                art = False
-                basis.append(scol)
-                marker.append(scol)
-        if art:
-            acol = nvars + n_ub + len(tab)
-            row[acol] = Fraction(1)
-            basis.append(acol)
-            marker.append(acol)
-        flipped.append(flip)
-        needs_art.append(art)
-        tab.append(row)
-
-    art_cols = set(range(nvars + n_ub, nvars + n_ub + nrows))
+    # The phase-2 objective, scaled by the lcm k of c's denominators,
+    # rides along as the last row from the start.
+    k, cint = clear_denominators(c)
+    tab.append([-v for v in expand(cint)] + [0] * (ncols - nvars + 1))
+    den = 1
     live = [True] * nrows  # rows surviving redundancy elimination
 
-    # Phase 1: drive artificials to zero (maximize minus their sum).
-    if any(needs_art):
-        obj = [Z] * (ncols + 1)
-        for r, row in enumerate(tab):
-            if basis[r] in art_cols:
-                for j in range(ncols + 1):
-                    obj[j] -= row[j]
-        for j in art_cols:
-            obj[j] += 1
-        allowed = [j not in art_cols for j in range(ncols)]
-        _run_simplex(tab, obj, basis, allowed)
+    # Phase 1: drive artificials to zero, maximizing minus their sum.
+    # Artificial i stands for |m_i| times the rational one, so its cost
+    # is weighted by w / |m_i| (w the lcm of those |m_i|), which keeps
+    # every reduced cost a positive multiple of the rational one.
+    if art_rows:
+        w = lcm(*(abs(mults[i]) for i in art_rows))
+        phase1 = [0] * (ncols + 1)
+        for i in art_rows:
+            f = w // abs(mults[i])
+            phase1 = [x - f * y for x, y in zip(phase1, tab[i])]
+        phase1[nreal:ncols] = [0] * len(art_rows)
+        tab.append(phase1)
+        _, den = _run_simplex(tab, basis, nrows, nreal, den)
         # phase-1 value is -(sum of artificials); anything below zero
         # means no feasible point exists
-        if obj[-1] < 0:
+        if tab.pop()[-1] < 0:
             return LPResult("infeasible")
         # Drive leftover basic artificials out; zero rows are redundant.
-        for r in range(nrows):
-            if basis[r] in art_cols:
-                col = next(
-                    (j for j in range(nvars + n_ub) if tab[r][j] != 0), None
-                )
+        for r in art_rows:
+            if basis[r] >= nreal:
+                col = next((j for j in range(nreal) if tab[r][j]), None)
                 if col is not None:
-                    _pivot(tab, obj, basis, r, col)
+                    den = pivot(tab, r, col, den)
+                    basis[r] = col
                 else:
                     live[r] = False
+                    tab[r] = [0] * (ncols + 1)
 
-    # Phase 2 objective row built from scratch against the current basis.
-    obj = [-v for v in cvec] + [Z] * (n_ub + nrows + 1)
-    for r, row in enumerate(tab):
-        cb = cvec[basis[r]] if basis[r] < nvars else Z
-        if cb != 0:
-            for j in range(ncols + 1):
-                obj[j] += cb * row[j]
-    allowed = [j not in art_cols for j in range(ncols)]
-    for r in range(nrows):
-        if not live[r]:
-            for j in range(ncols):
-                tab[r][j] = Z
-            tab[r][-1] = Z
-    status = _run_simplex(tab, obj, basis, allowed)
+    status, den = _run_simplex(tab, basis, nrows, nreal, den)
     if status == "unbounded":
         return LPResult("unbounded")
 
-    xfull = [Z] * ncols
+    xfull = [Z] * nvars
     for r in range(nrows):
-        if live[r]:
-            xfull[basis[r]] = tab[r][-1]
-    if nonneg:
-        x = xfull[:nfree]
-    else:
-        x = [xfull[i] - xfull[nfree + i] for i in range(nfree)]
+        if live[r] and basis[r] < nvars:
+            xfull[basis[r]] = Fraction(tab[r][-1], den)
+    x = xfull if nonneg else [xfull[i] - xfull[nfree + i] for i in range(nfree)]
     value = sum(ci * xi for ci, xi in zip(c, x)) if c else Z
 
-    dual = []
-    for r in range(nrows):
-        if not live[r]:
-            dual.append(Z)
-            continue
-        y = obj[marker[r]]
-        dual.append(-y if flipped[r] else y)
+    # The reduced cost of row i's unit column is its multiplier in the
+    # scaled problem; scaling back by m_i / (k * den) gives the dual.
+    obj = tab[-1]
+    dual = [Fraction(mults[r] * obj[marker[r]], k * den) if live[r] else Z
+            for r in range(nrows)]
     return LPResult("optimal", x=x, value=value, dual=dual)
 
 

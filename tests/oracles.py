@@ -111,3 +111,158 @@ def lower_hull_cells(points, heights):
             cells.add(frozenset(l for l, v in vals if v == 0))
     # drop non-maximal label sets produced by sub-spanning subsets
     return {c for c in cells if not any(c < other for other in cells)}
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan reduction over Fractions, pivoting on the first
+    nonzero entry of each column: (reduced rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][col]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def _fraction_pivot(tab, obj, basis, row, col):
+    pv = tab[row][col]
+    tab[row] = [x / pv for x in tab[row]]
+    prow = tab[row]
+    for r, trow in enumerate(tab):
+        if r != row and trow[col] != 0:
+            f = trow[col]
+            tab[r] = [x - f * y for x, y in zip(trow, prow)]
+    if obj[col] != 0:
+        f = obj[col]
+        for j, y in enumerate(prow):
+            if y != 0:
+                obj[j] -= f * y
+    basis[row] = col
+
+
+def _fraction_run_simplex(tab, obj, basis, allowed):
+    ncols = len(tab[0]) - 1
+    while True:
+        enter = next((j for j in range(ncols) if allowed[j] and obj[j] < 0), None)
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for r, trow in enumerate(tab):
+            a = trow[enter]
+            if a > 0:
+                ratio = trow[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave is None:
+            return "unbounded"
+        _fraction_pivot(tab, obj, basis, leave, enter)
+
+
+def fraction_simplex(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False):
+    """Maximize c.x subject to a_ub x <= b_ub and a_eq x = b_eq with a
+    dense two-phase Fraction tableau and Bland's rule: one artificial
+    column per row, rows with a negative right-hand side negated.
+    Returns (status, x, value, dual) with x, value and dual None unless
+    optimal; dual has one multiplier per row, ub rows first."""
+    c = [Fraction(v) for v in c]
+    nfree = len(c)
+    rows = [([Fraction(v) for v in a], Fraction(b), "ub") for a, b in zip(a_ub, b_ub)]
+    rows += [([Fraction(v) for v in a], Fraction(b), "eq") for a, b in zip(a_eq, b_eq)]
+    nrows = len(rows)
+    zero = Fraction(0)
+    if nrows == 0:
+        if all(v == 0 for v in c) or (nonneg and all(v <= 0 for v in c)):
+            return "optimal", [zero] * nfree, zero, []
+        return "unbounded", None, None, None
+    nvars = nfree if nonneg else 2 * nfree
+
+    def expand(coeffs):
+        return list(coeffs) if nonneg else list(coeffs) + [-v for v in coeffs]
+
+    cvec = expand(c)
+    n_ub = sum(1 for _, _, kind in rows if kind == "ub")
+    ncols = nvars + n_ub + nrows  # structural | slacks | artificials
+    tab, basis, flipped, marker = [], [], [], []
+    slack_idx = 0
+    for coeffs, rhs, kind in rows:
+        flip = rhs < 0
+        if flip:
+            coeffs, rhs = [-v for v in coeffs], -rhs
+        row = expand(coeffs) + [zero] * (n_ub + nrows) + [rhs]
+        art = True
+        if kind == "ub":
+            scol = nvars + slack_idx
+            slack_idx += 1
+            row[scol] = Fraction(-1 if flip else 1)
+            if not flip:
+                art = False
+                basis.append(scol)
+                marker.append(scol)
+        if art:
+            acol = nvars + n_ub + len(tab)
+            row[acol] = Fraction(1)
+            basis.append(acol)
+            marker.append(acol)
+        flipped.append(flip)
+        tab.append(row)
+
+    art_cols = set(range(nvars + n_ub, ncols))
+    allowed = [j not in art_cols for j in range(ncols)]
+    live = [True] * nrows
+    if any(b in art_cols for b in basis):
+        obj = [zero] * (ncols + 1)
+        for r, row in enumerate(tab):
+            if basis[r] in art_cols:
+                obj = [o - x for o, x in zip(obj, row)]
+        for j in art_cols:
+            obj[j] += 1
+        _fraction_run_simplex(tab, obj, basis, allowed)
+        if obj[-1] < 0:
+            return "infeasible", None, None, None
+        for r in range(nrows):
+            if basis[r] in art_cols:
+                col = next((j for j in range(nvars + n_ub) if tab[r][j] != 0), None)
+                if col is not None:
+                    _fraction_pivot(tab, obj, basis, r, col)
+                else:
+                    live[r] = False
+
+    obj = [-v for v in cvec] + [zero] * (n_ub + nrows + 1)
+    for r, row in enumerate(tab):
+        cb = cvec[basis[r]] if basis[r] < nvars else zero
+        if cb != 0:
+            obj = [o + cb * x for o, x in zip(obj, row)]
+    for r in range(nrows):
+        if not live[r]:
+            tab[r] = [zero] * (ncols + 1)
+    if _fraction_run_simplex(tab, obj, basis, allowed) == "unbounded":
+        return "unbounded", None, None, None
+
+    xfull = [zero] * ncols
+    for r in range(nrows):
+        if live[r]:
+            xfull[basis[r]] = tab[r][-1]
+    if nonneg:
+        x = xfull[:nfree]
+    else:
+        x = [xfull[i] - xfull[nfree + i] for i in range(nfree)]
+    value = sum((ci * xi for ci, xi in zip(c, x)), zero)
+    dual = []
+    for r in range(nrows):
+        y = obj[marker[r]] if live[r] else zero
+        dual.append(-y if flipped[r] else y)
+    return "optimal", x, value, dual

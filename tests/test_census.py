@@ -185,6 +185,25 @@ def test_store_truncates_torn_tail_on_open(tmp_path):
     assert [r["provenance"] for r in reopened.records] == [{"run": 1}, {"run": 2}]
 
 
+def test_store_reopens_after_truncation_at_every_offset(tmp_path):
+    full = tmp_path / "full.store"
+    store = FingerprintStore(full)
+    ends = []  # file size after each complete record
+    for i in range(3):
+        store.add(FacetFingerprint(bytes([i]) * 4), {"run": i})
+        ends.append(full.stat().st_size)
+    data = full.read_bytes()
+    torn = tmp_path / "torn.store"
+    for cut in range(len(data) + 1):
+        torn.write_bytes(data[:cut])
+        kept = [{"run": i} for i, end in enumerate(ends) if end <= cut]
+        store = FingerprintStore(torn)
+        assert [r["provenance"] for r in store.records] == kept
+        assert store.add(FacetFingerprint(b"late"), {"run": "late"})
+        reopened = FingerprintStore(torn)
+        assert [r["provenance"] for r in reopened.records] == kept + [{"run": "late"}]
+
+
 def test_census_counts_only_its_own_fingerprints(tmp_path):
     fresh = census(3, 2, FingerprintStore(tmp_path / "fresh.store"))
     shared = FingerprintStore(tmp_path / "shared.store")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from regtri.enumeration import (
     SplitPair,
@@ -18,6 +20,7 @@ from regtri.enumeration import (
 from regtri.errors import BudgetExceeded, NotAVertex
 from regtri.geometry import (
     PointConfiguration,
+    configuration_in_general_position,
     cyclic_configuration,
     is_general_position,
     is_vertex,
@@ -106,6 +109,37 @@ def test_enumerate_regular_relabeling_invariance():
         relabeled = cfg.relabel(mapping)
         got = enumerate_regular(relabeled)
         assert got == {t.relabel(mapping) for t in base}
+
+
+@st.composite
+def relabeled_plane_configurations(draw):
+    """A 2-D configuration in general position on a small grid, often
+    with interior points, and a random permutation of its labels."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         min_size=4, max_size=6, unique=True))
+    perm = draw(st.permutations(range(1, len(rows) + 1)))
+    return rows, perm
+
+
+NESTED_TRIANGLES = [(4, 0), (0, 4), (0, 0), (2, 1), (1, 2), (1, 1)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(relabeled_plane_configurations())
+@example((NESTED_TRIANGLES, [6, 4, 5, 2, 3, 1]))  # has non-regular triangulations
+def test_regularity_and_enumeration_invariant_under_relabeling(case):
+    rows, perm = case
+    cfg = PointConfiguration.from_rows(rows)
+    assume(configuration_in_general_position(cfg))
+    mapping = dict(zip(cfg.labels, perm))
+    relabeled = cfg.relabel(mapping)
+    for t in enumerate_all_oracle(cfg):
+        assert (is_regular(t, cfg).regular
+                == is_regular(t.relabel(mapping), relabeled).regular)
+    assert enumerate_regular(relabeled) == {
+        t.relabel(mapping) for t in enumerate_regular(cfg)
+    }
 
 
 def test_budget_exceeded():

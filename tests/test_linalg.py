@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from regtri import linalg
 
-from oracles import naive_det
+from oracles import fraction_rref, naive_det
 
 
 def random_matrix(rng, n, scale=20):
@@ -110,3 +113,50 @@ def test_rank_matches_largest_nonzero_minor_on_deficient_matrices():
         m = [[sum((a[t] * right[t][j] for t in range(k)), Fraction(0))
               for j in range(cols)] for a in left]
         assert linalg.rank(m) == largest_nonzero_minor(m) <= k
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 7]))
+
+
+@st.composite
+def rational_matrices(draw, rows=st.integers(1, 5), cols=st.integers(1, 5)):
+    """Rational matrices whose trailing rows are often combinations of
+    the leading ones, so rank deficiency comes up often."""
+    nrows, ncols = draw(rows), draw(cols)
+    row = st.lists(rationals, min_size=ncols, max_size=ncols)
+    free = draw(st.integers(1, nrows))
+    m = draw(st.lists(row, min_size=free, max_size=free))
+    while len(m) < nrows:
+        coeffs = draw(st.lists(rationals, min_size=free, max_size=free))
+        m.append([sum((a * r[j] for a, r in zip(coeffs, m)), Fraction(0))
+                  for j in range(ncols)])
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rank_and_kernel_vector_equal_fraction_rref(m):
+    assert linalg.rank(m) == len(fraction_rref(m)[1])
+    # kernel_vector takes m's rows as the columns of its matrix
+    ncols = len(m)
+    kreduced, kpivots = fraction_rref([list(col) for col in zip(*m)])
+    free = [c for c in range(ncols) if c not in kpivots]
+    expected = None
+    if len(free) == 1:
+        expected = [Fraction(0)] * ncols
+        expected[free[0]] = Fraction(1)
+        for r, col in enumerate(kpivots):
+            expected[col] = -kreduced[r][free[0]]
+    assert linalg.kernel_vector(m) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(rational_matrices(st.just(n), st.just(n)),
+                        st.lists(rationals, min_size=n, max_size=n))))
+def test_solve_equals_fraction_rref(system):
+    a, b = system
+    n = len(a)
+    reduced, pivots = fraction_rref([row + [bi] for row, bi in zip(a, b)])
+    expected = [reduced[i][n] for i in range(n)] if pivots == list(range(n)) else None
+    assert linalg.solve(a, b) == expected

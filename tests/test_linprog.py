@@ -1,7 +1,20 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regtri import linalg, linprog
+from regtri.geometry import PointConfiguration, cyclic_configuration
 from regtri.linprog import lp_feasible, solve_lp
+from regtri.triangulations import (
+    Triangulation,
+    height_separation_rows,
+    max_margin,
+    placing_triangulation,
+)
+
+from oracles import fraction_simplex
 
 
 def test_simple_max():
@@ -133,3 +146,91 @@ def test_random_feasibility_agrees_with_vertex_scan():
         )
         if brute:
             assert got  # a feasible candidate point certifies feasibility
+
+
+def fields(res):
+    return res.status, res.x, res.value, res.dual
+
+
+rationals = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6]))
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs with <= and = rows, right-hand sides of both signs and
+    entries over mixed denominators; sometimes an equality row gets a
+    rational multiple as a redundant copy, which phase 1 leaves dead."""
+    nv = draw(st.integers(1, 3))
+    row = st.lists(rationals, min_size=nv, max_size=nv)
+    a_ub = draw(st.lists(row, max_size=4))
+    b_ub = draw(st.lists(rationals, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=2))
+    b_eq = draw(st.lists(rationals, min_size=len(a_eq), max_size=len(a_eq)))
+    if a_eq and draw(st.booleans()):
+        i = draw(st.integers(0, len(a_eq) - 1))
+        k = draw(st.sampled_from([F(1), F(-2), F(3, 5)]))
+        a_eq.append([k * v for v in a_eq[i]])
+        b_eq.append(k * b_eq[i])
+    return draw(row), a_ub, b_ub, a_eq, b_eq, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_lps())
+def test_solve_lp_equals_fraction_simplex(lp):
+    c, a_ub, b_ub, a_eq, b_eq, nonneg = lp
+    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+    assert fields(res) == fraction_simplex(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+
+
+def test_solve_lp_fixed_cases_equal_fraction_simplex(monkeypatch):
+    negative_pivots = []
+
+    def recording_pivot(rows, r, c, den):
+        negative_pivots.append(rows[r][c] < 0)
+        return linalg.pivot(rows, r, c, den)
+
+    monkeypatch.setattr(linprog, "pivot", recording_pivot)
+    cases = {
+        "dead row": ([1, 1], [[1, 1]], [4], [[1, -1], [F(2, 3), F(-2, 3)]], [0, 0], True),
+        "infeasible": ([F(1, 2)], [[1], [-1]], [1, F(-5, 2)], [], [], True),
+        "unbounded": ([F(1, 3), 1], [[1, -1]], [F(-1, 2)], [], [], False),
+        "negative rhs": ([-1, F(1, 2)], [[F(-1, 3), 1], [1, 1]], [F(-2, 5), 3], [], [], True),
+        # phase 1 ends with the artificial of the equality row basic at
+        # zero, and the drive-out pivots on its entry -1
+        "negative drive-out": (
+            [2, 1, 2], [[2, 1, 2], [-1, 0, 0]], [2, 1], [[-1, 0, -2]], [0], True
+        ),
+    }
+    got = {}
+    for name, (c, a_ub, b_ub, a_eq, b_eq, nonneg) in cases.items():
+        negative_pivots.clear()
+        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+        assert fields(res) == fraction_simplex(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+        got[name] = (res, any(negative_pivots))
+    assert got["dead row"][0].optimal and got["dead row"][0].dual[-1] == 0
+    assert got["infeasible"][0].status == "infeasible"
+    assert got["unbounded"][0].status == "unbounded"
+    assert got["negative rhs"][0].optimal
+    assert got["negative drive-out"][0].optimal and got["negative drive-out"][1]
+
+
+def regularity_lp(cfg, t):
+    labels = sorted(cfg.labels)
+    nv = len(labels) + 1
+    rows = height_separation_rows(cfg, t.cells, {l: i for i, l in enumerate(labels)}, nv)
+    return max_margin(rows, nv)
+
+
+def test_regularity_lps_equal_fraction_simplex():
+    cyc = cyclic_configuration(4, [1, 2, 3, 4, 5, 6, 7, 8])
+    twisted_cfg = PointConfiguration.from_rows(
+        [[4, 0], [0, 4], [0, 0], [2, 1], [1, 2], [1, 1]]
+    )
+    twisted = Triangulation(
+        [{1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {3, 5, 6}, {1, 3, 6}, {1, 4, 6}, {4, 5, 6}]
+    )
+    for cfg, t, regular in ((cyc, placing_triangulation(cyc), True),
+                            (twisted_cfg, twisted, False)):
+        c, a_ub, b_ub, res = regularity_lp(cfg, t)
+        assert fields(res) == fraction_simplex(c, a_ub, b_ub, nonneg=True)
+        assert (res.value > 0) == regular
