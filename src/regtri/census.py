@@ -10,6 +10,7 @@ lower bound work.
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import math
@@ -208,7 +209,8 @@ class FingerprintStore:
     File format: 4-byte big-endian record length followed by a JSON
     object {"fingerprint": hex, "provenance": {...}}.  The in-memory
     index is rebuilt on open; a fresh open sees a consistent snapshot
-    and truncates a partial trailing record.
+    and truncates a partial trailing record.  Appends and loads hold an
+    exclusive flock on the file, so several processes may share it.
     """
 
     def __init__(self, path):
@@ -221,6 +223,9 @@ class FingerprintStore:
     def _load(self):
         end = 0  # offset just past the last complete record
         with open(self.path, "rb") as fh:
+            # lock out writers, so a record being appended is not
+            # mistaken for a torn tail
+            fcntl.flock(fh, fcntl.LOCK_EX)
             while True:
                 header = fh.read(4)
                 if len(header) < 4:
@@ -233,10 +238,10 @@ class FingerprintStore:
                 self._index.add(bytes.fromhex(rec["fingerprint"]))
                 self._records.append(rec)
                 end = fh.tell()
-        # drop a torn tail left by an interrupted write, so the next
-        # append starts on a record boundary instead of inside it
-        if os.path.getsize(self.path) > end:
-            os.truncate(self.path, end)
+            # drop a torn tail left by an interrupted write, so the next
+            # append starts on a record boundary instead of inside it
+            if os.path.getsize(self.path) > end:
+                os.truncate(self.path, end)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -256,8 +261,13 @@ class FingerprintStore:
         rec = {"fingerprint": fp.data.hex(), "provenance": provenance}
         body = json.dumps(rec, separators=(",", ":")).encode()
         with open(self.path, "ab") as fh:
-            fh.write(struct.pack(">I", len(body)) + body)
-            fh.flush()
+            # one writer at a time, so concurrent records never interleave
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            try:
+                fh.write(struct.pack(">I", len(body)) + body)
+                fh.flush()
+            finally:
+                fcntl.flock(fh, fcntl.LOCK_UN)
         self._index.add(fp.data)
         self._records.append(rec)
         return True

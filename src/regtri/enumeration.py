@@ -5,6 +5,12 @@ The flip-based enumerator relies on connectivity of regular
 triangulations through the secondary polytope, an external fact; it is
 therefore cross-checked against an independent extension-search oracle
 on every instance small enough for the oracle.
+
+Each enumeration computes its flips once, in a circuit table: every
+(d+2)-subset of the configuration whose Radon partition has no zero
+coefficient, with the two triangulations of its circuit as ready-made
+cell sets.  A flip is then set operations on a triangulation's cells,
+and the flips found from one table share their cell objects.
 """
 
 from __future__ import annotations
@@ -26,9 +32,7 @@ from .errors import (
 )
 from .geometry import (
     PointConfiguration,
-    cyclic_configuration,
     facets,
-    homogeneous_rows,
     hyperplane_functional,
     is_general_position,
     is_vertex,
@@ -301,20 +305,36 @@ def _radon_partition(config: PointConfiguration, subset):
     return pos, neg
 
 
-def flip_neighbors(t: Triangulation, config: PointConfiguration):
-    """All triangulations one bistellar flip away, over full-dimensional
-    circuits (d+2 point subsets in general position)."""
-    d = config.dim
-    out = []
-    labels = sorted(t.used_labels)
-    for subset in itertools.combinations(labels, d + 2):
+def circuit_table(config: PointConfiguration) -> list:
+    """The flips of config: one (subset, side_pos, side_neg) per (d+2)
+    subset in general position, in combinations(sorted(labels), d+2)
+    order.  The two sides are the two triangulations of the subset's
+    circuit, as cell sets; a flip trades one for the other."""
+    table = []
+    for subset in itertools.combinations(sorted(config.labels), config.dim + 2):
         rp = _radon_partition(config, subset)
         if rp is None:
             continue
         pos, neg = rp
         s = frozenset(subset)
-        side_pos = make_cells(s - {l} for l in neg)
-        side_neg = make_cells(s - {l} for l in pos)
+        table.append(
+            (s, make_cells(s - {l} for l in neg), make_cells(s - {l} for l in pos))
+        )
+    return table
+
+
+def flip_neighbors(t: Triangulation, config: PointConfiguration, circuits=None):
+    """All triangulations one bistellar flip away, over full-dimensional
+    circuits (d+2 point subsets in general position) among the labels t
+    uses.  circuits is a circuit_table of config or of any configuration
+    containing t's labels; by default it is built for those labels."""
+    used = t.used_labels
+    if circuits is None:
+        circuits = circuit_table(config.restrict(used))
+    out = []
+    for s, side_pos, side_neg in circuits:
+        if not s <= used:
+            continue
         if side_pos <= t.cells:
             out.append(Triangulation((t.cells - side_pos) | side_neg))
         elif side_neg <= t.cells:
@@ -326,11 +346,12 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     """All regular triangulations, by flip search from the placing
     triangulation restricted to certified-regular nodes."""
     start = placing_triangulation(config)
+    circuits = circuit_table(config)
     found = {start}
     frontier = [start]
     while frontier:
         t = frontier.pop()
-        for nb in flip_neighbors(t, config):
+        for nb in flip_neighbors(t, config, circuits):
             if nb in found:
                 continue
             if not is_regular(nb, config).regular:

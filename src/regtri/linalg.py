@@ -103,12 +103,19 @@ def _rref(rows):
 
 
 def solve(a, b):
-    """Solve the square system a x = b exactly; None if singular."""
+    """Solve the square system a x = b exactly; None if singular.
+
+    As in numpy, b may instead be a matrix (a list of rows): all its
+    columns are then solved in one reduction, and x is a matrix with
+    one column per column of b."""
     n = len(a)
-    m, den, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(a)])
+    matrix = n > 0 and isinstance(b[0], (list, tuple))
+    rhs = [list(r) if matrix else [r] for r in b]
+    m, den, pivots = _rref([list(row) + rhs[i] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         return None
-    return [Fraction(m[i][n], den) for i in range(n)]
+    x = [[Fraction(v, den) for v in m[i][n:]] for i in range(n)]
+    return x if matrix else [row[0] for row in x]
 
 
 def rank(rows) -> int:

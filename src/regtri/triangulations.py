@@ -141,18 +141,28 @@ def regular_subdivision(config: PointConfiguration, w: dict) -> Subdivision:
     return Subdivision(make_cells(cells))
 
 
+def _affine_coordinates(config: PointConfiguration, cell, labels):
+    """Affine coordinates of each point of `labels` with respect to the
+    d+1 points of `cell` in label order, all from one reduction of the
+    cell's homogenized matrix; None if the cell is degenerate."""
+    cols = [list(config.point(l)) + [Fraction(1)] for l in sorted(cell)]
+    a = [list(row) for row in zip(*cols)]
+    b = [list(row) for row in zip(*(config.point(l) for l in labels))]
+    b.append([Fraction(1)] * len(labels))
+    sol = linalg.solve(a, b)
+    if sol is None:
+        return None
+    return list(zip(*sol))
+
+
 def barycentric(config: PointConfiguration, cell, label: int):
     """Affine coordinates of the point `label` with respect to the d+1
     affinely independent points of `cell`; None if the cell is
     degenerate."""
-    cell = sorted(cell)
-    cols = [list(config.point(l)) + [Fraction(1)] for l in cell]
-    a = [[cols[j][i] for j in range(len(cell))] for i in range(config.dim + 1)]
-    b = list(config.point(label)) + [Fraction(1)]
-    sol = linalg.solve(a, b)
-    if sol is None:
+    coords = _affine_coordinates(config, cell, [label])
+    if coords is None:
         return None
-    return dict(zip(cell, sol))
+    return dict(zip(sorted(cell), coords[0]))
 
 
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
@@ -231,18 +241,23 @@ def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
     the lifted point must clear the cell's lifted hyperplane by at least
     the margin, the last of the nv variables.  column maps each label of
     config to the height variable it reads; points are visited in its
-    iteration order."""
+    iteration order.  Each cell's coordinates of all its outside points
+    come from one reduction."""
     rows = []
     for cell in sorted(cells, key=sorted):
-        for lab in column:
-            if lab in cell:
-                continue
-            coords = barycentric(config, cell, lab)
-            if coords is None:
-                raise NotATriangulation(("degenerate cell", tuple(sorted(cell))))
+        vertices = sorted(cell)
+        if len(vertices) != config.dim + 1:
+            raise NotATriangulation(("non-simplicial cell", tuple(vertices)))
+        outside = [lab for lab in column if lab not in cell]
+        if not outside:
+            continue
+        coords = _affine_coordinates(config, cell, outside)
+        if coords is None:
+            raise NotATriangulation(("degenerate cell", tuple(vertices)))
+        for lab, lams in zip(outside, coords):
             row = [Fraction(0)] * nv
             row[column[lab]] = Fraction(-1)
-            for l, lam in coords.items():
+            for l, lam in zip(vertices, lams):
                 row[column[l]] += lam
             row[-1] = Fraction(1)
             rows.append(row)

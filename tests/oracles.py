@@ -136,6 +136,42 @@ def fraction_rref(rows):
     return m, pivots
 
 
+def flip_neighbors_reference(cells, points):
+    """Cell sets of the triangulations one bistellar flip away from the
+    given one, in the order the library lists them: for each (d+2)-subset
+    of the labels the cells use, in combinations order, the Radon
+    partition is read off a kernel vector of the homogenized points
+    (subsets with a zero coefficient are skipped), and whichever side of
+    the circuit lies among the cells is traded for the other.  points
+    maps each label to its coordinates."""
+    cells = frozenset(frozenset(c) for c in cells)
+    labels = sorted({l for c in cells for l in c})
+    d = len(points[labels[0]])
+    out = []
+    for subset in combinations(labels, d + 2):
+        cols = [list(points[l]) + [1] for l in subset]
+        m, pivots = fraction_rref([list(row) for row in zip(*cols)])
+        free = [c for c in range(d + 2) if c not in pivots]
+        if len(free) != 1:
+            continue
+        lam = [Fraction(0)] * (d + 2)
+        lam[free[0]] = Fraction(1)
+        for r, c in enumerate(pivots):
+            lam[c] = -m[r][free[0]]
+        if any(v == 0 for v in lam):
+            continue
+        s = frozenset(subset)
+        pos = [l for l, v in zip(subset, lam) if v > 0]
+        neg = [l for l, v in zip(subset, lam) if v < 0]
+        side_pos = frozenset(s - {l} for l in neg)
+        side_neg = frozenset(s - {l} for l in pos)
+        if side_pos <= cells:
+            out.append((cells - side_pos) | side_neg)
+        elif side_neg <= cells:
+            out.append((cells - side_neg) | side_pos)
+    return out
+
+
 def _fraction_pivot(tab, obj, basis, row, col):
     pv = tab[row][col]
     tab[row] = [x / pv for x in tab[row]]

@@ -1,7 +1,11 @@
+import json
+import multiprocessing
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regtri.census import (
     FacetFingerprint,
@@ -202,6 +206,47 @@ def test_store_reopens_after_truncation_at_every_offset(tmp_path):
         assert store.add(FacetFingerprint(b"late"), {"run": "late"})
         reopened = FingerprintStore(torn)
         assert [r["provenance"] for r in reopened.records] == kept + [{"run": "late"}]
+
+
+def _add_fingerprints(path, tag, count, start):
+    store = FingerprintStore(path)
+    start.wait(timeout=60)  # both writers append at the same time
+    for i in range(count):
+        store.add(FacetFingerprint(f"{tag}-{i}".encode()), {"tag": tag, "i": i})
+
+
+def test_store_keeps_every_record_of_concurrent_writers(tmp_path):
+    path = tmp_path / "shared.store"
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(2)
+    writers = [ctx.Process(target=_add_fingerprints,
+                           args=(str(path), tag, 200, start))
+               for tag in ("a", "b")]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+        assert not w.is_alive() and w.exitcode == 0
+    reopened = FingerprintStore(path)
+    assert len(reopened.records) == len(reopened) == 400
+    assert {(r["provenance"]["tag"], r["provenance"]["i"]) for r in reopened.records} == {
+        (tag, i) for tag in ("a", "b") for i in range(200)
+    }
+
+
+SEW_62_BASE = sew(6, 2).stage_configs[-1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.permutations(sorted(SEW_62_BASE.labels)), st.randoms(use_true_random=False))
+def test_fingerprint_commutes_with_relabeling(sigma, rng):
+    lifted = double_lift(SEW_62_BASE, sigma, verify=False)
+    labels = list(lifted.labels)
+    pi = dict(zip(labels, rng.sample(labels, len(labels))))
+    facet_sets = json.loads(fingerprint(lifted).data)
+    relabeled = sorted(sorted(pi[l] for l in f) for f in facet_sets)
+    expected = FacetFingerprint(json.dumps(relabeled, separators=(",", ":")).encode())
+    assert fingerprint(lifted.relabel(pi)) == expected
 
 
 def test_census_counts_only_its_own_fingerprints(tmp_path):

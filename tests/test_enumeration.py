@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from regtri import linalg
 from regtri.enumeration import (
     SplitPair,
     check_inseparable,
+    circuit_table,
     cyclic_inseparable_realization,
     enumerate_all_oracle,
     enumerate_regular,
@@ -28,7 +31,7 @@ from regtri.geometry import (
 from regtri.lifting import contraction
 from regtri.triangulations import Triangulation, is_regular, placing_triangulation
 
-from oracles import catalan, polygon_triangulations
+from oracles import catalan, flip_neighbors_reference, polygon_triangulations
 
 
 def square():
@@ -89,6 +92,47 @@ def test_flip_neighbors_square():
     assert nbs[0].cells == frozenset({frozenset({1, 2, 4}), frozenset({1, 3, 4})})
     # flipping back returns the original
     assert flip_neighbors(nbs[0], square())[0] == t
+
+
+@st.composite
+def placing_cases(draw):
+    """A 2-D or 3-D grid configuration and a placing order; placing
+    skips interior points, so the triangulation often leaves one out."""
+    d = draw(st.sampled_from((2, 3)))
+    point = st.tuples(*[st.integers(0, 4)] * d)
+    rows = draw(st.lists(point, min_size=d + 2, max_size=d + 4, unique=True))
+    order = draw(st.permutations(range(1, len(rows) + 1)))
+    return rows, order
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(placing_cases())
+@example(([(0, 0), (4, 0), (0, 4), (4, 4), (1, 2)], [1, 2, 3, 4, 5]))
+@example(([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1), (1, 2, 3)],
+          [1, 2, 3, 4, 6, 5]))
+def test_table_driven_flips_equal_per_subset_reference(case):
+    rows, order = case
+    cfg = PointConfiguration.from_rows(rows)
+    assume(configuration_in_general_position(cfg))
+    table = circuit_table(cfg)
+    points = {l: cfg.point(l) for l in cfg.labels}
+    start = placing_triangulation(cfg, order)
+    for t in [start] + flip_neighbors(start, cfg):
+        expected = flip_neighbors_reference(t.cells, points)
+        assert [nb.cells for nb in flip_neighbors(t, cfg)] == expected
+        assert [nb.cells for nb in flip_neighbors(t, cfg, table)] == expected
+
+
+def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
+    calls = []
+    real = linalg.kernel_vector
+    monkeypatch.setattr(
+        linalg, "kernel_vector", lambda cols: calls.append(cols) or real(cols)
+    )
+    found = enumerate_regular(cyclic_configuration(4, range(1, 9)))
+    assert len(found) == 40
+    assert len(calls) == math.comb(8, 6)
 
 
 def test_enumerate_regular_matches_oracle_regular_subset():

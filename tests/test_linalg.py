@@ -153,10 +153,17 @@ def test_rank_and_kernel_vector_equal_fraction_rref(m):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(
     lambda n: st.tuples(rational_matrices(st.just(n), st.just(n)),
-                        st.lists(rationals, min_size=n, max_size=n))))
+                        st.lists(st.lists(rationals, min_size=n, max_size=n),
+                                 min_size=1, max_size=3))))
 def test_solve_equals_fraction_rref(system):
-    a, b = system
+    a, bs = system
     n = len(a)
-    reduced, pivots = fraction_rref([row + [bi] for row, bi in zip(a, b)])
-    expected = [reduced[i][n] for i in range(n)] if pivots == list(range(n)) else None
-    assert linalg.solve(a, b) == expected
+    xs = []
+    for b in bs:
+        reduced, pivots = fraction_rref([row + [bi] for row, bi in zip(a, b)])
+        singular = pivots != list(range(n))
+        xs.append(None if singular else [reduced[i][n] for i in range(n)])
+        assert linalg.solve(a, b) == xs[-1]
+    # all right-hand sides at once, as the columns of a matrix
+    expected = None if xs[0] is None else [list(row) for row in zip(*xs)]
+    assert linalg.solve(a, [list(row) for row in zip(*bs)]) == expected

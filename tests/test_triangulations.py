@@ -3,7 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from regtri import linalg
 from regtri.errors import (
     DegenerateStep,
     NonPureComplex,
@@ -14,12 +17,15 @@ from regtri.errors import (
 from regtri.geometry import PointConfiguration, cyclic_configuration, facets
 from regtri.triangulations import (
     Triangulation,
+    barycentric,
     f_vector,
     h_vector,
     heights_from_json,
     heights_to_json,
+    height_separation_rows,
     is_regular,
     is_triangulation,
+    make_cells,
     min_cells_bound,
     placing_triangulation,
     pulling_triangulation,
@@ -167,6 +173,13 @@ def test_is_regular_validate_flag():
         is_regular(Triangulation([{1, 2, 3}, {1, 2, 4}]), cfg, validate=True)
 
 
+def test_is_regular_rejects_non_simplicial_cells():
+    cfg = square()
+    for cells in ([{1, 2, 3, 4}], [{1, 2}, {1, 3, 4}], [{1, 2, 3}, {2, 3, 4, 1}]):
+        with pytest.raises(NotATriangulation):
+            is_regular(Triangulation(cells), cfg)
+
+
 def test_nonregular_fixture_certified():
     cfg, t = nonregular_fixture()
     ok, witness = is_triangulation(t.cells, cfg)
@@ -175,6 +188,62 @@ def test_nonregular_fixture_certified():
     assert not res.regular
     assert res.margin == 0
     assert res.certificate_valid
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def cells_and_points(draw):
+    """2-D or 3-D rational points, some cells of d+1 of them (not a
+    triangulation) and a permuted label-to-variable map."""
+    d = draw(st.sampled_from((2, 3)))
+    point = st.tuples(*[rationals] * d)
+    rows = draw(st.lists(point, min_size=d + 2, max_size=d + 5, unique=True))
+    labels = range(1, len(rows) + 1)
+    cell = st.sets(st.sampled_from(labels), min_size=d + 1, max_size=d + 1)
+    cells = draw(st.lists(cell, min_size=1, max_size=3))
+    order = draw(st.permutations(labels))
+    return rows, cells, order
+
+
+def separation_rows_per_point(cfg, cells, column, nv):
+    """The separation rows with one linalg.solve per (cell, point);
+    None when a cell is degenerate."""
+    rows = []
+    for cell in sorted(make_cells(cells), key=sorted):
+        vertices = sorted(cell)
+        a = [list(r) for r in zip(*(list(cfg.point(l)) + [1] for l in vertices))]
+        for lab in column:
+            if lab in cell:
+                continue
+            lams = linalg.solve(a, list(cfg.point(lab)) + [1])
+            if lams is None:
+                return None
+            assert barycentric(cfg, cell, lab) == dict(zip(vertices, lams))
+            row = [F(0)] * nv
+            row[column[lab]] = F(-1)
+            for l, lam in zip(vertices, lams):
+                row[column[l]] += lam
+            row[-1] = F(1)
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells_and_points())
+@example(([(0, 0), (1, 1), (2, 2), (3, 0)], [{1, 2, 4}, {1, 2, 3}], [4, 3, 2, 1]))
+def test_one_reduction_per_cell_equals_one_solve_per_point(case):
+    rows, cells, order = case
+    cfg = PointConfiguration.from_rows(rows)
+    column = {l: i for i, l in enumerate(order)}
+    nv = len(order) + 1
+    expected = separation_rows_per_point(cfg, cells, column, nv)
+    if expected is None:  # a degenerate cell
+        with pytest.raises(NotATriangulation):
+            height_separation_rows(cfg, make_cells(cells), column, nv)
+    else:
+        assert height_separation_rows(cfg, make_cells(cells), column, nv) == expected
 
 
 def test_f_vector_h_vector_square():
