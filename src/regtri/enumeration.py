@@ -33,6 +33,7 @@ from .errors import (
 from .geometry import (
     PointConfiguration,
     facets,
+    functional_value,
     hyperplane_functional,
     is_general_position,
     is_vertex,
@@ -84,17 +85,15 @@ def _hyperplane_gap(config: PointConfiguration, p_label: int) -> Fraction:
     choice) on how far p can move before crossing one."""
     p = config.point(p_label)
     others = config.delete([p_label])
-    d = config.dim
     best = None
-    for subset in itertools.combinations(others.labels, d):
+    for subset in itertools.combinations(others.labels, config.dim):
         fn = hyperplane_functional(others, subset)
         if fn is None:
             continue
-        normal, offset = fn
-        v = abs(sum(a * x for a, x in zip(normal, p)) - offset)
+        v = abs(functional_value(fn, p))
         if v == 0:
             continue
-        gap = v / sum(abs(a) for a in normal)
+        gap = v / sum(abs(a) for a in fn[0])
         if best is None or gap < best:
             best = gap
     if best is None:

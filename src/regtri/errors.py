@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class RegtriError(Exception):
     pass
@@ -91,3 +93,13 @@ class BudgetExceeded(RegtriError):
         self.partial = partial
         self.frontier = frontier
         super().__init__(f"budget exceeded after {count} results")
+
+
+@contextmanager
+def wire_format(kind):
+    """Report a missing key or a malformed entry while reading a JSON
+    wire format as ValueError, the CLI's validation-error type."""
+    try:
+        yield
+    except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"malformed {kind} JSON: {exc!r}") from exc

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import NotAFace, NotFullDimensional
+from .errors import NotAFace, NotFullDimensional, wire_format
 from .linprog import solve_lp
 
 Rational = Fraction
@@ -130,13 +130,14 @@ class PointConfiguration:
 
     @classmethod
     def from_json(cls, text: str) -> "PointConfiguration":
-        data = json.loads(text)
-        pts = tuple(
-            tuple(Fraction(int(num), int(den)) for num, den in row)
-            for row in data["points"]
-        )
-        labels = tuple(data.get("labels") or range(1, len(pts) + 1))
-        return cls(dim=data["dim"], points=pts, labels=labels)
+        with wire_format("configuration"):
+            data = json.loads(text)
+            pts = tuple(
+                tuple(Fraction(int(num), int(den)) for num, den in row)
+                for row in data["points"]
+            )
+            labels = tuple(data.get("labels") or range(1, len(pts) + 1))
+            return cls(dim=data["dim"], points=pts, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,7 @@ class FaceRecord:
     offset: Fraction
 
     def value(self, point) -> Fraction:
-        return sum(a * x for a, x in zip(self.normal, point)) - self.offset
-
-
-def homogeneous_rows(config: PointConfiguration, labels: Sequence[int]):
-    return [list(config.point(l)) + [Fraction(1)] for l in labels]
+        return functional_value((self.normal, self.offset), point)
 
 
 def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
@@ -165,7 +162,7 @@ def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
         raise ValueError(f"need {config.dim + 1} labels, got {len(labels)}")
     if len(set(labels)) != len(labels):
         return 0
-    return linalg.det_sign(homogeneous_rows(config, labels))
+    return linalg.det_sign([list(config.point(l)) + [1] for l in labels])
 
 
 def affine_dim(config: PointConfiguration) -> int:
@@ -179,30 +176,27 @@ def affine_dim(config: PointConfiguration) -> int:
 def hyperplane_functional(config: PointConfiguration, labels: Sequence[int]):
     """Affine functional vanishing on the span of the given d labels,
     or None when they do not span a hyperplane.  Returned as
-    (normal, offset) with f(x) = normal.x - offset."""
+    (normal, offset) with f(x) = normal.x - offset: the kernel of the
+    homogenized rows [p, 1], which is one-dimensional iff they have
+    rank d."""
     labels = tuple(labels)
     d = config.dim
     if len(labels) != d:
         raise ValueError(f"need {d} labels for a hyperplane in dim {d}")
     pts = [config.point(l) for l in labels]
-
-    def f(x):
-        rows = [list(x) + [Fraction(1)]] + [list(p) + [Fraction(1)] for p in pts]
-        return linalg.det(rows)
-
-    zero = tuple(Fraction(0) for _ in range(d))
-    f0 = f(zero)
-    normal = []
-    for j in range(d):
-        e = list(zero)
-        e[j] = Fraction(1)
-        normal.append(f(e) - f0)
-    if all(a == 0 for a in normal):
+    vec = linalg.kernel_vector([[p[j] for p in pts] for j in range(d)] + [[1] * d])
+    if vec is None or not any(vec[:d]):
         return None
-    return tuple(normal), -f0
+    return tuple(vec[:d]), -vec[d]
 
 
-@lru_cache(maxsize=4096)
+def functional_value(fn, x) -> Fraction:
+    """f(x) = normal.x - offset for fn = (normal, offset)."""
+    normal, offset = fn
+    return sum(a * y for a, y in zip(normal, x)) - offset
+
+
+@lru_cache(maxsize=256)
 def facets(config: PointConfiguration):
     """All facets of the convex hull, by brute force over d-subsets.
 
@@ -217,10 +211,9 @@ def facets(config: PointConfiguration):
         fn = hyperplane_functional(config, subset)
         if fn is None:
             continue
-        normal, offset = fn
         on, neg, pos = [], False, False
         for lab, p in zip(config.labels, config.points):
-            v = sum(a * x for a, x in zip(normal, p)) - offset
+            v = functional_value(fn, p)
             if v == 0:
                 on.append(lab)
             elif v > 0:
@@ -231,6 +224,7 @@ def facets(config: PointConfiguration):
                 break
         if pos and neg:
             continue
+        normal, offset = fn
         if pos:
             normal = tuple(-a for a in normal)
             offset = -offset
@@ -282,10 +276,11 @@ def is_face(config: PointConfiguration, labels: Iterable[int]) -> bool:
     return meet == s
 
 
-def _strictly_separable(base, below, on=()) -> bool:
-    """Whether some a with |a_j| <= 1 has a.(x - base) = 0 for every x
-    in `on` and a.(x - base) < 0 for every x in `below`.  Exact LP over
-    (a, delta): maximize delta subject to a.(x - base) <= -delta."""
+def _strictly_separable(base, below, on=()):
+    """Some a with |a_j| <= 1, a.(x - base) = 0 for every x in `on` and
+    a.(x - base) < 0 for every x in `below`, or None if there is none.
+    Exact LP over (a, delta): maximize delta subject to
+    a.(x - base) <= -delta."""
     d = len(base)
     nv = d + 1
     a_ub = [[x - y for x, y in zip(q, base)] + [Fraction(1)] for q in below]
@@ -304,7 +299,7 @@ def _strictly_separable(base, below, on=()) -> bool:
     c = [Fraction(0)] * nv
     c[-1] = Fraction(1)
     res = solve_lp(c, a_ub, b_ub, a_eq, [Fraction(0)] * len(a_eq))
-    return res.optimal and res.value > 0
+    return tuple(res.x[:d]) if res.optimal and res.value > 0 else None
 
 
 def visibility(config: PointConfiguration, face: Iterable[int], p) -> tuple[bool, bool]:
@@ -327,8 +322,8 @@ def visibility(config: PointConfiguration, face: Iterable[int], p) -> tuple[bool
     # a.(mirror - base) = -a.(p - base): mirror below means p above
     mirror = tuple(2 * b - x for b, x in zip(base, p))
     return (
-        _strictly_separable(base, [mirror] + others, on),
-        _strictly_separable(base, [p] + others, on),
+        _strictly_separable(base, [mirror] + others, on) is not None,
+        _strictly_separable(base, [p] + others, on) is not None,
     )
 
 
@@ -347,13 +342,9 @@ def is_general_position(config: PointConfiguration, q) -> bool:
     """True iff no hyperplane spanned by d configuration points
     contains q."""
     q = tuple(parse_rational(x) for x in q)
-    d = config.dim
-    qrow = list(q) + [Fraction(1)]
-    for subset in itertools.combinations(config.labels, d):
-        rows = homogeneous_rows(config, subset)
-        if linalg.rank(rows) < d:
-            continue  # does not span a hyperplane
-        if linalg.det_sign([qrow] + rows) == 0:
+    for subset in itertools.combinations(config.labels, config.dim):
+        fn = hyperplane_functional(config, subset)
+        if fn is not None and functional_value(fn, q) == 0:
             return False
     return True
 
@@ -371,7 +362,7 @@ def is_vertex(config: PointConfiguration, label: int) -> bool:
     if config.dim == 0:
         return config.n == 1
     others = [q for lab, q in zip(config.labels, config.points) if lab != label]
-    return _strictly_separable(config.point(label), others)
+    return _strictly_separable(config.point(label), others) is not None
 
 
 def in_convex_position(config: PointConfiguration) -> bool:

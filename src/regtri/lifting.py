@@ -9,17 +9,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .errors import NotAVertex, NotConvexPosition, RegtriError, ValidationFailed
+from .errors import NotAVertex, NotConvexPosition, RegtriError, ValidationFailed, wire_format
 from .geometry import (
     PointConfiguration,
+    _strictly_separable,
     format_rational,
+    functional_value,
+    hyperplane_functional,
     in_convex_position,
     is_general_position,
-    is_vertex,
     parse_rational,
 )
-from .linprog import solve_lp
+from .linprog import solve_lp  # noqa: F401  (perfbench traces this import site)
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ class LiftSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "LiftSpec":
-        data = json.loads(text)
-        return cls.make(data["apex"], data["epsilons"])
+        with wire_format("lift spec"):
+            data = json.loads(text)
+            return cls.make(data["apex"], data["epsilons"])
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,14 @@ def _validate_same_side(lifted: PointConfiguration, apex_label: int):
     earlier lifted points."""
     d1 = lifted.dim  # = base dim + 1
     labels = [l for l in lifted.labels if l != apex_label]
-    apex_row = [list(lifted.point(apex_label)) + [Fraction(1)]]
+    apex = lifted.point(apex_label)
     for i in range(d1, len(labels)):
-        pi_row = [list(lifted.point(labels[i])) + [Fraction(1)]]
+        pi = lifted.point(labels[i])
         for subset in itertools.combinations(labels[:i], d1):
-            rows = [list(lifted.point(l)) + [Fraction(1)] for l in subset]
-            if linalg.rank(rows) < d1:
+            fn = hyperplane_functional(lifted, subset)
+            if fn is None:
                 continue
-            s_apex = linalg.det_sign(apex_row + rows)
-            s_pi = linalg.det_sign(pi_row + rows)
-            if s_apex == 0 or s_pi != s_apex:
+            if functional_value(fn, apex) * functional_value(fn, pi) <= 0:
                 raise ValidationFailed(labels[i], subset)
 
 
@@ -156,25 +156,20 @@ def contraction(config: PointConfiguration, p_label: int) -> PointConfiguration:
     strictly separating p from every direction, expressed in an affine
     chart of that hyperplane.  Labels of the surviving points are kept.
     """
-    if not is_vertex(config, p_label):
-        raise NotAVertex(f"label {p_label} is not a vertex")
     p = config.point(p_label)
     d = config.dim
     others = [l for l in config.labels if l != p_label]
-    dirs = {l: tuple(x - y for x, y in zip(config.point(l), p)) for l in others}
-    # normal with normal.(p' - p) >= 1 for every other point, by exact LP
-    a_ub = [[-x for x in dirs[l]] for l in others]
-    b_ub = [Fraction(-1)] * len(others)
-    res = solve_lp([Fraction(0)] * d, a_ub, b_ub)
-    if not res.optimal:
-        raise NotAVertex(f"no separating chart normal at {p_label}")
-    normal = res.x
+    # the vertex LP's a has a.(q - p) < 0 for every other point q
+    sep = _strictly_separable(p, [config.point(l) for l in others])
+    if sep is None:
+        raise NotAVertex(f"label {p_label} is not a vertex")
+    normal = [-x for x in sep]
     # cutting hyperplane: normal.x = normal.p + 1; drop a coordinate with
     # nonzero normal entry to get chart coordinates
     j = max(range(d), key=lambda k: abs(normal[k]))
     pts = []
     for l in others:
-        u = dirs[l]
+        u = [x - y for x, y in zip(config.point(l), p)]
         s = Fraction(1) / sum(a * x for a, x in zip(normal, u))
         y = tuple(pc + s * xc for pc, xc in zip(p, u))
         pts.append(tuple(y[k] for k in range(d) if k != j))

@@ -21,6 +21,7 @@ from .errors import (
     NotConvexPosition,
     NotFullDimensional,
     PointUnused,
+    wire_format,
 )
 from .geometry import (
     PointConfiguration,
@@ -104,7 +105,8 @@ class Triangulation:
 
     @classmethod
     def from_json(cls, text: str) -> "Triangulation":
-        return cls(make_cells(json.loads(text)["cells"]))
+        with wire_format("triangulation"):
+            return cls(make_cells(json.loads(text)["cells"]))
 
 
 def heights_to_json(w: dict) -> str:
@@ -114,8 +116,9 @@ def heights_to_json(w: dict) -> str:
 
 
 def heights_from_json(text: str) -> dict:
-    data = json.loads(text)
-    return {int(l): parse_rational(v) for l, v in data["heights"].items()}
+    with wire_format("heights"):
+        data = json.loads(text)
+        return {int(l): parse_rational(v) for l, v in data["heights"].items()}
 
 
 def lifted_configuration(config: PointConfiguration, w: dict) -> PointConfiguration:

@@ -136,6 +136,33 @@ def fraction_rref(rows):
     return m, pivots
 
 
+def same_side_reference(labels, points, apex):
+    """The same-side condition of a lexicographic lift, checked from
+    determinants: each point from position d+1 on (d the dimension of
+    the points) must lie strictly on the apex side of every hyperplane
+    spanned by d earlier points, a d-subset spanning one iff its
+    homogenized rows have rank d.  Returns None when the condition
+    holds, else (label, frozenset of the hyperplane's labels) for the
+    first violation, points in order and subsets in combinations order."""
+    d = len(apex)
+    rows = {l: [Fraction(x) for x in p] + [Fraction(1)] for l, p in zip(labels, points)}
+    apex_row = [Fraction(x) for x in apex] + [Fraction(1)]
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    for i in range(d, len(labels)):
+        for subset in combinations(labels[:i], d):
+            hyper = [rows[l] for l in subset]
+            if len(fraction_rref(hyper)[1]) < d:
+                continue
+            s_apex = sign(naive_det([apex_row] + hyper))
+            s_pi = sign(naive_det([rows[labels[i]]] + hyper))
+            if s_apex == 0 or s_pi != s_apex:
+                return labels[i], frozenset(subset)
+    return None
+
+
 def flip_neighbors_reference(cells, points):
     """Cell sets of the triangulations one bistellar flip away from the
     given one, in the order the library lists them: for each (d+2)-subset

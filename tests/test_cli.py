@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from regtri import geometry
@@ -136,6 +137,34 @@ def test_contract_invalid_label_exits_one(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["contract", str(cfg_path), "--label", "9"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "command, bad_text",
+    [
+        (["contract", "{bad}", "--label", "1"],
+         json.dumps({"points": [[["0", "1"], ["0", "1"]]]})),
+        (["contract", "{bad}", "--label", "1"],
+         json.dumps({"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]})),
+        (["regular", "{square}", "{bad}"], json.dumps({"config": None})),
+        (["sweep", "{square}", "{cells}", "{bad}", "--p", "1", "--p-prime", "4"],
+         json.dumps({"heights": [0, 0, 0, 1]})),
+        (["lift", "{square}", "--spec-file", "{bad}"], json.dumps({"apex": ["0", "1"]})),
+    ],
+    ids=["config-without-dim", "config-integer-points", "triangulation-without-cells",
+         "heights-as-list", "spec-without-epsilons"],
+)
+def test_malformed_wire_format_is_a_json_error(tmp_path, command, bad_text):
+    paths = {"square": tmp_path / "square.json", "cells": tmp_path / "cells.json",
+             "bad": tmp_path / "bad.json"}
+    write_square(paths["square"])
+    paths["cells"].write_text(json.dumps({"cells": [[1, 2, 3], [2, 3, 4]]}))
+    paths["bad"].write_text(bad_text)
+    args = [a.format(**paths) for a in command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert json.loads(result.stderr)["error"] == "ValueError"
 
 
 def test_sweep_command(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import linalg
+from regtri import enumeration
 from regtri.enumeration import (
     SplitPair,
     check_inseparable,
@@ -126,9 +126,11 @@ def test_table_driven_flips_equal_per_subset_reference(case):
 
 def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
     calls = []
-    real = linalg.kernel_vector
+    real = enumeration._radon_partition
     monkeypatch.setattr(
-        linalg, "kernel_vector", lambda cols: calls.append(cols) or real(cols)
+        enumeration,
+        "_radon_partition",
+        lambda cfg, subset: calls.append(subset) or real(cfg, subset),
     )
     found = enumerate_regular(cyclic_configuration(4, range(1, 9)))
     assert len(found) == 40

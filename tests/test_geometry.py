@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from regtri.errors import NotAFace, NotFullDimensional
@@ -14,6 +14,7 @@ from regtri.geometry import (
     cyclic_configuration,
     face_lattice_faces,
     facets,
+    hyperplane_functional,
     is_face,
     is_general_position,
     is_vertex,
@@ -23,7 +24,7 @@ from regtri.geometry import (
     visibility,
 )
 
-from oracles import brute_force_facets, gale_evenness_facets
+from oracles import brute_force_facets, gale_evenness_facets, naive_det
 
 
 def square():
@@ -197,6 +198,41 @@ def test_separation_lps_agree_with_brute_force_facets(case):
     for f in facets(cfg):
         v = f.value(p)
         assert visibility(cfg, f.labels, p) == (v > 0, v < 0)
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(0, 2)] * d), min_size=d, max_size=d, unique=True
+        )
+    )
+)
+@example([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+@example([(0, 0, 1), (1, 0, 1), (2, 2, 1)])
+def test_hyperplane_functional_is_a_multiple_of_the_cofactor_functional(rows):
+    cfg = PointConfiguration.from_rows(rows)
+    d = cfg.dim
+
+    def cofactor(x):
+        return naive_det([list(x) + [1]] + [list(p) + [1] for p in cfg.points])
+
+    g0 = cofactor([0] * d)
+    g = [cofactor([int(i == j) for i in range(d)]) - g0 for j in range(d)] + [g0]
+    fn = hyperplane_functional(cfg, cfg.labels)
+    if not any(g):
+        assert fn is None
+        return
+    assert fn is not None
+    normal, offset = fn
+    f = list(normal) + [-offset]
+    lam = next(a / b for a, b in zip(f, g) if b)
+    assert lam != 0 and f == [lam * b for b in g]
+
+
+def test_facets_memo_holds_at_most_256_configurations():
+    for k in range(300):
+        facets(PointConfiguration.from_rows([[0, 0], [k + 1, 0], [0, 1]]))
+    assert facets.cache_info().currsize == 256
 
 
 def test_cyclic_configuration_validation():

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from regtri import geometry
+from regtri import geometry, lifting
 from regtri.census import single_lift
 from regtri.errors import NotAVertex, NotConvexPosition, ValidationFailed
 from regtri.geometry import (
     PointConfiguration,
     centroid,
+    configuration_in_general_position,
     cyclic_configuration,
     facets,
     is_general_position,
@@ -23,6 +26,8 @@ from regtri.lifting import (
     lex_lift,
     perturb_general,
 )
+
+from oracles import same_side_reference
 
 
 def pentagon():
@@ -156,6 +161,86 @@ def test_contraction_cyclic_gives_lower_cyclic():
         got = {frozenset(f.labels) for f in facets(fig)}
         expect = {frozenset(f.labels) for f in facets(low)}
         assert got == expect, (d, n)
+
+
+def test_contraction_solves_one_lp(monkeypatch):
+    calls = []
+    real = geometry.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "solve_lp", counting)
+    monkeypatch.setattr(lifting, "solve_lp", counting)
+    contraction(pentagon(), 1)
+    assert len(calls) == 1
+
+
+def vertex_figure_facets(cfg, k):
+    return {f.labels - {k} for f in facets(cfg) if k in f.labels}
+
+
+def test_contraction_facets_are_the_vertex_figures_of_cyclic_polytopes():
+    for d, n in [(3, 7), (4, 8)]:
+        cfg = cyclic_configuration(d, range(1, n + 1))
+        for k in cfg.labels:
+            got = {f.labels for f in facets(contraction(cfg, k))}
+            assert got == vertex_figure_facets(cfg, k), (d, n, k)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                min_size=5, max_size=8, unique=True))
+def test_contraction_facets_are_the_vertex_figures_of_simplicial_polytopes(xy):
+    # points of the paraboloid z = x^2 + y^2 are all vertices, and no four
+    # coplanar makes the polytope simplicial
+    cfg = PointConfiguration.from_rows([(x, y, x * x + y * y) for x, y in xy])
+    assume(configuration_in_general_position(cfg))
+    for k in cfg.labels:
+        got = {f.labels for f in facets(contraction(cfg, k))}
+        assert got == vertex_figure_facets(cfg, k), k
+
+
+@st.composite
+def lift_cases(draw):
+    """A base of 1-D to 3-D grid points (not necessarily in convex
+    position), an apex above it and an epsilon chain that is either
+    geometric or drawn freely, so the same-side check both passes and
+    fails."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                         min_size=d + 2, max_size=6, unique=True))
+    n = len(rows)
+    if draw(st.booleans()):
+        beta = F(1, 2 ** draw(st.integers(1, 6)))
+        eps = [beta ** (i + 1) for i in range(n)]
+    else:
+        nums = draw(st.lists(st.integers(1, 255), min_size=n, max_size=n, unique=True))
+        eps = sorted((F(x, 256) for x in nums), reverse=True)
+    apex = draw(st.tuples(*[st.integers(-2, 2)] * d, st.integers(1, 3)))
+    return PointConfiguration.from_rows(rows), LiftSpec.make(apex, eps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lift_cases())
+# the third lifted point lies on the line through the first two
+@example((PointConfiguration.from_rows([[0], [1], [3]]),
+          LiftSpec.make((0, 1), ["1/2", "1/4", "1/8"])))
+def test_same_side_check_equals_determinant_reference(case):
+    base, spec = case
+    lifted = [
+        tuple((1 - e) * a + e * x for a, x in zip(spec.apex, tuple(p) + (0,)))
+        for p, e in zip(base.points, spec.epsilons)
+    ]
+    expect = same_side_reference(base.labels, lifted, spec.apex)
+    try:
+        lex_lift(base, spec, check_convex=False)
+    except ValidationFailed as exc:
+        assert (exc.label, exc.hyperplane_labels) == expect
+    else:
+        assert expect is None
 
 
 def test_double_contraction_of_double_lift_recovers_base_facets():
