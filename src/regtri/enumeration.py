@@ -6,8 +6,9 @@ triangulations through the secondary polytope, an external fact; it is
 therefore cross-checked against an independent extension-search oracle
 on every instance small enough for the oracle.
 
-Each enumeration computes its flips once, in a circuit table: every
-(d+2)-subset of the configuration whose Radon partition has no zero
+Flips come from the configuration's circuit table
+(`PointConfiguration.circuit_table`), computed once per configuration
+object: every (d+2)-subset whose Radon partition has no zero
 coefficient, with the two triangulations of its circuit as ready-made
 cell sets.  A flip is then set operations on a triangulation's cells,
 and the flips found from one table share their cell objects.
@@ -21,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .errors import (
     BudgetExceeded,
     GenericityFailure,
@@ -47,7 +47,6 @@ from .triangulations import (
     barycentric,
     height_separation_rows,
     is_regular,
-    make_cells,
     max_margin,
     placing_triangulation,
     regular_subdivision,
@@ -292,46 +291,13 @@ def check_inseparable(config: PointConfiguration, i: int, j: int) -> Inseparabil
     return InseparabilityReport(True, witnesses=witnesses)
 
 
-def _radon_partition(config: PointConfiguration, subset):
-    """Signs of the unique affine dependence on d+2 points, or None off
-    general position."""
-    cols = [list(config.point(l)) + [Fraction(1)] for l in subset]
-    lam = linalg.kernel_vector([list(c) for c in cols])
-    if lam is None or any(v == 0 for v in lam):
-        return None
-    pos = frozenset(l for l, v in zip(subset, lam) if v > 0)
-    neg = frozenset(l for l, v in zip(subset, lam) if v < 0)
-    return pos, neg
-
-
-def circuit_table(config: PointConfiguration) -> list:
-    """The flips of config: one (subset, side_pos, side_neg) per (d+2)
-    subset in general position, in combinations(sorted(labels), d+2)
-    order.  The two sides are the two triangulations of the subset's
-    circuit, as cell sets; a flip trades one for the other."""
-    table = []
-    for subset in itertools.combinations(sorted(config.labels), config.dim + 2):
-        rp = _radon_partition(config, subset)
-        if rp is None:
-            continue
-        pos, neg = rp
-        s = frozenset(subset)
-        table.append(
-            (s, make_cells(s - {l} for l in neg), make_cells(s - {l} for l in pos))
-        )
-    return table
-
-
-def flip_neighbors(t: Triangulation, config: PointConfiguration, circuits=None):
+def flip_neighbors(t: Triangulation, config: PointConfiguration):
     """All triangulations one bistellar flip away, over full-dimensional
     circuits (d+2 point subsets in general position) among the labels t
-    uses.  circuits is a circuit_table of config or of any configuration
-    containing t's labels; by default it is built for those labels."""
+    uses, read from config's circuit table."""
     used = t.used_labels
-    if circuits is None:
-        circuits = circuit_table(config.restrict(used))
     out = []
-    for s, side_pos, side_neg in circuits:
+    for s, side_pos, side_neg in config.circuit_table:
         if not s <= used:
             continue
         if side_pos <= t.cells:
@@ -345,12 +311,11 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     """All regular triangulations, by flip search from the placing
     triangulation restricted to certified-regular nodes."""
     start = placing_triangulation(config)
-    circuits = circuit_table(config)
     found = {start}
     frontier = [start]
     while frontier:
         t = frontier.pop()
-        for nb in flip_neighbors(t, config, circuits):
+        for nb in flip_neighbors(t, config):
             if nb in found:
                 continue
             if not is_regular(nb, config).regular:
@@ -437,7 +402,9 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
 class RealizationRun:
     """A cyclic configuration built by sliding each new moment-curve
     point toward the last one until the pair is certified
-    triangulation-inseparable."""
+    triangulation-inseparable.  bound is triangulation_count_bound(n,
+    d), a lower bound on the number of regular triangulations of
+    config."""
 
     config: PointConfiguration
     q_label: int
@@ -448,22 +415,26 @@ class RealizationRun:
 
 def triangulation_count_bound(n: int, d: int) -> int:
     """Lower bound on the number of regular triangulations of the
-    inseparable cyclic realization: the running product of the
-    neighborly cell bounds."""
+    inseparable cyclic realization.  Adding the point m+1 next to its
+    inseparable partner multiplies the count by at least C + 1, where
+    C = C(m-d-1+k, k) is the fewest cells in a triangulation of the
+    vertex figure, a k-neighborly (d-1)-polytope on m-1 vertices, and
+    k = (d-1)//2 (the splitting inequality of criterion 3)."""
     k = (d - 1) // 2
     if k == 0:
         return 1
     out = 1
     for m in range(d, n):
-        out *= math.comb(m - d + k, k)
+        out *= math.comb(m - d - 1 + k, k) + 1
     return out
 
 
 def cyclic_inseparable_realization(d: int, n: int, max_halvings: int = 40) -> RealizationRun:
     """Realize the cyclic polytope on the moment curve with each point
     after the initial simplex certified inseparable from the last point
-    at its insertion stage, which forces the triangulation count to
-    multiply by the cell bound at every step."""
+    at its insertion stage, which forces the regular triangulation
+    count to multiply by at least one more than the cell bound of the
+    vertex figure at every step."""
     if n < d + 2:
         raise ValueError("need n >= d + 2")
     q_param = Fraction(n)

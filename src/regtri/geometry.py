@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -40,6 +40,9 @@ class PointConfiguration:
 
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
+    Facts derived from the points alone, such as the circuit table, are
+    computed once per object and are not part of equality, hashing or
+    the JSON form.
     """
 
     dim: int
@@ -116,6 +119,27 @@ class PointConfiguration:
             self.labels + (label,),
         )
 
+    @cached_property
+    def circuit_table(self) -> tuple:
+        """The flips of the configuration: one (subset, side_pos,
+        side_neg) per (d+2)-subset whose Radon partition has no zero
+        coefficient, in combinations(sorted(labels), d+2) order.  The two
+        sides are the two triangulations of the subset's circuit, as
+        cell sets; a flip trades one for the other."""
+        table = []
+        for subset in itertools.combinations(sorted(self.labels), self.dim + 2):
+            rp = _radon_partition(self, subset)
+            if rp is None:
+                continue
+            pos, neg = rp
+            s = frozenset(subset)
+            table.append((
+                s,
+                frozenset(s - {l} for l in neg),
+                frozenset(s - {l} for l in pos),
+            ))
+        return tuple(table)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -138,6 +162,18 @@ class PointConfiguration:
             )
             labels = tuple(data.get("labels") or range(1, len(pts) + 1))
             return cls(dim=data["dim"], points=pts, labels=labels)
+
+
+def _radon_partition(config: PointConfiguration, subset):
+    """Signs of the unique affine dependence on d+2 points, or None off
+    general position."""
+    cols = [list(config.point(l)) + [Fraction(1)] for l in subset]
+    lam = linalg.kernel_vector(cols)
+    if lam is None or any(v == 0 for v in lam):
+        return None
+    pos = frozenset(l for l, v in zip(subset, lam) if v > 0)
+    neg = frozenset(l for l, v in zip(subset, lam) if v < 0)
+    return pos, neg
 
 
 @dataclass(frozen=True)

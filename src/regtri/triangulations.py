@@ -38,6 +38,11 @@ Cells = frozenset  # of frozensets of labels
 
 
 def make_cells(cells) -> frozenset:
+    """The cells as a frozenset of frozensets.  A cell set that already
+    is one, as every flip builds, comes back as it is: a copy would cost
+    time and, built one cell at a time, a larger hash table."""
+    if type(cells) is frozenset and all(type(c) is frozenset for c in cells):
+        return cells
     return frozenset(frozenset(c) for c in cells)
 
 
@@ -56,10 +61,10 @@ class Subdivision:
         return all(len(c) == dim + 1 for c in self.cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triangulation:
     """A triangulation given by its maximal cells (sorted label sets of
-    size d+1 each)."""
+    size d+1 each).  Slotted: an enumeration holds thousands."""
 
     cells: frozenset
 
@@ -231,6 +236,11 @@ def is_triangulation(cells, config: PointConfiguration):
 
 @dataclass(frozen=True)
 class RegularityResult:
+    """Verdict of the height-separation LP over the local folding rows
+    (see height_separation_rows) and the box rows of max_margin: margin
+    is that LP's optimum, and certificate its duals, one per folding
+    row and then one per box row."""
+
     regular: bool
     witness: dict | None = None  # heights inducing T when regular
     margin: Fraction | None = None
@@ -240,30 +250,64 @@ class RegularityResult:
 
 
 def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
-    """Rows of the height-separation LP, one per (cell, outside point):
-    the lifted point must clear the cell's lifted hyperplane by at least
-    the margin, the last of the nv variables.  column maps each label of
-    config to the height variable it reads; points are visited in its
-    iteration order.  Each cell's coordinates of all its outside points
-    come from one reduction."""
+    """Rows of the height-separation LP on the local folding
+    conditions: each asks a lifted point to clear a cell's lifted
+    hyperplane by at least the margin, the last of the nv variables.
+    There is one row per interior ridge, for the apex of the later of
+    its two cells (in sorted order) over the earlier cell, and one per
+    point of column that no cell uses, over the first cell whose affine
+    coordinates of it are all >= 0.  Two ridges of one cell whose
+    neighbours share their apex give one row.  column maps each label
+    of config to the height variable it reads, and a cell's points are
+    visited in column's order, their coordinates from one reduction.
+
+    Every row is a row of the full system, one per (cell, outside
+    point).  On a triangulation the two systems hold for the same
+    heights (De Loera, Rambau and Santos, Triangulations, 2010, the
+    secondary cone): heights that fold upward across every interior
+    ridge make the lifted cells a convex surface, so every lifted point
+    outside a cell lies strictly above that cell's hyperplane.  A cell
+    without d+1 vertices, a degenerate cell, a ridge in more than two
+    cells and a point in no cell raise NotATriangulation."""
+    ordered = sorted(cells, key=sorted)
+    owners = {}  # ridge -> (cell, apex) per cell on it, in sorted order
+    for cell in ordered:
+        if len(cell) != config.dim + 1:
+            raise NotATriangulation(("non-simplicial cell", tuple(sorted(cell))))
+        for apex in cell:
+            owners.setdefault(cell - {apex}, []).append((cell, apex))
+    targets = {cell: set() for cell in ordered}  # labels a cell's rows lift
+    for ridge, pairs in owners.items():
+        if len(pairs) > 2:
+            raise NotATriangulation(("overcrowded ridge", tuple(sorted(ridge))))
+        if len(pairs) == 2:
+            (first, _), (_, apex) = pairs
+            targets[first].add(apex)
+    used = frozenset().union(*ordered)
+    unplaced = {lab for lab in column if lab not in used}
     rows = []
-    for cell in sorted(cells, key=sorted):
-        vertices = sorted(cell)
-        if len(vertices) != config.dim + 1:
-            raise NotATriangulation(("non-simplicial cell", tuple(vertices)))
-        outside = [lab for lab in column if lab not in cell]
-        if not outside:
+    for cell in ordered:
+        wanted = targets[cell] | unplaced
+        if not wanted:
             continue
-        coords = _affine_coordinates(config, cell, outside)
+        points = [lab for lab in column if lab in wanted]
+        vertices = sorted(cell)
+        coords = _affine_coordinates(config, cell, points)
         if coords is None:
             raise NotATriangulation(("degenerate cell", tuple(vertices)))
-        for lab, lams in zip(outside, coords):
+        for lab, lams in zip(points, coords):
+            if lab in unplaced:
+                if any(lam < 0 for lam in lams):
+                    continue
+                unplaced.discard(lab)
             row = [Fraction(0)] * nv
             row[column[lab]] = Fraction(-1)
             for l, lam in zip(vertices, lams):
                 row[column[l]] += lam
             row[-1] = Fraction(1)
             rows.append(row)
+    if unplaced:
+        raise NotATriangulation(("point in no cell", min(unplaced)))
     return rows
 
 
@@ -301,9 +345,16 @@ def _check_certificate(c, a_ub, b_ub, dual) -> bool:
 def is_regular(
     t: Triangulation, config: PointConfiguration, validate: bool = False
 ) -> RegularityResult:
-    """Certify regularity by exact LP: maximize the margin by which
-    every lifted outside point clears every cell hyperplane.  Returns a
-    witness height vector, or duals refuting any positive margin."""
+    """Certify regularity by exact LP: maximize the margin of the local
+    folding rows of height_separation_rows.  Returns a witness height
+    vector, or duals refuting any positive margin.
+
+    A refutation holds for any cell set: every folding row is a row of
+    the full system (each lifted outside point above each cell's
+    hyperplane), so the duals, padded with zeros, refute that too.  A
+    regular verdict rests on the folding lemma, which needs t to be a
+    triangulation of config: validate=True checks that first, and
+    enumerate_regular passes only flips of triangulations."""
     if validate:
         ok, witness = is_triangulation(t.cells, config)
         if not ok:

@@ -329,3 +329,38 @@ def fraction_simplex(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False):
         y = obj[marker[r]] if live[r] else zero
         dual.append(-y if flipped[r] else y)
     return "optimal", x, value, dual
+
+
+def height_separation_rows_reference(points, cells, column, nv):
+    """The full height-separation rows: for each cell in sorted order
+    and each point of column outside it, in column's iteration order,
+    the row sum_v lam_v h_v - h_p + margin <= 0 asking the lifted point
+    p to clear the cell's lifted hyperplane by the margin (the last of
+    the nv variables), with lam the affine coordinates of p in the
+    cell's vertices in label order.  column maps each label to its
+    variable and points maps it to its coordinates.  Each cell's
+    coordinates come from one reduction of its homogenized vertex
+    columns augmented by the outside points.  None when a cell is
+    degenerate or does not have d+1 vertices."""
+    cells = {frozenset(c) for c in cells}
+    rows = []
+    for cell in sorted(cells, key=sorted):
+        vertices = sorted(cell)
+        outside = [lab for lab in column if lab not in cell]
+        if not outside:
+            continue
+        d, k = len(points[vertices[0]]), len(vertices)
+        if k != d + 1:
+            return None
+        cols = [list(points[l]) + [1] for l in vertices + outside]
+        m, pivots = fraction_rref([list(row) for row in zip(*cols)])
+        if pivots[:k] != list(range(k)):
+            return None
+        for j, lab in enumerate(outside):
+            row = [Fraction(0)] * nv
+            row[column[lab]] = Fraction(-1)
+            for r, l in enumerate(vertices):
+                row[column[l]] += m[r][k + j]
+            row[-1] = Fraction(1)
+            rows.append(row)
+    return rows

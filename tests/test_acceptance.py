@@ -90,6 +90,14 @@ def test_criterion_01_inseparable_cyclic_realization():
         cross = regular_subset(run.config)
         ok = ok and run.bound == expect and len(regs) >= expect and regs == cross
         details.append(f"n={n}: |R|={len(regs)} >= {expect}, oracle agrees")
+    # beyond d = 3 the bound is checked against the count; (6, 10) is
+    # left out for its oracle's run time
+    for d, n in ((4, 8), (5, 8), (5, 9), (6, 9)):
+        run = cyclic_inseparable_realization(d, n)
+        regs = enumerate_regular(run.config)
+        cross = regular_subset(run.config)
+        ok = ok and run.bound <= len(regs) and regs == cross
+        details.append(f"d={d} n={n}: |R|={len(regs)} >= {run.bound}, oracle agrees")
     report(1, ok, "; ".join(details))
 
 

@@ -238,3 +238,13 @@ def test_verify_bounds_cyclic(tmp_path):
     assert payload["status"] == "PASS"
     assert payload["bound"] == 6
     assert payload["enumerated"] >= 6
+
+
+def test_verify_bounds_cyclic_d5():
+    result = CliRunner().invoke(
+        main, ["verify-bounds", "--construction", "cyclic", "--d", "5", "--n", "8"]
+    )
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["status"] == "PASS"
+    assert (payload["bound"], payload["enumerated"]) == (8, 8)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import enumeration
+from regtri import geometry
 from regtri.enumeration import (
     SplitPair,
     check_inseparable,
-    circuit_table,
     cyclic_inseparable_realization,
     enumerate_all_oracle,
     enumerate_regular,
@@ -115,26 +114,42 @@ def test_table_driven_flips_equal_per_subset_reference(case):
     rows, order = case
     cfg = PointConfiguration.from_rows(rows)
     assume(configuration_in_general_position(cfg))
-    table = circuit_table(cfg)
     points = {l: cfg.point(l) for l in cfg.labels}
     start = placing_triangulation(cfg, order)
     for t in [start] + flip_neighbors(start, cfg):
         expected = flip_neighbors_reference(t.cells, points)
         assert [nb.cells for nb in flip_neighbors(t, cfg)] == expected
-        assert [nb.cells for nb in flip_neighbors(t, cfg, table)] == expected
+        # the whole configuration's table, filtered to the labels t
+        # uses, lists the flips of the table of those labels alone
+        used = cfg.restrict(t.used_labels)
+        assert [nb.cells for nb in flip_neighbors(t, used)] == expected
 
 
 def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
     calls = []
-    real = enumeration._radon_partition
+    real = geometry._radon_partition
     monkeypatch.setattr(
-        enumeration,
+        geometry,
         "_radon_partition",
         lambda cfg, subset: calls.append(subset) or real(cfg, subset),
     )
-    found = enumerate_regular(cyclic_configuration(4, range(1, 9)))
+    cfg = cyclic_configuration(4, range(1, 9))
+    found = enumerate_regular(cfg)
     assert len(found) == 40
     assert len(calls) == math.comb(8, 6)
+    # the table belongs to the configuration: a second enumeration of
+    # the same object computes no circuit
+    calls.clear()
+    assert enumerate_regular(cfg) == found
+    assert calls == []
+
+
+def test_circuit_table_stays_out_of_equality_and_json():
+    cfg = cyclic_configuration(3, range(1, 7))
+    twin = PointConfiguration.from_json(cfg.to_json())
+    assert len(cfg.circuit_table) == math.comb(6, 5)
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert cfg.to_json() == twin.to_json()
 
 
 def test_enumerate_regular_matches_oracle_regular_subset():
@@ -316,6 +331,11 @@ def test_triangulation_count_bound():
     assert triangulation_count_bound(6, 3) == 6
     assert triangulation_count_bound(7, 3) == 24
     assert triangulation_count_bound(6, 2) == 1
+    assert triangulation_count_bound(8, 4) == 24
+    # d >= 5: each step multiplies by C(m-d-1+k, k) + 1, the splitting
+    # inequality's factor, not by C(m-d+k, k)
+    assert [triangulation_count_bound(n, d)
+            for d, n in ((5, 8), (5, 9), (6, 9), (6, 10))] == [8, 56, 8, 56]
 
 
 def test_cyclic_inseparable_realization_small():

@@ -32,7 +32,11 @@ from regtri.triangulations import (
     regular_subdivision,
 )
 
-from oracles import gale_evenness_facets, lower_hull_cells
+from oracles import (
+    gale_evenness_facets,
+    height_separation_rows_reference,
+    lower_hull_cells,
+)
 
 
 def square():
@@ -238,12 +242,23 @@ def test_one_reduction_per_cell_equals_one_solve_per_point(case):
     cfg = PointConfiguration.from_rows(rows)
     column = {l: i for i, l in enumerate(order)}
     nv = len(order) + 1
+    points = {l: cfg.point(l) for l in cfg.labels}
     expected = separation_rows_per_point(cfg, cells, column, nv)
-    if expected is None:  # a degenerate cell
+    # None for a degenerate cell, on both sides
+    assert height_separation_rows_reference(points, cells, column, nv) == expected
+
+
+def test_folding_rows_reject_non_triangulations():
+    collinear = PointConfiguration.from_rows([(0, 0), (1, 1), (2, 2), (3, 0)])
+    fan = PointConfiguration.from_rows([(0, 0), (2, 0), (1, 1), (1, -1), (1, 2)])
+    for cfg, cells in (
+        (collinear, [{1, 2, 4}, {1, 2, 3}]),  # a degenerate cell
+        (fan, [{1, 2, 3}, {1, 2, 4}, {1, 2, 5}]),  # a ridge in three cells
+        (square(), [{1, 2, 3}]),  # point 4 in no cell
+    ):
         with pytest.raises(NotATriangulation):
-            height_separation_rows(cfg, make_cells(cells), column, nv)
-    else:
-        assert height_separation_rows(cfg, make_cells(cells), column, nv) == expected
+            height_separation_rows(cfg, make_cells(cells),
+                                   {l: l - 1 for l in cfg.labels}, cfg.n + 1)
 
 
 def test_f_vector_h_vector_square():
