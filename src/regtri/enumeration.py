@@ -34,20 +34,19 @@ from .geometry import (
     PointConfiguration,
     facets,
     functional_value,
-    hyperplane_functional,
     is_general_position,
     is_vertex,
     moment_curve_point,
     orientation,
     parse_rational,
+    spanned_hyperplanes,
 )
-from .linprog import solve_lp  # noqa: F401  (perfbench traces this import site)
+from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 from .triangulations import (
     Triangulation,
     barycentric,
     height_separation_rows,
     is_regular,
-    max_margin,
     placing_triangulation,
     regular_subdivision,
     simplices_properly_intersect,
@@ -83,21 +82,14 @@ def _hyperplane_gap(config: PointConfiguration, p_label: int) -> Fraction:
     spanned by the other points; an exact lower bound (up to the norm
     choice) on how far p can move before crossing one."""
     p = config.point(p_label)
-    others = config.delete([p_label])
-    best = None
-    for subset in itertools.combinations(others.labels, config.dim):
-        fn = hyperplane_functional(others, subset)
-        if fn is None:
-            continue
-        v = abs(functional_value(fn, p))
-        if v == 0:
-            continue
-        gap = v / sum(abs(a) for a in fn[0])
-        if best is None or gap < best:
-            best = gap
-    if best is None:
+    others = [l for l in config.labels if l != p_label]
+    gaps = [
+        abs(functional_value(fn, p)) / sum(abs(a) for a in fn[0])
+        for _, fn in spanned_hyperplanes(config, others)
+    ]
+    if not any(gaps):
         raise RegtriError("no spanned hyperplane; configuration too small")
-    return best
+    return min(g for g in gaps if g)
 
 
 def split_point(
@@ -105,10 +97,10 @@ def split_point(
     p_label: int,
     epsilon=None,
     seed: int = 0,
-    require_vertex: bool = True,
 ) -> SplitPair:
     """Add a near-copy p' of the vertex p, sampled in the epsilon-ball
-    and certified in general position with respect to everything else.
+    and certified in general position with respect to everything else
+    and a vertex of the new configuration.
     Default epsilon is half the gap from p to the nearest spanned
     hyperplane, so p' inherits p's cell of the hyperplane arrangement.
     """
@@ -132,7 +124,7 @@ def split_point(
             continue
         new = config.append_point(cand)
         p_prime = new.labels[-1]
-        if require_vertex and not is_vertex(new, p_prime):
+        if not is_vertex(new, p_prime):
             continue
         return SplitPair(new, p_label, p_prime, epsilon)
     raise RegtriError("could not sample a general-position split point")
@@ -169,6 +161,9 @@ def t_sweep(pair: SplitPair, t: Triangulation, w: dict) -> SweepTrace:
     config = pair.config
     p, pp = pair.p_label, pair.p_prime_label
     d = config.dim
+    missing = sorted(set(config.labels) - set(w))
+    if missing:
+        raise ValueError(f"heights missing for labels {missing}")
     w = {l: parse_rational(w[l]) for l in config.labels}
 
     without_pp = config.delete([pp])
@@ -310,20 +305,21 @@ def flip_neighbors(t: Triangulation, config: PointConfiguration):
 def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     """All regular triangulations, by flip search from the placing
     triangulation restricted to certified-regular nodes."""
-    start = placing_triangulation(config)
-    found = {start}
-    frontier = [start]
+    found = set()
+    frontier = []
+
+    def add(t):
+        found.add(t)
+        if budget is not None and len(found) > budget:
+            raise BudgetExceeded(len(found), partial=found, frontier=frontier)
+        frontier.append(t)
+
+    add(placing_triangulation(config))
     while frontier:
         t = frontier.pop()
         for nb in flip_neighbors(t, config):
-            if nb in found:
-                continue
-            if not is_regular(nb, config).regular:
-                continue
-            found.add(nb)
-            if budget is not None and len(found) > budget:
-                raise BudgetExceeded(len(found), partial=found, frontier=frontier)
-            frontier.append(nb)
+            if nb not in found and is_regular(nb, config).regular:
+                add(nb)
     return found
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import NotAFace, NotFullDimensional, wire_format
-from .linprog import solve_lp
+from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 
 Rational = Fraction
 
@@ -167,8 +167,7 @@ class PointConfiguration:
 def _radon_partition(config: PointConfiguration, subset):
     """Signs of the unique affine dependence on d+2 points, or None off
     general position."""
-    cols = [list(config.point(l)) + [Fraction(1)] for l in subset]
-    lam = linalg.kernel_vector(cols)
+    lam = linalg.kernel_vector(homogenized(config, subset))
     if lam is None or any(v == 0 for v in lam):
         return None
     pos = frozenset(l for l, v in zip(subset, lam) if v > 0)
@@ -190,6 +189,11 @@ class FaceRecord:
         return functional_value((self.normal, self.offset), point)
 
 
+def homogenized(config: PointConfiguration, labels: Iterable[int]) -> list:
+    """The row [p, 1] of each labeled point, in the given order."""
+    return [list(config.point(l)) + [1] for l in labels]
+
+
 def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
     """Sign of the determinant of the homogenized (d+1)-tuple, in the
     given label order; 0 iff affinely dependent."""
@@ -198,7 +202,7 @@ def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
         raise ValueError(f"need {config.dim + 1} labels, got {len(labels)}")
     if len(set(labels)) != len(labels):
         return 0
-    return linalg.det_sign([list(config.point(l)) + [1] for l in labels])
+    return linalg.det_sign(homogenized(config, labels))
 
 
 def affine_dim(config: PointConfiguration) -> int:
@@ -219,11 +223,23 @@ def hyperplane_functional(config: PointConfiguration, labels: Sequence[int]):
     d = config.dim
     if len(labels) != d:
         raise ValueError(f"need {d} labels for a hyperplane in dim {d}")
-    pts = [config.point(l) for l in labels]
-    vec = linalg.kernel_vector([[p[j] for p in pts] for j in range(d)] + [[1] * d])
+    vec = linalg.kernel_vector(list(zip(*homogenized(config, labels))))
     if vec is None or not any(vec[:d]):
         return None
     return tuple(vec[:d]), -vec[d]
+
+
+def spanned_hyperplanes(config: PointConfiguration, labels=None):
+    """Yield (subset, hyperplane_functional) for each d-subset of labels
+    (default: all) that spans a hyperplane, in colexicographic order:
+    the subsets inside any prefix of labels come first."""
+    labels = config.labels if labels is None else labels
+    # colex order is the lex order of the reversed labels, backwards
+    for rev in reversed(list(itertools.combinations(labels[::-1], config.dim))):
+        subset = rev[::-1]
+        fn = hyperplane_functional(config, subset)
+        if fn is not None:
+            yield subset, fn
 
 
 def functional_value(fn, x) -> Fraction:
@@ -243,10 +259,7 @@ def facets(config: PointConfiguration):
     if affine_dim(config) != d:
         raise NotFullDimensional(f"configuration does not span dimension {d}")
     found: dict[frozenset, FaceRecord] = {}
-    for subset in itertools.combinations(config.labels, d):
-        fn = hyperplane_functional(config, subset)
-        if fn is None:
-            continue
+    for _, fn in spanned_hyperplanes(config):
         on, neg, pos = [], False, False
         for lab, p in zip(config.labels, config.points):
             v = functional_value(fn, p)
@@ -313,29 +326,24 @@ def is_face(config: PointConfiguration, labels: Iterable[int]) -> bool:
 
 
 def _strictly_separable(base, below, on=()):
-    """Some a with |a_j| <= 1, a.(x - base) = 0 for every x in `on` and
+    """Some a with a.(x - base) = 0 for every x in `on` and
     a.(x - base) < 0 for every x in `below`, or None if there is none.
-    Exact LP over (a, delta): maximize delta subject to
-    a.(x - base) <= -delta."""
+    One max_margin LP over nonnegative (u, v, delta) with a = u - v:
+    a.(x - base) + delta <= 0 for each point below, a.(x - base) <= 0
+    and -a.(x - base) <= 0 for each point on."""
     d = len(base)
-    nv = d + 1
-    a_ub = [[x - y for x, y in zip(q, base)] + [Fraction(1)] for q in below]
-    b_ub = [Fraction(0)] * len(a_ub)
-    for j in range(d):
-        for s in (1, -1):
-            row = [Fraction(0)] * nv
-            row[j] = Fraction(s)
-            a_ub.append(row)
-            b_ub.append(Fraction(1))
-    row = [Fraction(0)] * nv
-    row[-1] = Fraction(-1)
-    a_ub.append(row)
-    b_ub.append(Fraction(0))
-    a_eq = [[x - y for x, y in zip(q, base)] + [Fraction(0)] for q in on]
-    c = [Fraction(0)] * nv
-    c[-1] = Fraction(1)
-    res = solve_lp(c, a_ub, b_ub, a_eq, [Fraction(0)] * len(a_eq))
-    return tuple(res.x[:d]) if res.optimal and res.value > 0 else None
+    rows = []
+    for q in below:
+        diff = [x - y for x, y in zip(q, base)]
+        rows.append(diff + [-x for x in diff] + [1])
+    for q in on:
+        diff = [x - y for x, y in zip(q, base)]
+        neg = [-x for x in diff]
+        rows += [diff + neg + [0], neg + diff + [0]]
+    res = max_margin(rows, 2 * d + 1)[3]
+    if res.value <= 0:
+        return None
+    return tuple(u - v for u, v in zip(res.x[:d], res.x[d : 2 * d]))
 
 
 def visibility(config: PointConfiguration, face: Iterable[int], p) -> tuple[bool, bool]:
@@ -378,11 +386,7 @@ def is_general_position(config: PointConfiguration, q) -> bool:
     """True iff no hyperplane spanned by d configuration points
     contains q."""
     q = tuple(parse_rational(x) for x in q)
-    for subset in itertools.combinations(config.labels, config.dim):
-        fn = hyperplane_functional(config, subset)
-        if fn is not None and functional_value(fn, q) == 0:
-            return False
-    return True
+    return all(functional_value(fn, q) != 0 for _, fn in spanned_hyperplanes(config))
 
 
 def configuration_in_general_position(config: PointConfiguration) -> bool:

@@ -3,7 +3,6 @@ perturbations."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -15,10 +14,10 @@ from .geometry import (
     _strictly_separable,
     format_rational,
     functional_value,
-    hyperplane_functional,
     in_convex_position,
     is_general_position,
     parse_rational,
+    spanned_hyperplanes,
 )
 from .linprog import solve_lp  # noqa: F401  (perfbench traces this import site)
 
@@ -73,18 +72,25 @@ class LiftedConfiguration:
 def _validate_same_side(lifted: PointConfiguration, apex_label: int):
     """Check the same-side condition: every point from position d+2 on
     must be strictly on the apex side of each hyperplane spanned by
-    earlier lifted points."""
-    d1 = lifted.dim  # = base dim + 1
+    earlier lifted points.  Each hyperplane is computed once and checked
+    against the later points; the violation reported is the first in
+    point order, then in combinations order of the hyperplane's labels."""
     labels = [l for l in lifted.labels if l != apex_label]
+    position = {l: i for i, l in enumerate(labels)}
     apex = lifted.point(apex_label)
-    for i in range(d1, len(labels)):
-        pi = lifted.point(labels[i])
-        for subset in itertools.combinations(labels[:i], d1):
-            fn = hyperplane_functional(lifted, subset)
-            if fn is None:
-                continue
-            if functional_value(fn, apex) * functional_value(fn, pi) <= 0:
-                raise ValidationFailed(labels[i], subset)
+    first = (len(labels), [])  # (point, subset) positions of the first violation
+    for subset, fn in spanned_hyperplanes(lifted, labels[:-1]):
+        last = position[subset[-1]]
+        if last >= first[0]:
+            break  # hyperplanes come by last label: none finds an earlier one
+        side = functional_value(fn, apex)
+        for i in range(last + 1, min(first[0] + 1, len(labels))):
+            if side * functional_value(fn, lifted.point(labels[i])) <= 0:
+                first = min(first, (i, [position[l] for l in subset]))
+                break
+    i, subset = first
+    if i < len(labels):
+        raise ValidationFailed(labels[i], [labels[k] for k in subset])
 
 
 def lex_lift(
@@ -125,15 +131,15 @@ def lex_lift(
 
 
 def auto_lift(
-    base: PointConfiguration, apex, max_halvings: int = 64, check_convex: bool = True
+    base: PointConfiguration, apex, check_convex: bool = True
 ) -> LiftedConfiguration:
     """Lift with a validating epsilon chain found by geometric back-off:
-    eps_i = beta^i, halving beta until the lift validates.  Convex
-    position is checked on the first attempt only; halving beta does
-    not change the base."""
+    eps_i = beta^i, halving beta until the lift validates, at most 64
+    times.  Convex position is checked on the first attempt only;
+    halving beta does not change the base."""
     apex = tuple(parse_rational(x) for x in apex)
     beta = Fraction(1, 2)
-    for k in range(max_halvings):
+    for k in range(64):
         eps = tuple(beta ** (i + 1) for i in range(base.n))
         spec = LiftSpec(apex, eps)
         try:
@@ -144,10 +150,10 @@ def auto_lift(
 
 
 def auto_epsilons(
-    base: PointConfiguration, apex, max_halvings: int = 64, check_convex: bool = True
+    base: PointConfiguration, apex, check_convex: bool = True
 ) -> LiftSpec:
     """The epsilon chain of auto_lift."""
-    return auto_lift(base, apex, max_halvings, check_convex).spec
+    return auto_lift(base, apex, check_convex).spec
 
 
 def contraction(config: PointConfiguration, p_label: int) -> PointConfiguration:

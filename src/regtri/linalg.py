@@ -1,42 +1,16 @@
 """Small exact linear algebra helpers over the rationals.
 
 Elimination runs on integers, each row cleared of denominators once
-(`clear_denominators`).  Determinants use Bareiss elimination
-(`_int_det`); `solve`, `rank` and `kernel_vector` share one Gauss-Jordan
-reduction, `_rref`, built on `pivot`, the fraction-free step that also
-drives the exact simplex in `linprog`.  Fractions appear only in results.
+(`clear_denominators`).  `det`, `det_sign`, `solve`, `rank` and
+`kernel_vector` share one Gauss-Jordan reduction, `_rref`, built on
+`pivot`, the fraction-free step that also drives the exact simplex in
+`linprog`.  Fractions appear only in results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-
-
-def _int_det(m: list[list[int]]) -> int:
-    # Bareiss fraction-free elimination; exact for integer matrices.
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pv - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pv
-    return sign * m[n - 1][n - 1]
 
 
 def clear_denominators(row):
@@ -71,24 +45,15 @@ def pivot(rows, r, c, den) -> int:
     return p
 
 
-def det(rows) -> Fraction:
-    cleared = [clear_denominators(row) for row in rows]
-    num = _int_det([ints for _, ints in cleared])
-    return Fraction(num, prod(m for m, _ in cleared))
-
-
-def det_sign(rows) -> int:
-    d = _int_det([clear_denominators(row)[1] for row in rows])
-    return (d > 0) - (d < 0)
-
-
 def _rref(rows):
     """Gauss-Jordan reduction: integer rows that, over the returned
-    positive denominator, are the reduced row echelon form, and the
-    pivot column of each nonzero row, in order."""
+    positive denominator, are the reduced row echelon form, the pivot
+    column of each nonzero row, in order, and the sign, -1 or 1, of the
+    row swaps and pivot-row negations made."""
     m = [clear_denominators(row)[1] for row in rows]
     den = 1
     pivots = []
+    sign = 1
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
         if r == len(m):
@@ -96,10 +61,29 @@ def _rref(rows):
         piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        if m[r][col] < 0:
+            sign = -sign
         den = pivot(m, r, col, den)
         pivots.append(col)
-    return m, den, pivots
+    return m, den, pivots, sign
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square rational matrix.  On a matrix of full
+    rank the final denominator of `_rref` is, up to its sign, the
+    determinant of the cleared rows (Edmonds 1967)."""
+    _, den, pivots, sign = _rref(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(sign * den, prod(clear_denominators(row)[0] for row in rows))
+
+
+def det_sign(rows) -> int:
+    _, _, pivots, sign = _rref(rows)
+    return sign if len(pivots) == len(rows) else 0
 
 
 def solve(a, b):
@@ -111,7 +95,7 @@ def solve(a, b):
     n = len(a)
     matrix = n > 0 and isinstance(b[0], (list, tuple))
     rhs = [list(r) if matrix else [r] for r in b]
-    m, den, pivots = _rref([list(row) + rhs[i] for i, row in enumerate(a)])
+    m, den, pivots, _ = _rref([list(row) + rhs[i] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         return None
     x = [[Fraction(v, den) for v in m[i][n:]] for i in range(n)]
@@ -127,7 +111,7 @@ def kernel_vector(columns):
     or None if the kernel is trivial or has dimension > 1."""
     ncols = len(columns)
     nrows = len(columns[0]) if columns else 0
-    m, den, pivots = _rref(
+    m, den, pivots, _ = _rref(
         [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
     )
     free = [c for c in range(ncols) if c not in pivots]

@@ -167,3 +167,20 @@ def lp_feasible(a_ub, b_ub, a_eq=(), b_eq=(), nvars=None, nonneg=False):
         nvars = len(src[0])
     res = solve_lp([Z] * nvars, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
     return res.x if res.optimal else None
+
+
+def max_margin(rows, nv: int):
+    """The one margin LP (regularity, shared witnesses, strict
+    separation): maximize the margin, the last of nv nonnegative
+    variables, over the homogeneous rows (row . x <= 0), the others at
+    most 2 and the margin at most 1; the box keeps the LP bounded when
+    no rows exist.  Returns the LP (c, a_ub, b_ub) and its result."""
+    a_ub, b_ub = list(rows), [Fraction(0)] * len(rows)
+    for i in range(nv):
+        row = [Fraction(0)] * nv
+        row[i] = Fraction(1)
+        a_ub.append(row)
+        b_ub.append(Fraction(2) if i < nv - 1 else Fraction(1))
+    c = [Fraction(0)] * nv
+    c[-1] = Fraction(1)
+    return c, a_ub, b_ub, solve_lp(c, a_ub, b_ub, nonneg=True)

@@ -28,11 +28,12 @@ from .geometry import (
     affine_dim,
     facets,
     format_rational,
+    homogenized,
     in_convex_position,
     orientation,
     parse_rational,
 )
-from .linprog import solve_lp
+from .linprog import max_margin, solve_lp
 
 Cells = frozenset  # of frozensets of labels
 
@@ -153,10 +154,8 @@ def _affine_coordinates(config: PointConfiguration, cell, labels):
     """Affine coordinates of each point of `labels` with respect to the
     d+1 points of `cell` in label order, all from one reduction of the
     cell's homogenized matrix; None if the cell is degenerate."""
-    cols = [list(config.point(l)) + [Fraction(1)] for l in sorted(cell)]
-    a = [list(row) for row in zip(*cols)]
-    b = [list(row) for row in zip(*(config.point(l) for l in labels))]
-    b.append([Fraction(1)] * len(labels))
+    a = [list(row) for row in zip(*homogenized(config, sorted(cell)))]
+    b = [list(row) for row in zip(*homogenized(config, labels))]
     sol = linalg.solve(a, b)
     if sol is None:
         return None
@@ -311,24 +310,6 @@ def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
     return rows
 
 
-def max_margin(rows, nv: int):
-    """Maximize the margin of the separation rows over shifted heights
-    in [0, 2].  The rows are invariant under a common shift of all
-    heights, so the [0, 2] box is just a normalization of [-1, 1].
-    Returns the LP (c, a_ub, b_ub) and its result."""
-    a_ub, b_ub = list(rows), [Fraction(0)] * len(rows)
-    for i in range(nv):
-        # boxes on the heights and on the margin keep the LP bounded
-        # even when no separation rows exist (the simplex case)
-        row = [Fraction(0)] * nv
-        row[i] = Fraction(1)
-        a_ub.append(row)
-        b_ub.append(Fraction(2) if i < nv - 1 else Fraction(1))
-    c = [Fraction(0)] * nv
-    c[-1] = Fraction(1)
-    return c, a_ub, b_ub, solve_lp(c, a_ub, b_ub, nonneg=True)
-
-
 def _check_certificate(c, a_ub, b_ub, dual) -> bool:
     """Independent recheck: nonnegative duals that dominate the
     objective and price out to a nonpositive bound prove that no height
@@ -360,7 +341,9 @@ def is_regular(
         if not ok:
             raise NotATriangulation(witness)
     labels = sorted(config.labels)
-    nv = len(labels) + 1  # heights + margin, all nonnegative
+    # heights + margin; the rows are invariant under a common shift of
+    # the heights, so max_margin's [0, 2] box on them is [-1, 1] shifted
+    nv = len(labels) + 1
     rows = height_separation_rows(
         config, t.cells, {l: i for i, l in enumerate(labels)}, nv
     )

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from regtri import geometry
 from regtri.cli import main
+from regtri.enumeration import shared_witness
 from regtri.geometry import PointConfiguration
 from regtri.triangulations import Triangulation, heights_to_json
 
@@ -167,7 +168,9 @@ def test_malformed_wire_format_is_a_json_error(tmp_path, command, bad_text):
     assert json.loads(result.stderr)["error"] == "ValueError"
 
 
-def test_sweep_command(tmp_path):
+def sweep_inputs(tmp_path):
+    """Files for `regtri sweep` on a split heptagon pair (6, 7), and a
+    shared witness for them."""
     cfg = PointConfiguration.from_rows(
         [
             ("3/10", "188/100"),
@@ -184,21 +187,35 @@ def test_sweep_command(tmp_path):
     t = Triangulation([{6, 1, 2}, {6, 2, 3}, {6, 3, 5}, {3, 4, 5}])
     tri_path = tmp_path / "tri.json"
     tri_path.write_text(t.to_json())
+    return cfg_path, tri_path, shared_witness(cfg, 6, 7, t)
 
-    from regtri.enumeration import shared_witness
 
-    w = shared_witness(cfg, 6, 7, t)
-    w_path = tmp_path / "w.json"
+def run_sweep(cfg_path, tri_path, w, w_path):
     w_path.write_text(heights_to_json(w))
-    runner = CliRunner()
-    result = runner.invoke(
+    return CliRunner().invoke(
         main,
         ["sweep", str(cfg_path), str(tri_path), str(w_path), "--p", "6", "--p-prime", "7"],
     )
+
+
+def test_sweep_command(tmp_path):
+    cfg_path, tri_path, w = sweep_inputs(tmp_path)
+    result = run_sweep(cfg_path, tri_path, w, tmp_path / "w.json")
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert len(payload["breakpoints"]) == 3
     assert len(payload["snapshots"]) == 4
+
+
+def test_sweep_heights_missing_a_label_is_a_json_error(tmp_path):
+    cfg_path, tri_path, w = sweep_inputs(tmp_path)
+    del w[3], w[7]
+    result = run_sweep(cfg_path, tri_path, w, tmp_path / "w.json")
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    error = json.loads(result.stderr)
+    assert error["error"] == "ValueError"
+    assert "[3, 7]" in error["message"]
 
 
 def test_sew_command(tmp_path):

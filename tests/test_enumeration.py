@@ -210,6 +210,22 @@ def test_budget_exceeded():
     assert len(exc_info.value.partial) > 5
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [1, 1]]],
+    ids=["triangle", "square"],
+)
+def test_zero_budget_stops_both_enumerators_at_the_first_triangulation(rows):
+    cfg = PointConfiguration.from_rows(rows)
+    stops = []
+    for enumerator in (enumerate_regular, enumerate_all_oracle):
+        with pytest.raises(BudgetExceeded) as exc_info:
+            enumerator(cfg, budget=0)
+        stops.append((exc_info.value.count, exc_info.value.partial))
+    assert stops[0] == stops[1]
+    assert stops[0][0] == 1
+
+
 def test_split_point_properties():
     cfg = hexagon()
     pair = split_point(cfg, 2, seed=1)

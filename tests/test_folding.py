@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import triangulations
+from regtri import linprog, triangulations
 from regtri.enumeration import flip_neighbors, shared_witness, split_point
 from regtri.geometry import (
     PointConfiguration,
@@ -15,12 +15,12 @@ from regtri.geometry import (
     cyclic_configuration,
     is_vertex,
 )
+from regtri.linprog import max_margin
 from regtri.triangulations import (
     Triangulation,
     _check_certificate,
     height_separation_rows,
     is_regular,
-    max_margin,
     placing_triangulation,
     regular_subdivision,
 )
@@ -137,13 +137,14 @@ def test_is_regular_hands_solve_lp_one_row_per_interior_ridge_and_unused_point(
     monkeypatch,
 ):
     shapes = []
-    real = triangulations.solve_lp
+    real = linprog.solve_lp
 
     def counted(c, a_ub, b_ub, *args, **kwargs):
         shapes.append(len(a_ub))
         return real(c, a_ub, b_ub, *args, **kwargs)
 
-    monkeypatch.setattr(triangulations, "solve_lp", counted)
+    for module in (linprog, triangulations):
+        monkeypatch.setattr(module, "solve_lp", counted)
     square = PointConfiguration.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]])
     cyclic = cyclic_configuration(4, range(1, 9))
     cases = ((cyclic, 15, 12, 0), (square.append_point((F(1, 2), F(1, 4))), 1, 1, 1))

@@ -173,6 +173,9 @@ def test_is_vertex_and_convex_position():
     assert not is_vertex(cfg, 5)
     assert not in_convex_position(cfg)
     assert in_convex_position(square())
+    # a lone point is the only vertex of its hull in every dimension
+    for d in range(4):
+        assert is_vertex(PointConfiguration.from_rows([[1] * d]), 1)
 
 
 @st.composite

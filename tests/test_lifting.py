@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import geometry, lifting
+from regtri import geometry, lifting, linprog
 from regtri.census import single_lift
 from regtri.errors import NotAVertex, NotConvexPosition, ValidationFailed
 from regtri.geometry import (
@@ -165,14 +166,14 @@ def test_contraction_cyclic_gives_lower_cyclic():
 
 def test_contraction_solves_one_lp(monkeypatch):
     calls = []
-    real = geometry.solve_lp
+    real = linprog.solve_lp
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "solve_lp", counting)
-    monkeypatch.setattr(lifting, "solve_lp", counting)
+    for module in (linprog, geometry, lifting):
+        monkeypatch.setattr(module, "solve_lp", counting)
     contraction(pentagon(), 1)
     assert len(calls) == 1
 
@@ -241,6 +242,27 @@ def test_same_side_check_equals_determinant_reference(case):
         assert (exc.label, exc.hyperplane_labels) == expect
     else:
         assert expect is None
+
+
+def test_validating_lift_computes_each_hyperplane_once(monkeypatch):
+    # n base points lift to dimension d+1; every (d+1)-subset of the
+    # first n-1 lifted points spans a hyperplane checked against the
+    # later ones, so a validating lift computes C(n-1, d+1) functionals
+    # where one per (point, earlier subset) pair would be C(n, d+2)
+    base = cyclic_configuration(3, range(1, 8))
+    spec = auto_epsilons(base, apex_over(base))
+    calls = []
+    real = geometry.hyperplane_functional
+
+    def counting(config, labels):
+        calls.append(tuple(labels))
+        return real(config, labels)
+
+    monkeypatch.setattr(geometry, "hyperplane_functional", counting)
+    lc = lex_lift(base, spec)
+    assert len(calls) == comb(6, 4) == 15 < comb(7, 5)
+    lifted = [lc.lifted.point(l) for l in base.labels]
+    assert same_side_reference(base.labels, lifted, spec.apex) is None
 
 
 def test_double_contraction_of_double_lift_recovers_base_facets():

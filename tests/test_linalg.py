@@ -167,3 +167,18 @@ def test_solve_equals_fraction_rref(system):
     # all right-hand sides at once, as the columns of a matrix
     expected = None if xs[0] is None else [list(row) for row in zip(*xs)]
     assert linalg.solve(a, [list(row) for row in zip(*bs)]) == expected
+
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(sparse_rationals, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_det_and_det_sign_equal_cofactor_expansion_on_sparse_matrices(m):
+    # about half the entries zero: the elimination swaps rows, pivots on
+    # negative entries and meets singular matrices
+    d = naive_det(m)
+    assert linalg.det(m) == d
+    assert linalg.det_sign(m) == (d > 0) - (d < 0)

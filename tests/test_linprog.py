@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from regtri import linalg, linprog
 from regtri.geometry import PointConfiguration, cyclic_configuration
-from regtri.linprog import lp_feasible, solve_lp
+from regtri.linprog import lp_feasible, max_margin, solve_lp
 from regtri.triangulations import (
     Triangulation,
     height_separation_rows,
-    max_margin,
     placing_triangulation,
 )
 
