@@ -20,9 +20,13 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NonUniqueIndex, TooFewPoints
-from .geometry import PointConfiguration, centroid, facets, is_face
-from .lifting import auto_lift, contraction
+from .errors import NonUniqueIndex, TooFewPoints, wire_format
+from .geometry import PointConfiguration, centroid, facets, is_facet_meet
+from .lifting import auto_lift
+
+# fingerprints and recovery read each configuration once; a cache would
+# only keep them alive
+_uncached_facets = facets.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,9 @@ def is_k_neighborly(config: PointConfiguration, k: int) -> NeighborlinessResult:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return NeighborlinessResult(True)
+    facet_sets = [f.labels for f in facets(config)]
     for subset in itertools.combinations(sorted(config.labels), k):
-        if not is_face(config, subset):
+        if not is_facet_meet(facet_sets, subset):
             return NeighborlinessResult(False, frozenset(subset))
     return NeighborlinessResult(True)
 
@@ -99,13 +104,14 @@ def double_lift(
 
 def recover_sigma_suffix(config: PointConfiguration, r: int) -> tuple:
     """Read the tail of the lift order back out of a double-lifted
-    configuration: at each step exactly one point's double contraction
-    with the inner apex is r-neighborly, and it is the point lifted
-    last.  Zero or several candidates indicate a corrupted input and
-    fail loudly."""
+    configuration: at each step exactly one point k has an r-neighborly
+    double vertex figure with the inner apex a, and it is the point
+    lifted last.  That figure's facets are F - {a, k} for the facets F
+    containing both, so each step reads facets once and solves no LP.
+    Zero or several candidates mean a corrupted input and fail loudly."""
     base_dim = config.dim - 2
     labels = sorted(config.labels)
-    apex_outer, apex_inner = labels[-1], labels[-2]
+    apex = labels[-2]  # the inner apex
     base_labels = labels[:-2]
     if len(base_labels) <= base_dim + 2:
         raise TooFewPoints(
@@ -115,10 +121,13 @@ def recover_sigma_suffix(config: PointConfiguration, r: int) -> tuple:
     current = config
     remaining = list(base_labels)
     while len(remaining) > base_dim + 2:
-        at_apex = contraction(current, apex_inner)
+        facet_sets = [f.labels for f in _uncached_facets(current)]
         candidates = []
         for k in remaining:
-            if is_k_neighborly(contraction(at_apex, k), r):
+            pair = {apex, k}
+            figure = [f - pair for f in facet_sets if pair <= f]
+            rest = sorted(set(current.labels) - pair)
+            if all(is_facet_meet(figure, s) for s in itertools.combinations(rest, r)):
                 candidates.append(k)
         if len(candidates) != 1:
             raise NonUniqueIndex(candidates)
@@ -143,36 +152,29 @@ def degenerate_base(n_points: int) -> PointConfiguration:
     return PointConfiguration(0, ((),) * n_points, tuple(range(1, n_points + 1)))
 
 
-def sew(n: int, d: int, permutations=None, verify: bool = True) -> SewingRun:
+def sew(n: int, d: int) -> SewingRun:
     """Build an n-point neighborly d-polytope from the degenerate
-    0-dimensional configuration: one double lift per two dimensions,
-    plus a final single lift when d is odd.  permutations supplies the
-    lift order of each stage (default: increasing labels)."""
+    0-dimensional configuration: one double lift per two dimensions and
+    a single lift when d is odd, each in increasing label order and
+    certified neighborly."""
     if n <= d:
         raise ValueError("need n > d")
-    stages = d // 2
-    extra = d % 2
     current = degenerate_base(n - d)
-    if permutations is None:
-        permutations = [None] * (stages + extra)
-    permutations = list(permutations)
-    if len(permutations) != stages + extra:
-        raise ValueError(f"need {stages + extra} stage permutations")
     used_perms = []
     stage_configs = [current]
     specs = []
-    for s in range(stages):
-        sigma = permutations[s] or tuple(sorted(current.labels))
-        current = double_lift(current, sigma, verify=verify, specs=specs)
-        used_perms.append(tuple(sigma))
+    for _ in range(d // 2):
+        sigma = tuple(sorted(current.labels))
+        current = double_lift(current, sigma, specs=specs)
+        used_perms.append(sigma)
         stage_configs.append(current)
-    if extra:
-        sigma = permutations[-1] or tuple(sorted(current.labels))
+    if d % 2:
+        sigma = tuple(sorted(current.labels))
         current, spec = single_lift(current, sigma)
         specs.append(spec)
-        used_perms.append(tuple(sigma))
+        used_perms.append(sigma)
         stage_configs.append(current)
-        if verify and not is_k_neighborly(current, d // 2):
+        if not is_k_neighborly(current, d // 2):
             raise ValueError("final lift lost neighborliness")
     return SewingRun(n, d, tuple(used_perms), tuple(stage_configs), tuple(specs))
 
@@ -192,10 +194,6 @@ class FacetFingerprint:
     @classmethod
     def from_hex(cls, s: str) -> "FacetFingerprint":
         return cls(bytes.fromhex(s))
-
-
-# a census fingerprints each lift once; caching would keep every lift alive
-_uncached_facets = facets.__wrapped__
 
 
 def fingerprint(config: PointConfiguration) -> FacetFingerprint:
@@ -234,8 +232,10 @@ class FingerprintStore:
                 body = fh.read(length)
                 if len(body) < length:
                     break  # trailing partial write; truncated below
-                rec = json.loads(body)
-                self._index.add(bytes.fromhex(rec["fingerprint"]))
+                # a complete record that does not parse is no torn tail
+                with wire_format("fingerprint store"):
+                    rec = json.loads(body)
+                    self._index.add(bytes.fromhex(rec["fingerprint"]))
                 self._records.append(rec)
                 end = fh.tell()
             # drop a torn tail left by an interrupted write, so the next

@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .census import FingerprintStore, census as run_census, fingerprint, sew as run_sew
+from .census import FingerprintStore, census as run_census, sew as run_sew
 from .enumeration import (
     SplitPair,
     cyclic_inseparable_realization,
@@ -28,7 +28,7 @@ from .enumeration import (
     t_sweep,
 )
 from .errors import BudgetExceeded, RegtriError
-from .geometry import PointConfiguration, cyclic_configuration, format_rational
+from .geometry import PointConfiguration, format_rational
 from .lifting import LiftSpec, auto_lift, contraction, lex_lift
 from .triangulations import (
     Triangulation,
@@ -38,7 +38,6 @@ from .triangulations import (
     is_regular,
     placing_triangulation,
     pulling_triangulation,
-    regular_subdivision,
 )
 
 

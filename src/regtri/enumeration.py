@@ -311,7 +311,7 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     def add(t):
         found.add(t)
         if budget is not None and len(found) > budget:
-            raise BudgetExceeded(len(found), partial=found, frontier=frontier)
+            raise BudgetExceeded(len(found), partial=found)
         frontier.append(t)
 
     add(placing_triangulation(config))
@@ -425,12 +425,12 @@ def triangulation_count_bound(n: int, d: int) -> int:
     return out
 
 
-def cyclic_inseparable_realization(d: int, n: int, max_halvings: int = 40) -> RealizationRun:
+def cyclic_inseparable_realization(d: int, n: int) -> RealizationRun:
     """Realize the cyclic polytope on the moment curve with each point
     after the initial simplex certified inseparable from the last point
     at its insertion stage, which forces the regular triangulation
     count to multiply by at least one more than the cell bound of the
-    vertex figure at every step."""
+    vertex figure at every step (40 tries per point, halving its gap)."""
     if n < d + 2:
         raise ValueError("need n >= d + 2")
     q_param = Fraction(n)
@@ -443,7 +443,7 @@ def cyclic_inseparable_realization(d: int, n: int, max_halvings: int = 40) -> Re
     gap = Fraction(1)
     for i in range(d + 2, n + 1):
         placed = False
-        for h in range(max_halvings):
+        for h in range(40):
             t_new = q_param - gap
             if any(abs(t_new - t) == 0 for t in params.values()):
                 gap /= 2

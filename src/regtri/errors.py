@@ -71,8 +71,8 @@ class NonTriangulationSnapshot(RegtriError):
 
 
 class NonUniqueIndex(RegtriError):
-    """Suffix recovery found zero or several neighborly double
-    contractions; this contradicts the construction and indicates a bug
+    """Suffix recovery found zero or several neighborly double vertex
+    figures; this contradicts the construction and indicates a bug
     upstream, so we fail loudly."""
 
     def __init__(self, candidates):
@@ -88,10 +88,9 @@ class BudgetExceeded(RegtriError):
     """Enumeration ran out of budget; `partial` holds what was found so
     far and is only a lower bound."""
 
-    def __init__(self, count, partial=None, frontier=None):
+    def __init__(self, count, partial=None):
         self.count = count
         self.partial = partial
-        self.frontier = frontier
         super().__init__(f"budget exceeded after {count} results")
 
 

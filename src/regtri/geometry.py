@@ -312,17 +312,23 @@ def face_lattice_faces(config: PointConfiguration, k: int) -> set[frozenset]:
     return out
 
 
-def is_face(config: PointConfiguration, labels: Iterable[int]) -> bool:
-    """Whether the label set is exactly the set of configuration points
-    of some proper face of the hull."""
+def is_facet_meet(facet_sets, labels: Iterable[int]) -> bool:
+    """The face test on a hull's facet label sets: whether the nonempty
+    label set equals the meet of the facet sets that contain it."""
     s = frozenset(labels)
     if not s:
         return False
     meet = None
-    for f in facets(config):
-        if s <= f.labels:
-            meet = f.labels if meet is None else meet & f.labels
+    for f in facet_sets:
+        if s <= f:
+            meet = f if meet is None else meet & f
     return meet == s
+
+
+def is_face(config: PointConfiguration, labels: Iterable[int]) -> bool:
+    """Whether the label set is exactly the set of configuration points
+    of some proper face of the hull."""
+    return is_facet_meet((f.labels for f in facets(config)), labels)
 
 
 def _strictly_separable(base, below, on=()):

@@ -161,6 +161,8 @@ def contraction(config: PointConfiguration, p_label: int) -> PointConfiguration:
     half-lines from p through the other points, cut with a hyperplane
     strictly separating p from every direction, expressed in an affine
     chart of that hyperplane.  Labels of the surviving points are kept.
+    p must be a vertex, and no two other points may lie on one half-line
+    from p (they would meet the cut in one point: "duplicate points").
     """
     p = config.point(p_label)
     d = config.dim
@@ -187,23 +189,19 @@ def double_contraction(config: PointConfiguration, first: int, second: int):
 
 
 def perturb_general(
-    config: PointConfiguration,
-    p_label: int,
-    seed: int = 0,
-    bound=Fraction(1, 100),
-    max_tries: int = 200,
+    config: PointConfiguration, p_label: int, seed: int = 0
 ) -> PointConfiguration:
     """Replace point p by a nearby rational point certified in general
-    position with respect to the rest; the point is returned unchanged
-    when it already passes.  Deterministic for a fixed seed."""
-    bound = parse_rational(bound)
+    position with respect to the rest (200 tries, each coordinate moved
+    by at most 1/100, halved every 20 tries); the point is returned
+    unchanged when it already passes.  Deterministic for a fixed seed."""
     rest = config.delete([p_label])
     p = config.point(p_label)
     if is_general_position(rest, p):
         return config
     rng = random.Random(seed)
-    scale = bound
-    for attempt in range(max_tries):
+    scale = Fraction(1, 100)
+    for attempt in range(200):
         offset = tuple(
             Fraction(rng.randint(-(10**6), 10**6), 10**6) * scale
             for _ in range(config.dim)

@@ -60,14 +60,14 @@ def _run_simplex(tab, basis, nrows, ncols, den):
         basis[leave] = enter
 
 
-def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False) -> LPResult:
-    """Maximize c.x subject to a_ub x <= b_ub and a_eq x = b_eq.
+def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=()) -> LPResult:
+    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq and x >= 0.
 
-    Variables are free by default; pass nonneg=True when the model is
-    already stated over nonnegative variables (saves the u-v split).
+    Every model is stated over nonnegative variables; a free variable
+    is the difference of two of them.
     """
     c = [Fraction(v) for v in c]
-    nfree = len(c)
+    nvars = len(c)
     # Row i is multiplied by m_i: the lcm of its denominators, negated
     # when its right-hand side is negative.  Its slack keeps coefficient
     # +-1, so it stands for |m_i| times the rational slack.
@@ -82,12 +82,10 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False) -> LPResult:
         mults.append(m)
     nrows = len(tab)
     if nrows == 0:
-        if all(v == 0 for v in c) or (nonneg and all(v <= 0 for v in c)):
-            return LPResult("optimal", x=[Z] * nfree, value=Z, dual=[])
+        if all(v <= 0 for v in c):
+            return LPResult("optimal", x=[Z] * nvars, value=Z, dual=[])
         return LPResult("unbounded")
 
-    nvars = nfree if nonneg else 2 * nfree
-    expand = (lambda v: v) if nonneg else (lambda v: v + [-x for x in v])
     # Columns: structural | one slack per <= row (the <= rows come
     # first, so row i's slack is column nvars + i) | one artificial per
     # equality row or negated row.  Only the first nreal may enter.
@@ -97,7 +95,7 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False) -> LPResult:
     art_col = {i: nreal + k for k, i in enumerate(art_rows)}
     ncols = nreal + len(art_rows)
     for i, ints in enumerate(tab):
-        row = expand(ints[:-1]) + [0] * (ncols - nvars) + [ints[-1]]
+        row = ints[:-1] + [0] * (ncols - nvars) + [ints[-1]]
         if i < n_ub:
             row[nvars + i] = 1 if mults[i] > 0 else -1
         if i in art_col:
@@ -109,7 +107,7 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False) -> LPResult:
     # The phase-2 objective, scaled by the lcm k of c's denominators,
     # rides along as the last row from the start.
     k, cint = clear_denominators(c)
-    tab.append([-v for v in expand(cint)] + [0] * (ncols - nvars + 1))
+    tab.append([-v for v in cint] + [0] * (ncols - nvars + 1))
     den = 1
     live = [True] * nrows  # rows surviving redundancy elimination
 
@@ -145,11 +143,10 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False) -> LPResult:
     if status == "unbounded":
         return LPResult("unbounded")
 
-    xfull = [Z] * nvars
+    x = [Z] * nvars
     for r in range(nrows):
         if live[r] and basis[r] < nvars:
-            xfull[basis[r]] = Fraction(tab[r][-1], den)
-    x = xfull if nonneg else [xfull[i] - xfull[nfree + i] for i in range(nfree)]
+            x[basis[r]] = Fraction(tab[r][-1], den)
     value = sum(ci * xi for ci, xi in zip(c, x)) if c else Z
 
     # The reduced cost of row i's unit column is its multiplier in the
@@ -160,12 +157,11 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False) -> LPResult:
     return LPResult("optimal", x=x, value=value, dual=dual)
 
 
-def lp_feasible(a_ub, b_ub, a_eq=(), b_eq=(), nvars=None, nonneg=False):
-    """Feasibility check; returns a feasible point or None."""
-    if nvars is None:
-        src = a_ub if len(a_ub) else a_eq
-        nvars = len(src[0])
-    res = solve_lp([Z] * nvars, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+def lp_feasible(a_ub, b_ub, a_eq=(), b_eq=()):
+    """Feasibility check over nonnegative variables; returns a feasible
+    point or None."""
+    nvars = len((a_ub if len(a_ub) else a_eq)[0])
+    res = solve_lp([Z] * nvars, a_ub, b_ub, a_eq, b_eq)
     return res.x if res.optimal else None
 
 
@@ -183,4 +179,4 @@ def max_margin(rows, nv: int):
         b_ub.append(Fraction(2) if i < nv - 1 else Fraction(1))
     c = [Fraction(0)] * nv
     c[-1] = Fraction(1)
-    return c, a_ub, b_ub, solve_lp(c, a_ub, b_ub, nonneg=True)
+    return c, a_ub, b_ub, solve_lp(c, a_ub, b_ub)

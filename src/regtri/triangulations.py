@@ -35,9 +35,6 @@ from .geometry import (
 )
 from .linprog import max_margin, solve_lp
 
-Cells = frozenset  # of frozensets of labels
-
-
 def make_cells(cells) -> frozenset:
     """The cells as a frozenset of frozensets.  A cell set that already
     is one, as every flip builds, comes back as it is: a copy would cost
@@ -53,10 +50,6 @@ class Subdivision:
     may be non-simplicial."""
 
     cells: frozenset
-
-    @property
-    def used_labels(self) -> frozenset:
-        return frozenset(l for c in self.cells for l in c)
 
     def is_simplicial(self, dim: int) -> bool:
         return all(len(c) == dim + 1 for c in self.cells)
@@ -195,7 +188,7 @@ def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
     b_eq.append(Fraction(1))
     c = [Fraction(1) if l not in shared else Fraction(0) for l in s1]
     c += [Fraction(0)] * n2
-    res = solve_lp(c, [], [], a_eq, b_eq, nonneg=True)
+    res = solve_lp(c, [], [], a_eq, b_eq)
     if not res.optimal:
         return True  # disjoint simplices intersect properly (empty face)
     return res.value == 0

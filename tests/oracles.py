@@ -2,6 +2,8 @@
 
 Everything here is deliberately written from textbook definitions,
 without importing the package under test, so agreement is meaningful.
+The one exception, recover_sigma_suffix_reference, keeps the geometric
+route (contractions) that the library's label-set recovery replaced.
 """
 
 from fractions import Fraction
@@ -364,3 +366,33 @@ def height_separation_rows_reference(points, cells, column, nv):
             row[-1] = Fraction(1)
             rows.append(row)
     return rows
+
+
+def recover_sigma_suffix_reference(config, r):
+    """The lift-order suffix of a double lift, read geometrically: each
+    candidate's double vertex figure with the inner apex is built by two
+    contractions (a separation LP and chart coordinates each) and tested
+    for r-neighborliness on the facets of that configuration."""
+    from regtri.census import is_k_neighborly
+    from regtri.errors import NonUniqueIndex, TooFewPoints
+    from regtri.lifting import contraction
+
+    base_dim = config.dim - 2
+    labels = sorted(config.labels)
+    apex_inner = labels[-2]
+    base_labels = labels[:-2]
+    if len(base_labels) <= base_dim + 2:
+        raise TooFewPoints(f"{len(base_labels)} base points")
+    suffix = []
+    current = config
+    remaining = list(base_labels)
+    while len(remaining) > base_dim + 2:
+        at_apex = contraction(current, apex_inner)
+        candidates = [k for k in remaining
+                      if is_k_neighborly(contraction(at_apex, k), r)]
+        if len(candidates) != 1:
+            raise NonUniqueIndex(candidates)
+        suffix.append(candidates[0])
+        remaining.remove(candidates[0])
+        current = current.delete([candidates[0]])
+    return tuple(reversed(suffix))

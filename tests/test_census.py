@@ -1,3 +1,4 @@
+import importlib
 import json
 import multiprocessing
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtri import geometry, lifting, linprog
 from regtri.census import (
     FacetFingerprint,
     FingerprintStore,
@@ -22,13 +24,17 @@ from regtri.census import (
 from regtri.errors import NonUniqueIndex, TooFewPoints
 from regtri.geometry import (
     PointConfiguration,
+    centroid,
     cyclic_configuration,
     facets,
     in_convex_position,
 )
 from regtri.lifting import double_contraction
 
-from oracles import gale_evenness_facets
+from oracles import gale_evenness_facets, recover_sigma_suffix_reference
+
+# the package exports the census function under the module's name
+census_module = importlib.import_module("regtri.census")
 
 
 def square():
@@ -122,6 +128,55 @@ def test_recover_sigma_suffix_identity_and_planted():
         assert recover_sigma_suffix(lifted, 1) == tuple(sigma[-2:])
 
 
+@pytest.mark.parametrize("n, d, r", [(6, 2, 1), (7, 2, 1), (7, 4, 2)])
+def test_recover_sigma_suffix_equals_geometric_reference(n, d, r):
+    base = sew(n, d).stage_configs[-1]
+    rng = random.Random(n * 10 + d)
+    for _ in range(6):
+        sigma = rng.sample(base.labels, len(base.labels))
+        lifted = double_lift(base, sigma, verify=False)
+        got = recover_sigma_suffix(lifted, r)
+        assert got == recover_sigma_suffix_reference(lifted, r) == tuple(sigma[d + 2 - n:])
+
+
+def test_recover_sigma_suffix_reads_facets_once_per_step_and_solves_no_lp(monkeypatch):
+    calls = {"solve_lp": 0, "contraction": 0, "facets": 0, "uncached facets": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    patches = [(linprog, "solve_lp"), (geometry, "solve_lp"), (lifting, "solve_lp"),
+               (lifting, "contraction"), (census_module, "contraction"),
+               (geometry, "facets"), (census_module, "facets")]
+    for module, name in patches:
+        real = getattr(module, name, None)
+        if real is not None:
+            monkeypatch.setattr(module, name, counting(name, real))
+    monkeypatch.setattr(census_module, "_uncached_facets",
+                        counting("uncached facets", census_module._uncached_facets))
+    base = sew(7, 2).stage_configs[-1]
+    lifted = double_lift(base, (4, 7, 1, 6, 2, 5, 3), verify=False)
+    for key in calls:
+        calls[key] = 0
+    assert recover_sigma_suffix(lifted, 1) == (2, 5, 3)
+    assert calls == {"solve_lp": 0, "contraction": 0, "facets": 0, "uncached facets": 3}
+
+
+def test_recover_sigma_suffix_with_an_interior_apex_finds_no_candidate():
+    # the inner apex moved into the hull lies on no facet, so no double
+    # vertex figure is neighborly
+    base = sew(6, 2).stage_configs[-1]
+    lifted = double_lift(base, (3, 1, 2, 6, 4, 5), verify=False)
+    apex = sorted(lifted.labels)[-2]
+    corrupted = lifted.replace_point(apex, centroid(lifted))
+    with pytest.raises(NonUniqueIndex) as exc_info:
+        recover_sigma_suffix(corrupted, 1)
+    assert exc_info.value.candidates == []
+
+
 def test_recover_sigma_suffix_too_few_points():
     # hypothesis boundary: a base with exactly dim + 2 points leaves
     # nothing recoverable
@@ -149,7 +204,6 @@ def test_fingerprint_independent_of_liftspec():
     out1, _ = single_lift(mid1, mid1.labels, check_convex=False)
     # steeper chain: lift with apex shifted
     from regtri.lifting import auto_epsilons, lex_lift
-    from regtri.geometry import centroid
 
     reordered = PointConfiguration(
         base.dim, tuple(base.point(l) for l in sigma), sigma

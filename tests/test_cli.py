@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 from click.testing import CliRunner
@@ -243,6 +244,25 @@ def test_census_requires_store(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["census", "--n", "5", "--d", "4", "--budget", "1"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "record", [{"provenance": {}}, [1, 2], {"fingerprint": 5}],
+    ids=["without-fingerprint", "list", "integer-fingerprint"],
+)
+def test_census_store_with_a_malformed_record_is_a_json_error(tmp_path, record):
+    # a complete record that does not parse is reported, not truncated
+    # away as if it were a torn tail
+    store_path = tmp_path / "census.store"
+    body = json.dumps(record).encode()
+    store_path.write_bytes(struct.pack(">I", len(body)) + body)
+    result = CliRunner().invoke(
+        main, ["census", "--n", "3", "--d", "2", "--store", str(store_path)]
+    )
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert json.loads(result.stderr)["error"] == "ValueError"
+    assert store_path.read_bytes() == struct.pack(">I", len(body)) + body
 
 
 def test_verify_bounds_cyclic(tmp_path):

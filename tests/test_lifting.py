@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 from math import comb
 
@@ -11,6 +10,7 @@ from regtri.census import single_lift
 from regtri.errors import NotAVertex, NotConvexPosition, ValidationFailed
 from regtri.geometry import (
     PointConfiguration,
+    affine_dim,
     centroid,
     configuration_in_general_position,
     cyclic_configuration,
@@ -201,6 +201,38 @@ def test_contraction_facets_are_the_vertex_figures_of_simplicial_polytopes(xy):
     assume(configuration_in_general_position(cfg))
     for k in cfg.labels:
         got = {f.labels for f in facets(contraction(cfg, k))}
+        assert got == vertex_figure_facets(cfg, k), k
+
+
+@st.composite
+def grid_configurations(draw):
+    """Five to eight points of the 3-D or 4-D grid {-2..2}^d: facets
+    are often non-simplicial, and some points are not vertices."""
+    d = draw(st.sampled_from([3, 4]))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                         min_size=d + 2, max_size=8, unique=True))
+    return PointConfiguration.from_rows(rows)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(grid_configurations())
+# a cube with points inside it and on one of its square facets
+@example(PointConfiguration.from_rows(
+    [[x, y, z] for x in (0, 3) for y in (0, 3) for z in (0, 3)] + [[1, 2, 1], [1, 3, 2]]
+))
+def test_contraction_facets_are_the_vertex_figures_of_grid_configurations(cfg):
+    assume(affine_dim(cfg) == cfg.dim)
+    for k in cfg.labels:
+        try:
+            figure = contraction(cfg, k)
+        except NotAVertex:
+            continue
+        except ValueError as exc:
+            # two points on one half-line from k meet the cut in one point
+            assert "duplicate points" in str(exc)
+            continue
+        got = {f.labels for f in facets(figure)}
         assert got == vertex_figure_facets(cfg, k), k
 
 

@@ -22,19 +22,9 @@ def test_simple_max():
         [1, 1],
         [[1, 0], [0, 1], [1, 1]],
         [2, 3, 4],
-        nonneg=True,
     )
     assert res.optimal
     assert res.value == 4
-
-
-def test_free_variables():
-    # max x st x <= 5 with x free
-    res = solve_lp([1], [[1]], [5])
-    assert res.optimal and res.value == 5 and res.x == [F(5)]
-    # free variable can go negative
-    res = solve_lp([-1], [[-1]], [5])
-    assert res.optimal and res.value == 5 and res.x == [F(-5)]
 
 
 def test_equality_constraints():
@@ -45,7 +35,7 @@ def test_equality_constraints():
 
 
 def test_infeasible():
-    res = solve_lp([1], [[1], [-1]], [1, -2], nonneg=True)
+    res = solve_lp([1], [[1], [-1]], [1, -2])
     assert res.status == "infeasible"
     res = solve_lp([0, 0], [], [], [[1, 1], [1, 1]], [1, 2])
     assert res.status == "infeasible"
@@ -54,20 +44,20 @@ def test_infeasible():
 def test_unbounded():
     res = solve_lp([1], [], [])
     assert res.status == "unbounded"
-    res = solve_lp([1], [[-1]], [0], nonneg=True)
+    res = solve_lp([1], [[-1]], [0])
     assert res.status == "unbounded"
 
 
 def test_negative_rhs_handling():
     # max -x st -x <= -3  (x >= 3)
-    res = solve_lp([-1], [[-1]], [-3], nonneg=True)
+    res = solve_lp([-1], [[-1]], [-3])
     assert res.optimal
     assert res.x == [F(3)]
     assert res.value == -3
 
 
 def test_redundant_equality_rows():
-    res = solve_lp([1, 1], [[1, 1]], [4], [[1, -1], [2, -2]], [0, 0], nonneg=True)
+    res = solve_lp([1, 1], [[1, 1]], [4], [[1, -1], [2, -2]], [0, 0])
     assert res.optimal
     assert res.value == 4
 
@@ -87,7 +77,7 @@ def test_duals_certify_optimality():
             row[j] = F(1)
             a.append(row)
             b.append(F(10))
-        res = solve_lp(c, a, b, nonneg=True)
+        res = solve_lp(c, a, b)
         assert res.optimal
         y = res.dual
         assert all(v >= 0 for v in y)
@@ -98,15 +88,15 @@ def test_duals_certify_optimality():
 
 def test_dual_signs_with_flipped_rows():
     # max x st -x <= -2, x <= 5: optimum 5, dual of first row 0
-    res = solve_lp([1], [[-1], [1]], [-2, 5], nonneg=True)
+    res = solve_lp([1], [[-1], [1]], [-2, 5])
     assert res.optimal and res.value == 5
     assert res.dual[0] == 0
     assert res.dual[1] == 1
 
 
 def test_lp_feasible():
-    assert lp_feasible([[1]], [3], nonneg=True) is not None
-    assert lp_feasible([[1], [-1]], [1, -2], nonneg=True) is None
+    assert lp_feasible([[1]], [3]) is not None
+    assert lp_feasible([[1], [-1]], [1, -2]) is None
 
 
 def test_random_feasibility_agrees_with_vertex_scan():
@@ -119,7 +109,7 @@ def test_random_feasibility_agrees_with_vertex_scan():
         for _ in range(4):
             rows.append([F(rng.randint(-4, 4)), F(rng.randint(-4, 4))])
             rhs.append(F(rng.randint(-4, 6)))
-        got = lp_feasible(rows, rhs, nonneg=True) is not None
+        got = lp_feasible(rows, rhs) is not None
         # brute: candidate points = origin, single-constraint boundary
         # points on axes, and pairwise intersections
         cands = [(F(0), F(0))]
@@ -170,15 +160,14 @@ def small_lps(draw):
         k = draw(st.sampled_from([F(1), F(-2), F(3, 5)]))
         a_eq.append([k * v for v in a_eq[i]])
         b_eq.append(k * b_eq[i])
-    return draw(row), a_ub, b_ub, a_eq, b_eq, draw(st.booleans())
+    return draw(row), a_ub, b_ub, a_eq, b_eq
 
 
 @settings(max_examples=400, deadline=None)
 @given(small_lps())
 def test_solve_lp_equals_fraction_simplex(lp):
-    c, a_ub, b_ub, a_eq, b_eq, nonneg = lp
-    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
-    assert fields(res) == fraction_simplex(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+    res = solve_lp(*lp)
+    assert fields(res) == fraction_simplex(*lp, nonneg=True)
 
 
 def test_solve_lp_fixed_cases_equal_fraction_simplex(monkeypatch):
@@ -190,21 +179,21 @@ def test_solve_lp_fixed_cases_equal_fraction_simplex(monkeypatch):
 
     monkeypatch.setattr(linprog, "pivot", recording_pivot)
     cases = {
-        "dead row": ([1, 1], [[1, 1]], [4], [[1, -1], [F(2, 3), F(-2, 3)]], [0, 0], True),
-        "infeasible": ([F(1, 2)], [[1], [-1]], [1, F(-5, 2)], [], [], True),
-        "unbounded": ([F(1, 3), 1], [[1, -1]], [F(-1, 2)], [], [], False),
-        "negative rhs": ([-1, F(1, 2)], [[F(-1, 3), 1], [1, 1]], [F(-2, 5), 3], [], [], True),
+        "dead row": ([1, 1], [[1, 1]], [4], [[1, -1], [F(2, 3), F(-2, 3)]], [0, 0]),
+        "infeasible": ([F(1, 2)], [[1], [-1]], [1, F(-5, 2)], [], []),
+        "unbounded": ([F(1, 3), 1], [[1, -1]], [F(-1, 2)], [], []),
+        "negative rhs": ([-1, F(1, 2)], [[F(-1, 3), 1], [1, 1]], [F(-2, 5), 3], [], []),
         # phase 1 ends with the artificial of the equality row basic at
         # zero, and the drive-out pivots on its entry -1
         "negative drive-out": (
-            [2, 1, 2], [[2, 1, 2], [-1, 0, 0]], [2, 1], [[-1, 0, -2]], [0], True
+            [2, 1, 2], [[2, 1, 2], [-1, 0, 0]], [2, 1], [[-1, 0, -2]], [0]
         ),
     }
     got = {}
-    for name, (c, a_ub, b_ub, a_eq, b_eq, nonneg) in cases.items():
+    for name, lp in cases.items():
         negative_pivots.clear()
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
-        assert fields(res) == fraction_simplex(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+        res = solve_lp(*lp)
+        assert fields(res) == fraction_simplex(*lp, nonneg=True)
         got[name] = (res, any(negative_pivots))
     assert got["dead row"][0].optimal and got["dead row"][0].dual[-1] == 0
     assert got["infeasible"][0].status == "infeasible"

@@ -14,7 +14,7 @@ from regtri.errors import (
     NotConvexPosition,
     PointUnused,
 )
-from regtri.geometry import PointConfiguration, cyclic_configuration, facets
+from regtri.geometry import PointConfiguration, cyclic_configuration
 from regtri.triangulations import (
     Triangulation,
     barycentric,
