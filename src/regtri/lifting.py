@@ -175,13 +175,19 @@ def contraction(config: PointConfiguration, p_label: int) -> PointConfiguration:
     # cutting hyperplane: normal.x = normal.p + 1; drop a coordinate with
     # nonzero normal entry to get chart coordinates
     j = max(range(d), key=lambda k: abs(normal[k]))
-    pts = []
+    pts = {}  # chart point -> label
     for l in others:
         u = [x - y for x, y in zip(config.point(l), p)]
         s = Fraction(1) / sum(a * x for a, x in zip(normal, u))
         y = tuple(pc + s * xc for pc, xc in zip(p, u))
-        pts.append(tuple(y[k] for k in range(d) if k != j))
-    return PointConfiguration(d - 1, tuple(pts), tuple(others))
+        y = tuple(y[k] for k in range(d) if k != j)
+        if y in pts:
+            raise ValueError(
+                f"duplicate points: labels {pts[y]} and {l} lie on one "
+                f"half-line from label {p_label}"
+            )
+        pts[y] = l
+    return PointConfiguration(d - 1, tuple(pts), tuple(pts.values()))
 
 
 def double_contraction(config: PointConfiguration, first: int, second: int):

@@ -195,34 +195,61 @@ def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
 
 
 def is_triangulation(cells, config: PointConfiguration):
-    """Exact check of the two triangulation conditions; returns
-    (ok, witness) where the witness names a violating ridge or pair."""
+    """Exact check that the cells triangulate conv(config); returns
+    (ok, witness) where the witness names a violating cell, ridge or
+    pair.  No LP is solved.
+
+    A set of full-dimensional simplices on the points is a triangulation
+    iff every ridge either lies on the boundary of the hull and in one
+    cell, or lies in two cells on opposite sides of it, and some point
+    is covered by exactly one cell (De Loera, Rambau and Santos,
+    Triangulations, 2010, section 4.5).  The ridge conditions make the
+    cells cover every generic point of the hull equally often: a
+    path between two of them crosses only interior ridges, each from
+    one cell into the other.  The barycentre of the first cell, in
+    sorted order, lies in no other closed cell exactly when a
+    neighbourhood of it is covered once, so that number is 1.  A
+    violation of either condition is reported as an improper pair: two
+    cells that do not meet in a common face."""
     cells = make_cells(cells)
     d = config.dim
     if not cells:
         return False, "empty cell set"
+    signs = {}
     for c in cells:
         if len(c) != d + 1:
             return False, ("non-simplicial cell", tuple(sorted(c)))
-        if orientation(config, sorted(c)) == 0:
+        signs[c] = orientation(config, sorted(c))
+        if signs[c] == 0:
             return False, ("degenerate cell", tuple(sorted(c)))
     boundary = {frozenset(f.labels) for f in facets(config)}
-    ridge_count: dict[frozenset, list] = {}
+    # ridge -> (cell, side) per cell on it.  The k-th ridge of a sorted
+    # cell omits the apex at position d - k; moving the apex last, past
+    # k labels, gives the orientation of (ridge, apex), which is the
+    # apex's side of the ridge's hyperplane.
+    ridges: dict[frozenset, list] = {}
     for c in cells:
-        for r in itertools.combinations(sorted(c), d):
-            ridge_count.setdefault(frozenset(r), []).append(c)
-    for ridge, owners in ridge_count.items():
+        for k, r in enumerate(itertools.combinations(sorted(c), d)):
+            side = signs[c] * (-1) ** k
+            ridges.setdefault(frozenset(r), []).append((c, side))
+    for ridge, owners in ridges.items():
         if len(owners) > 2:
             return False, ("overcrowded ridge", tuple(sorted(ridge)))
         if len(owners) == 1 and not any(ridge <= b for b in boundary):
             return False, ("uncovered ridge", tuple(sorted(ridge)))
         if len(owners) == 2 and any(ridge <= b for b in boundary):
             return False, ("boundary ridge shared twice", tuple(sorted(ridge)))
-    ordered = sorted(cells, key=sorted)
-    for i, c1 in enumerate(ordered):
-        for c2 in ordered[i + 1 :]:
-            if not simplices_properly_intersect(config, c1, c2):
-                return False, ("improper pair", tuple(sorted(c1)), tuple(sorted(c2)))
+    for owners in ridges.values():
+        if len(owners) == 2 and owners[0][1] == owners[1][1]:
+            pair = sorted(sorted(c) for c, _ in owners)
+            return False, ("improper pair", tuple(pair[0]), tuple(pair[1]))
+    first, *rest = sorted(cells, key=sorted)
+    # the barycentre, homogenized and scaled by d + 1
+    centre = [sum(col) for col in zip(*homogenized(config, first))]
+    for c in rest:
+        a = [list(row) for row in zip(*homogenized(config, sorted(c)))]
+        if all(lam >= 0 for lam in linalg.solve(a, centre)):
+            return False, ("improper pair", tuple(sorted(first)), tuple(sorted(c)))
     return True, None
 
 
@@ -328,7 +355,9 @@ def is_regular(
     hyperplane), so the duals, padded with zeros, refute that too.  A
     regular verdict rests on the folding lemma, which needs t to be a
     triangulation of config: validate=True checks that first, and
-    enumerate_regular passes only flips of triangulations."""
+    enumerate_regular passes only flips of triangulations.  The check
+    is is_triangulation, which solves no LP, so a validated verdict
+    costs one LP, the margin LP."""
     if validate:
         ok, witness = is_triangulation(t.cells, config)
         if not ok:

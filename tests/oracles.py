@@ -333,6 +333,63 @@ def fraction_simplex(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False):
     return "optimal", x, value, dual
 
 
+def simplices_properly_intersect_reference(points, s1, s2) -> bool:
+    """Whether two simplices, given by 1-based labels into points, meet
+    in a common face (possibly empty): an LP over barycentric weights of
+    a common point, maximizing the weight on vertices of s1 outside the
+    shared labels, has no positive optimum."""
+    s1, s2 = sorted(s1), sorted(s2)
+    shared = set(s1) & set(s2)
+    n1, n2 = len(s1), len(s2)
+    a_eq = [
+        [points[l - 1][i] for l in s1] + [-points[l - 1][i] for l in s2]
+        for i in range(len(points[0]))
+    ]
+    a_eq += [[1] * n1 + [0] * n2, [0] * n1 + [1] * n2]
+    b_eq = [0] * (len(a_eq) - 2) + [1, 1]
+    c = [0 if l in shared else 1 for l in s1] + [0] * n2
+    status, _, value, _ = fraction_simplex(c, [], [], a_eq, b_eq, nonneg=True)
+    return status != "optimal" or value == 0
+
+
+def is_triangulation_reference(points, cells):
+    """The two triangulation conditions checked from their definitions:
+    full-dimensional simplices, each ridge on the hull boundary in one
+    cell or inside the hull in two, and every pair of cells meeting in a
+    common face.  Labels are 1-based indices into points; cells are
+    visited in their iteration order and ridges in first-seen order, so
+    a caller passing one set to this and to the library meets the same
+    first violation.  Returns (ok, witness) as the library does."""
+    d = len(points[0])
+    cells = [frozenset(c) for c in cells]
+    if not cells:
+        return False, "empty cell set"
+    for c in cells:
+        if len(c) != d + 1:
+            return False, ("non-simplicial cell", tuple(sorted(c)))
+        if naive_det([list(points[l - 1]) + [1] for l in sorted(c)]) == 0:
+            return False, ("degenerate cell", tuple(sorted(c)))
+    boundary = brute_force_facets(points)
+    owners = {}
+    for c in cells:
+        for r in combinations(sorted(c), d):
+            owners.setdefault(frozenset(r), []).append(c)
+    for ridge, on in owners.items():
+        on_boundary = any(ridge <= b for b in boundary)
+        if len(on) > 2:
+            return False, ("overcrowded ridge", tuple(sorted(ridge)))
+        if len(on) == 1 and not on_boundary:
+            return False, ("uncovered ridge", tuple(sorted(ridge)))
+        if len(on) == 2 and on_boundary:
+            return False, ("boundary ridge shared twice", tuple(sorted(ridge)))
+    ordered = sorted(cells, key=sorted)
+    for i, c1 in enumerate(ordered):
+        for c2 in ordered[i + 1:]:
+            if not simplices_properly_intersect_reference(points, c1, c2):
+                return False, ("improper pair", tuple(sorted(c1)), tuple(sorted(c2)))
+    return True, None
+
+
 def height_separation_rows_reference(points, cells, column, nv):
     """The full height-separation rows: for each cell in sorted order
     and each point of column outside it, in column's iteration order,

@@ -141,6 +141,44 @@ def test_contract_invalid_label_exits_one(tmp_path):
     assert result.exit_code == 1
 
 
+def test_contract_two_points_on_one_half_line_names_both(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        PointConfiguration.from_rows([[0, 0], [1, 0], [2, 0], [0, 1]]).to_json()
+    )
+    result = CliRunner().invoke(main, ["contract", str(cfg_path), "--label", "1"])
+    assert result.exit_code == 1
+    error = json.loads(result.stderr)
+    assert error["error"] == "ValueError"
+    assert "duplicate points: labels 2 and 3" in error["message"]
+    assert "from label 1" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "rows, cells, named",
+    [
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], [[1, 2, 3], [1, 2, 4]],
+         "('boundary ridge shared twice', (1, 2))"),
+        # the halves of a square and its midpoint subdivision, which pass
+        # every ridge check and cover the square twice
+        ([[0, 0], [2, 0], [2, 2], [0, 2], [1, 0], [2, 1], [1, 2], [0, 1]],
+         [[1, 2, 3], [1, 3, 4], [1, 5, 8], [2, 5, 6], [3, 6, 7], [4, 7, 8],
+          [5, 6, 7], [5, 7, 8]],
+         "('improper pair', (1, 2, 3), (5, 6, 7))"),
+    ],
+    ids=["overlapping-halves", "double-cover"],
+)
+def test_regular_on_overlapping_cells_is_a_json_error(tmp_path, rows, cells, named):
+    cfg_path, tri_path = tmp_path / "cfg.json", tmp_path / "tri.json"
+    cfg_path.write_text(PointConfiguration.from_rows(rows).to_json())
+    tri_path.write_text(json.dumps({"cells": cells}))
+    result = CliRunner().invoke(main, ["regular", str(cfg_path), str(tri_path)])
+    assert result.exit_code == 1
+    error = json.loads(result.stderr)
+    assert error["error"] == "NotATriangulation"
+    assert named in error["message"]
+
+
 @pytest.mark.parametrize(
     "command, bad_text",
     [

@@ -1,12 +1,14 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import linalg
+from regtri import linalg, linprog
+from regtri.enumeration import flip_neighbors
 from regtri.errors import (
     DegenerateStep,
     NonPureComplex,
@@ -35,7 +37,9 @@ from regtri.triangulations import (
 from oracles import (
     gale_evenness_facets,
     height_separation_rows_reference,
+    is_triangulation_reference,
     lower_hull_cells,
+    simplices_properly_intersect_reference,
 )
 
 
@@ -129,6 +133,135 @@ def test_is_triangulation_accepts_both_square_triangulations():
     for cells in ([{1, 2, 3}, {2, 3, 4}], [{1, 2, 4}, {1, 3, 4}]):
         ok, witness = is_triangulation(cells, cfg)
         assert ok, witness
+
+
+# The square with corners 1..4 and edge midpoints 5..8: its two
+# halves plus the midpoint subdivision pass every ridge check but cover
+# the square twice.
+DOUBLE_COVER = (
+    [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (2, 1), (1, 2), (0, 1)],
+    [{1, 2, 3}, {1, 3, 4}, {1, 5, 8}, {2, 5, 6}, {3, 6, 7}, {4, 7, 8}, {5, 6, 7},
+     {5, 7, 8}],
+)
+# The same on the square of side 3, whose second layer has an edge,
+# 5-7, through the barycentre (2, 1) of the first cell {1, 2, 3}.
+DOUBLE_COVER_ON_AN_EDGE = (
+    [(0, 0), (3, 0), (3, 3), (0, 3), (2, 0), (3, 1), (2, 3), (0, 1)],
+    [{1, 2, 3}, {1, 3, 4}, {1, 5, 8}, {5, 7, 8}, {4, 7, 8}, {2, 5, 6}, {5, 6, 7},
+     {3, 6, 7}],
+)
+# A cone from 6 over the segments [0, 1], [1, 3], [2, 3], [2, 4] of the
+# x-axis: it folds back over ridges {3, 6} and {4, 6}, where both cells
+# lie on one side, yet the first cell's barycentre is covered once.
+FOLD = (
+    [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (2, 4)],
+    [{1, 2, 6}, {2, 4, 6}, {3, 4, 6}, {3, 5, 6}],
+)
+
+
+@pytest.mark.parametrize(
+    "case, pairs",
+    [(DOUBLE_COVER, [((1, 2, 3), (5, 6, 7))]),
+     (DOUBLE_COVER_ON_AN_EDGE, [((1, 2, 3), (5, 6, 7))]),
+     (FOLD, [((2, 4, 6), (3, 4, 6)), ((3, 4, 6), (3, 5, 6))])],
+    ids=["double-cover", "double-cover-on-an-edge", "fold"],
+)
+def test_is_triangulation_rejects_cells_passing_every_ridge_check(case, pairs):
+    rows, cells = case
+    cfg = PointConfiguration.from_rows(rows)
+    ok, witness = is_triangulation(cells, cfg)
+    assert not ok
+    assert witness[0] == "improper pair" and witness[1:] in pairs
+    assert not is_triangulation_reference(rows, make_cells(cells))[0]
+
+
+def test_is_triangulation_solves_no_lp(monkeypatch):
+    calls = []
+    real = linprog.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("regtri") and getattr(module, "solve_lp", None) is real:
+            monkeypatch.setattr(module, "solve_lp", counting)
+    cyclic = cyclic_configuration(4, range(1, 9))
+    t = placing_triangulation(cyclic)
+    nonregular, twisted = nonregular_fixture()
+    double = PointConfiguration.from_rows(DOUBLE_COVER[0])
+    for cfg, cells in ((cyclic, t.cells), (nonregular, twisted.cells),
+                       (double, DOUBLE_COVER[1])):
+        is_triangulation(cells, cfg)
+    assert calls == []
+    assert is_regular(t, cyclic, validate=True).regular
+    assert len(calls) == 1
+
+
+@st.composite
+def grid_cell_sets(draw):
+    """Points of the 2-D or 3-D grid {0, 1, 2}^d around the corner
+    simplex, with (1, 0, ...) on a hull edge, and a cell set drawn from
+    its triangulations: one from generic heights (placing heights,
+    steep in a drawn order, or random ones) or a flip of it, one with a
+    cell added, removed or replaced, the union or symmetric difference
+    of two, or random simplices."""
+    d = draw(st.sampled_from((2, 3)))
+    rows = [(0,) * d] + [tuple(2 * (i == j) for j in range(d)) for i in range(d)]
+    rows.append((1,) + (0,) * (d - 1))
+    grid = st.tuples(*[st.integers(0, 2)] * d)
+    rows += [p for p in draw(st.lists(grid, max_size=6 - d, unique=True))
+             if p not in rows]
+    cfg = PointConfiguration.from_rows(rows)
+
+    def triangulation():
+        order = draw(st.permutations(cfg.labels))
+        if draw(st.booleans()):
+            w = {l: 10**i for i, l in enumerate(order)}
+        else:
+            w = {l: draw(st.integers(0, 10**6)) for l in order}
+        sub = regular_subdivision(cfg, w)
+        assume(sub.is_simplicial(d))
+        return sub.cells
+
+    simplex = st.sets(st.sampled_from(cfg.labels), min_size=d + 1, max_size=d + 1)
+    t = triangulation()
+    flips = [f.cells for f in flip_neighbors(Triangulation(t), cfg)]
+    other = draw(st.sampled_from(flips)) if flips and draw(st.booleans()) else triangulation()
+    cell = draw(st.sampled_from(sorted(t, key=sorted)))
+    how = draw(st.sampled_from(["triangulation", "flip", "added", "removed", "replaced",
+                                "union", "symmetric difference", "random"]))
+    cells = {
+        "triangulation": lambda: t,
+        "flip": lambda: draw(st.sampled_from(flips)) if flips else t,
+        "added": lambda: t | {frozenset(draw(simplex))},
+        "removed": lambda: t - {cell},
+        "replaced": lambda: (t - {cell}) | {frozenset(draw(simplex))},
+        "union": lambda: t | other,
+        "symmetric difference": lambda: t ^ other,
+        "random": lambda: draw(st.lists(simplex, min_size=1, max_size=6)),
+    }[how]()
+    return rows, make_cells(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cell_sets())
+@example((DOUBLE_COVER[0], make_cells(DOUBLE_COVER[1])))
+@example((FOLD[0], make_cells(FOLD[1])))
+def test_is_triangulation_agrees_with_pairwise_reference(case):
+    rows, cells = case
+    cfg = PointConfiguration.from_rows(rows)
+    ok, witness = is_triangulation(cells, cfg)
+    ref_ok, ref_witness = is_triangulation_reference(rows, cells)
+    assert ok == ref_ok
+    if ok:
+        return
+    if witness[0] == "improper pair":
+        # the first pair found may differ; it still meets improperly
+        assert ref_witness[0] == "improper pair"
+        assert not simplices_properly_intersect_reference(rows, *witness[1:])
+    else:
+        assert witness == ref_witness
 
 
 def test_placing_triangulation_square_orders():
