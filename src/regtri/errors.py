@@ -41,9 +41,12 @@ class ValidationFailed(RegtriError):
 
 
 class DegenerateStep(RegtriError):
+    """The first d+1 points of a placing order do not span, so there is
+    no first cell; `label` is the last of them."""
+
     def __init__(self, label):
         self.label = label
-        super().__init__(f"placing step {label} hit a spanned hyperplane")
+        super().__init__(f"placing order's first points, up to {label}, do not span")
 
 
 class NotATriangulation(RegtriError):

@@ -194,6 +194,18 @@ def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
     return res.value == 0
 
 
+def _ridge_sides(cell: tuple, sign: int):
+    """(ridge, side) for each ridge of a sorted cell whose orientation
+    is sign: side is the orientation of (ridge, apex), the side of the
+    ridge's hyperplane the apex lies on.  The k-th ridge omits the apex
+    at position d - k, and moving the apex last, past k labels, flips
+    the sign k times."""
+    return [
+        (r, sign * (-1) ** k)
+        for k, r in enumerate(itertools.combinations(cell, len(cell) - 1))
+    ]
+
+
 def is_triangulation(cells, config: PointConfiguration):
     """Exact check that the cells triangulate conv(config); returns
     (ok, witness) where the witness names a violating cell, ridge or
@@ -223,14 +235,9 @@ def is_triangulation(cells, config: PointConfiguration):
         if signs[c] == 0:
             return False, ("degenerate cell", tuple(sorted(c)))
     boundary = {frozenset(f.labels) for f in facets(config)}
-    # ridge -> (cell, side) per cell on it.  The k-th ridge of a sorted
-    # cell omits the apex at position d - k; moving the apex last, past
-    # k labels, gives the orientation of (ridge, apex), which is the
-    # apex's side of the ridge's hyperplane.
-    ridges: dict[frozenset, list] = {}
+    ridges: dict[frozenset, list] = {}  # ridge -> (cell, side) per cell on it
     for c in cells:
-        for k, r in enumerate(itertools.combinations(sorted(c), d)):
-            side = signs[c] * (-1) ** k
+        for r, side in _ridge_sides(tuple(sorted(c)), signs[c]):
             ridges.setdefault(frozenset(r), []).append((c, side))
     for ridge, owners in ridges.items():
         if len(owners) > 2:
@@ -385,32 +392,45 @@ def is_regular(
 
 def placing_triangulation(config: PointConfiguration, order=None) -> Triangulation:
     """Insert points in the given label order, coning each new point
-    over the facets visible from it.  Interior points are skipped, as
-    the visibility rule adds nothing for them."""
+    over the boundary ridges of the cells placed so far that it lies
+    strictly beyond (De Loera, Rambau and Santos, Triangulations, 2010,
+    section 4.3).  A point beyond no ridge lies in the hull of the
+    points before it, inside or on its boundary, and is skipped.  Each
+    boundary ridge keeps the side of its hyperplane its cell's apex lies
+    on; a new cell's sides come from the orientation that found its
+    ridge visible, by the parity rule of _ridge_sides, so each ridge
+    test is one determinant.  DegenerateStep means the first d+1 points
+    of the order do not span."""
     if order is None:
         order = list(config.labels)
     d = config.dim
     if len(order) < d + 1:
         raise NotFullDimensional("too few points to span")
-    first = list(order[: d + 1])
-    if orientation(config, first) == 0:
+    first = tuple(sorted(order[: d + 1]))
+    sign = orientation(config, first)
+    if sign == 0:
         raise DegenerateStep(order[d])
-    cells = {frozenset(first)}
-    used = list(first)
+    cells = [first]
+    boundary = dict(_ridge_sides(first, sign))  # ridge -> its apex's side
     for lab in order[d + 1 :]:
-        p = config.point(lab)
-        sub = config.restrict(used)
-        new_cells = set()
-        for f in facets(sub):
-            v = f.value(p)
-            if v == 0:
-                raise DegenerateStep(lab)
-            if v > 0:  # facet visible from the new point
-                if len(f.labels) != d:
-                    raise DegenerateStep(lab)
-                new_cells.add(frozenset(f.labels | {lab}))
-        cells |= new_cells
-        used.append(lab)
+        visible = []
+        for ridge, side in boundary.items():
+            o = orientation(config, ridge + (lab,))
+            if o == -side:
+                visible.append((ridge, o))
+        for ridge, o in visible:
+            del boundary[ridge]
+            cell = tuple(sorted(ridge + (lab,)))
+            cells.append(cell)
+            # o orients the cell with lab last; sorting moves it
+            # past the d - index labels after it
+            for r, side in _ridge_sides(cell, o * (-1) ** (d - cell.index(lab))):
+                if lab not in r:
+                    continue
+                if r in boundary:  # shared with another new cell
+                    del boundary[r]
+                else:
+                    boundary[r] = side
     return Triangulation(make_cells(cells))
 
 

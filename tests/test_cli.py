@@ -1,10 +1,12 @@
+import hashlib
 import json
 import struct
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from regtri import geometry
+from regtri import __version__, geometry
 from regtri.cli import main
 from regtri.enumeration import shared_witness
 from regtri.geometry import PointConfiguration
@@ -323,3 +325,126 @@ def test_verify_bounds_cyclic_d5():
     payload = json.loads(result.output)
     assert payload["status"] == "PASS"
     assert (payload["bound"], payload["enumerated"]) == (8, 8)
+
+
+def write_pinned_inputs(directory):
+    """The input files of the pinned runs below: the unit square, a
+    non-regular triangulation of nested triangles, a hexagon, and the
+    split heptagon sweep files."""
+    write_square(directory / "square.json")
+    nested = PointConfiguration.from_rows([[4, 0], [0, 4], [0, 0], [2, 1], [1, 2], [1, 1]])
+    (directory / "nested.json").write_text(nested.to_json())
+    (directory / "mirror.json").write_text(Triangulation(
+        [{1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {3, 5, 6}, {1, 3, 6}, {1, 4, 6}, {4, 5, 6}]
+    ).to_json())
+    hexagon = PointConfiguration.from_rows(
+        [[2, 0], [1, 2], [-1, 2], [-2, 0], [-1, -2], [1, -2]]
+    )
+    (directory / "hex.json").write_text(hexagon.to_json())
+    _, _, w = sweep_inputs(directory)
+    (directory / "w.json").write_text(heights_to_json(w))
+
+
+SQUARE = "ce3e7149a8311bc4d8af18153b26b4363242b911c37b543c3222072e51fccc3f"
+
+# command -> (arguments, exit code, sha256 of the output text, manifest
+# parameters, seeds, input digests), as the per-command code wrote them
+PINNED = {
+    "census": (
+        ["census", "--n", "3", "--d", "2", "--store", "census.store"], 0,
+        "6306a66223a193b30076cd5f1b6047b74206b5216dbe207a6ca1e8ecc8d6d28e",
+        {"n": 3, "d": 2, "exhaustive": False, "budget": None}, {"seed": 0}, {},
+    ),
+    "contract": (
+        ["contract", "square.json", "--label", "1"], 0,
+        "3c72deb47c2da18511d945a240d1ec055d3af087843a479769491a4118163c35",
+        {"label": 1}, {}, {"square.json": SQUARE},
+    ),
+    "enumerate": (
+        ["enumerate", "hex.json", "--budget", "3"], 2,
+        "1b699fa64ada8dd2b535dd0a5b9623eb6143022c7c40a27ca92615bf28cfc0e2",
+        {"oracle": False, "budget": 3}, {},
+        {"hex.json": "f55c1233267c3af52bd8759dbf9e5c033d4ebed945efc5649886ff4440ab5588"},
+    ),
+    "lift": (
+        ["lift", "square.json"], 0,
+        "abff5df2c96da1e8a48ca8affb9d173567a5dbcbdd8cad5b5a0be923b9ef0559",
+        {"spec": {"apex": ["1/2", "1/2", "1/1"],
+                  "epsilons": ["1/2", "1/4", "1/8", "1/16"]}},
+        {}, {"square.json": SQUARE},
+    ),
+    "regular": (
+        ["regular", "nested.json", "mirror.json"], 1,
+        "ee5fae1f5ffbf3ffc0e0e8db7b436b588b62278bbeffbc5ab635352da2dc6d59",
+        {}, {},
+        {"nested.json": "809f2a5ea6aadd4979c673938cf0a049dab736525609810425deb2d65e3c3a74",
+         "mirror.json": "1521daf091dbafd3154f0d5ebf33c91572b6f9162b60148eb4d90d1b46ef0361"},
+    ),
+    "sew": (
+        ["sew", "--n", "5", "--d", "2"], 0,
+        "89181bae0166f21c4e186cde9324136609bf3e6f36a14d359ee211c0bbab35af",
+        {"n": 5, "d": 2}, {}, {},
+    ),
+    "sweep": (
+        ["sweep", "cfg.json", "tri.json", "w.json", "--p", "6", "--p-prime", "7"], 0,
+        "8cdd2e21c62f79d815c8d4137bd9319b688fa61b9f903c2ad8d6485534bfcd07",
+        {"p": 6, "p_prime": 7}, {},
+        {"cfg.json": "f22c6780ecac3e0fa21be841a771f909c21367326691554144f7259251448431",
+         "tri.json": "3344c008246ce2f9e9e69fc46bae9aee42d7bf4e322751717d1d4e81b7031997",
+         "w.json": "8588c47e8f9e7f6d42a938614b15ef487ea31d4868ef68bc8a22d986299ea728"},
+    ),
+    "triangulate": (
+        ["triangulate", "square.json", "--method", "placing"], 0,
+        "1ef8df43f58aa7e58bf003bf1fd7f808958e274c92810b004d0da2948c78251c",
+        {"method": "placing"}, {}, {"square.json": SQUARE},
+    ),
+    "verify-bounds": (
+        ["verify-bounds", "--construction", "census", "--n", "3", "--d", "2"], 0,
+        "b1a32480319de4e2e35a690af2dbe849a78f3831d80c3aef19722d3735fd2266",
+        {"construction": "census", "n": 3, "d": 2}, {"seed": 0}, {},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_keeps_its_exit_code_output_and_manifest(tmp_path, monkeypatch, command):
+    # a command without a pinned case fails here until it gets one
+    args, code, digest, parameters, seeds, inputs = PINNED[command]
+    monkeypatch.chdir(tmp_path)
+    write_pinned_inputs(tmp_path)
+    result = CliRunner().invoke(main, args + ["--output", "out.txt"])
+    assert result.exit_code == code, result.output + result.stderr
+    assert hashlib.sha256(Path("out.txt").read_bytes()).hexdigest() == digest
+    manifest = json.loads(Path("out.txt.manifest.json").read_text())
+    assert manifest.pop("wall_clock_seconds") >= 0
+    assert manifest == {
+        "command": command, "parameters": parameters, "seeds": seeds,
+        "input_digests": inputs, "tool_version": __version__,
+    }
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--output", "missing/t.json"], ["--output", "t.json", "--csv", "missing/v.csv"]],
+    ids=["output", "csv"],
+)
+def test_unwritable_output_is_a_json_error(tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    write_square(tmp_path / "square.json")
+    result = CliRunner().invoke(main, ["triangulate", "square.json"] + flags)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert json.loads(result.stderr)["error"] == "FileNotFoundError"
+    assert result.stdout == ""
+    # neither the triangulation nor a manifest is left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["square.json"]
+
+
+def test_triangulate_placing_with_a_point_on_a_hull_edge(tmp_path):
+    cfg_path = tmp_path / "triangle.json"
+    cfg_path.write_text(
+        PointConfiguration.from_rows([[0, 0], [2, 0], [0, 2], [1, 0]]).to_json()
+    )
+    result = CliRunner().invoke(main, ["triangulate", str(cfg_path), "--method", "placing"])
+    assert result.exit_code == 0, result.stderr
+    assert Triangulation.from_json(result.output).cells == {frozenset({1, 2, 3})}

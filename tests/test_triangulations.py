@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -16,7 +17,12 @@ from regtri.errors import (
     NotConvexPosition,
     PointUnused,
 )
-from regtri.geometry import PointConfiguration, cyclic_configuration
+from regtri.geometry import (
+    PointConfiguration,
+    configuration_in_general_position,
+    cyclic_configuration,
+    orientation,
+)
 from regtri.triangulations import (
     Triangulation,
     barycentric,
@@ -278,6 +284,48 @@ def test_placing_degenerate_start():
     cfg = PointConfiguration.from_rows([[0, 0], [1, 1], [2, 2], [1, 0]])
     with pytest.raises(DegenerateStep):
         placing_triangulation(cfg, order=[1, 2, 3, 4])
+
+
+def test_placing_cones_over_ridges_not_hull_facets():
+    # (1, 0) lies on the hull edge from (0, 0) to (2, 0): placed last it
+    # is skipped, placed earlier it splits that edge
+    rows = [(0, 0), (2, 0), (0, 2), (1, 0)]
+    cfg = PointConfiguration.from_rows(rows)
+    placed = 0
+    for order in itertools.permutations(cfg.labels):
+        if orientation(cfg, order[:3]) == 0:
+            with pytest.raises(DegenerateStep):
+                placing_triangulation(cfg, order)
+            continue
+        t = placing_triangulation(cfg, order)
+        ok, witness = is_triangulation_reference(rows, t.cells)
+        assert ok, (order, witness)
+        assert (4 in t.used_labels) == (order[-1] != 4)
+        placed += 1
+    assert placed == 18
+
+
+@st.composite
+def degenerate_placing_cases(draw):
+    """A 2-D or 3-D grid configuration with collinear or coplanar
+    points, and a placing order whose first d+1 points span."""
+    d = draw(st.sampled_from((2, 3)))
+    point = st.tuples(*[st.integers(0, 2)] * d)
+    rows = draw(st.lists(point, min_size=d + 2, max_size=d + 4, unique=True))
+    cfg = PointConfiguration.from_rows(rows)
+    assume(not configuration_in_general_position(cfg))
+    order = draw(st.permutations(cfg.labels))
+    assume(orientation(cfg, order[: d + 1]) != 0)
+    return rows, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_placing_cases())
+def test_placing_on_degenerate_configurations_triangulates(case):
+    rows, order = case
+    t = placing_triangulation(PointConfiguration.from_rows(rows), order)
+    ok, witness = is_triangulation_reference(rows, t.cells)
+    assert ok, witness
 
 
 def test_placing_skips_interior_points():
