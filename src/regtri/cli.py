@@ -6,7 +6,8 @@ adds --output, prints the command's text or writes it to --output with
 a run manifest beside it, and exits with the command's code: 0 success,
 1 validation failure, 2 budget exhaustion (with partial results
 emitted).  A RegtriError, ValueError or OSError becomes a JSON error on
-stderr and exit 1.
+stderr and exit 1, with nothing on stdout and neither --output nor its
+manifest left behind.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def command(name):
                 if not output:
                     click.echo(text)
                 else:
-                    Path(output).write_text(text)
                     inputs = [
                         params[p.name]
                         for p in click.get_current_context().command.params
@@ -85,7 +85,12 @@ def command(name):
                         "tool_version": __version__,
                         "wall_clock_seconds": round(time.monotonic() - started, 3),
                     }
-                    Path(output + ".manifest.json").write_text(json.dumps(manifest, indent=2))
+                    Path(output).write_text(text)
+                    try:
+                        Path(output + ".manifest.json").write_text(json.dumps(manifest, indent=2))
+                    except OSError:
+                        Path(output).unlink()
+                        raise
             except (RegtriError, ValueError, OSError) as exc:
                 click.echo(
                     json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True

@@ -304,7 +304,16 @@ def flip_neighbors(t: Triangulation, config: PointConfiguration):
 
 def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     """All regular triangulations, by flip search from the placing
-    triangulation restricted to certified-regular nodes."""
+    triangulation restricted to certified-regular nodes.
+
+    The flips are over circuits of d+2 points with no zero coefficient,
+    which connect the regular triangulations only in general position,
+    so a configuration with d+1 points on a hyperplane raises
+    GenericityFailure rather than return a partial set."""
+    start = placing_triangulation(config)
+    if len(config.circuit_table) != math.comb(config.n, config.dim + 2):
+        raise GenericityFailure("d+1 points on a hyperplane; flip search "
+                                "needs general position")
     found = set()
     frontier = []
 
@@ -314,7 +323,7 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
             raise BudgetExceeded(len(found), partial=found)
         frontier.append(t)
 
-    add(placing_triangulation(config))
+    add(start)
     while frontier:
         t = frontier.pop()
         for nb in flip_neighbors(t, config):

@@ -64,8 +64,9 @@ class PointUnused(RegtriError):
 
 
 class GenericityFailure(RegtriError):
-    """Two sweep breakpoints collided; the caller should perturb the
-    lifting vector and retry."""
+    """The input is not generic enough for the algorithm: two sweep
+    breakpoints collided (perturb the lifting vector and retry), or a
+    configuration meant to be in general position is not."""
 
 
 class NonTriangulationSnapshot(RegtriError):

@@ -53,6 +53,20 @@ def test_enumerate_degenerate_start_is_a_json_error(tmp_path):
     assert json.loads(result.stderr)["error"] == "DegenerateStep"
 
 
+def test_enumerate_off_general_position_is_a_json_error(tmp_path):
+    # placing skips the point on the hull edge, and no full circuit
+    # flips it in, so a count here would miss {134, 234}
+    cfg_path = tmp_path / "triangle.json"
+    cfg_path.write_text(
+        PointConfiguration.from_rows([[0, 0], [2, 0], [0, 2], [1, 0]]).to_json()
+    )
+    result = CliRunner().invoke(main, ["enumerate", str(cfg_path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "GenericityFailure"
+
+
 def test_triangulate_and_regular_roundtrip(tmp_path):
     cfg_path = tmp_path / "square.json"
     write_square(cfg_path)
@@ -424,20 +438,30 @@ def test_every_command_keeps_its_exit_code_output_and_manifest(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--output", "missing/t.json"], ["--output", "t.json", "--csv", "missing/v.csv"]],
-    ids=["output", "csv"],
+    "flags, error, left",
+    [
+        (["--output", "missing/t.json"], "FileNotFoundError", []),
+        (["--output", "t.json", "--csv", "missing/v.csv"], "FileNotFoundError", []),
+        # the csv is written by the command body, before the runner fails
+        (["--csv", "v.csv", "--output", "missing/t.json"], "FileNotFoundError", ["v.csv"]),
+        (["--output", "t.json"], "IsADirectoryError", []),
+    ],
+    ids=["output", "csv", "csv-then-output", "manifest"],
 )
-def test_unwritable_output_is_a_json_error(tmp_path, monkeypatch, flags):
+def test_unwritable_output_is_a_json_error(tmp_path, monkeypatch, flags, error, left):
     monkeypatch.chdir(tmp_path)
     write_square(tmp_path / "square.json")
+    # a directory where the manifest would go makes only the manifest unwritable
+    (tmp_path / "t.json.manifest.json").mkdir()
     result = CliRunner().invoke(main, ["triangulate", "square.json"] + flags)
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert json.loads(result.stderr)["error"] == "FileNotFoundError"
+    assert json.loads(result.stderr)["error"] == error
     assert result.stdout == ""
-    # neither the triangulation nor a manifest is left behind
-    assert [p.name for p in tmp_path.iterdir()] == ["square.json"]
+    # neither the triangulation nor a manifest file is left behind
+    expected = ["square.json", "t.json.manifest.json"] + left
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    assert (tmp_path / "t.json.manifest.json").is_dir()
 
 
 def test_triangulate_placing_with_a_point_on_a_hull_edge(tmp_path):

@@ -19,7 +19,7 @@ from regtri.enumeration import (
     t_sweep,
     triangulation_count_bound,
 )
-from regtri.errors import BudgetExceeded, NotAVertex
+from regtri.errors import BudgetExceeded, DegenerateStep, GenericityFailure, NotAVertex
 from regtri.geometry import (
     PointConfiguration,
     configuration_in_general_position,
@@ -123,6 +123,28 @@ def test_table_driven_flips_equal_per_subset_reference(case):
         # uses, lists the flips of the table of those labels alone
         used = cfg.restrict(t.used_labels)
         assert [nb.cells for nb in flip_neighbors(t, used)] == expected
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(placing_cases())
+@example(([(0, 0), (2, 0), (0, 2), (1, 0)], None))  # placing skips the edge point
+@example(([(0, 0), (2, 0), (0, 2), (1, 1)], None))  # placing puts it on an edge
+@example(([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)], None))  # centre on both diagonals
+@example(([(0, 0), (4, 0), (0, 4), (4, 4), (1, 2)], None))
+def test_enumerate_regular_refuses_exactly_off_general_position(case):
+    # flips over full circuits cannot reach every triangulation of a
+    # configuration with d+1 points on a hyperplane; budget=0 stops the
+    # search at its first triangulation, after the check
+    rows, _ = case
+    cfg = PointConfiguration.from_rows(rows)
+    try:
+        placing_triangulation(cfg)
+    except DegenerateStep:
+        assume(False)
+    general = configuration_in_general_position(cfg)
+    with pytest.raises(BudgetExceeded if general else GenericityFailure):
+        enumerate_regular(cfg, budget=0)
 
 
 def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
