@@ -17,7 +17,7 @@ import math
 import os
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import NonUniqueIndex, TooFewPoints, wire_format
@@ -282,15 +282,7 @@ class CensusReport:
     budget_hit: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "distinct": self.distinct,
-                "attempted": self.attempted,
-                "bound": self.bound,
-                "bound_params": self.bound_params,
-                "budget_hit": self.budget_hit,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _spec_digest(specs) -> str:

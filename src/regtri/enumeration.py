@@ -44,8 +44,8 @@ from .geometry import (
 from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 from .triangulations import (
     Triangulation,
+    _folding_pass,
     barycentric,
-    height_separation_rows,
     is_regular,
     placing_triangulation,
     regular_subdivision,
@@ -230,24 +230,20 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
 
     t lives on the labels of config minus p_j (so it uses i, not j).
     Decided by one LP over shifted heights in [0, 2] with a maximized
-    strict margin shared by both constraint systems.
+    strict margin shared by both systems of folding rows.  The pass
+    that builds the rows also validates both cell sets, from the same
+    reductions, as the folding lemma needs: None if either fails.
     """
     labels = sorted(config.labels)
     idx = {l: k for k, l in enumerate(labels)}
     nv = len(labels) + 1
     without_j = config.delete([j])
     without_i = config.delete([i])
-    t_on_i = t.relabel({i: j})  # uses j in place of i
+    on_j = {l: idx[l] for l in without_j.labels}
+    on_i = {l: idx[i if l == j else l] for l in without_i.labels}  # j reads i's height
     try:
-        rows = height_separation_rows(
-            without_j, t.cells, {l: idx[l] for l in without_j.labels}, nv
-        )
-        rows += height_separation_rows(
-            without_i,
-            t_on_i.cells,
-            {l: idx[i if l == j else l] for l in without_i.labels},
-            nv,
-        )
+        rows = _folding_pass(without_j, t.cells, on_j, nv, validate=True)
+        rows += _folding_pass(without_i, t.relabel({i: j}).cells, on_i, nv, validate=True)
     except NotATriangulation:
         return None
     _, _, _, res = max_margin(rows, nv)
@@ -309,7 +305,9 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     The flips are over circuits of d+2 points with no zero coefficient,
     which connect the regular triangulations only in general position,
     so a configuration with d+1 points on a hyperplane raises
-    GenericityFailure rather than return a partial set."""
+    GenericityFailure rather than return a partial set.  Known miss:
+    flipping only circuits among the labels in use, it finds 5 of the 16
+    regular triangulations of a pentagon with its centre."""
     start = placing_triangulation(config)
     if len(config.circuit_table) != math.comb(config.n, config.dim + 2):
         raise GenericityFailure("d+1 points on a hyperplane; flip search "

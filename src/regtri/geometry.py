@@ -85,10 +85,7 @@ class PointConfiguration:
         drop = set(labels)
         for lab in drop:
             self.index(lab)
-        keep = [(p, l) for p, l in zip(self.points, self.labels) if l not in drop]
-        return PointConfiguration(
-            self.dim, tuple(p for p, _ in keep), tuple(l for _, l in keep)
-        )
+        return self.restrict(l for l in self.labels if l not in drop)
 
     def restrict(self, labels: Iterable[int]) -> "PointConfiguration":
         keep = set(labels)

@@ -206,6 +206,82 @@ def _ridge_sides(cell: tuple, sign: int):
     ]
 
 
+def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool):
+    """The one pass over a cell set behind is_triangulation,
+    height_separation_rows, is_regular and shared_witness: one ridge ->
+    (cell, apex) map and one reduction per cell, for the affine
+    coordinates of the points the cell reads.  These are the points its
+    folding rows lift and, when validating, the first cell's vertices,
+    whose summed coordinates place that cell's barycentre.  Validating
+    checks the conditions of is_triangulation in its order; without it,
+    a cell that reads no point is not reduced.  Returns the rows and
+    raises NotATriangulation with the first violation found."""
+    cells = make_cells(cells)
+    d = config.dim
+    if validate and not cells:
+        raise NotATriangulation("empty cell set")
+    ordered = sorted(cells, key=sorted)
+    position = {cell: k for k, cell in enumerate(ordered)}
+    owners = {}  # ridge -> (cell, apex) per cell on it; two in sorted order
+    for cell in cells:
+        for apex in sorted(cell, reverse=True):  # ridges in combinations order
+            owners.setdefault(cell - {apex}, []).append((cell, apex))
+    targets = {cell: set() for cell in ordered}  # apexes a cell's rows lift
+    for pairs in owners.values():
+        if len(pairs) == 2:
+            if position[pairs[0][0]] > position[pairs[1][0]]:
+                pairs.reverse()
+            targets[pairs[0][0]].add(pairs[1][1])
+    unplaced = set(column).difference(*cells)
+    extra = sorted(ordered[0]) if validate else []
+    coords = {}  # cell -> {label: coordinates}, None if degenerate
+    rows = []
+    for cell in ordered:
+        wanted = targets[cell] | unplaced
+        points = [lab for lab in column if lab in wanted]
+        if len(cell) != d + 1 or not (points or validate):
+            continue
+        sol = _affine_coordinates(config, cell, points + extra)
+        coords[cell] = sol and dict(zip(points + extra, sol))
+        vertices = sorted(cell)
+        for lab in points if sol else ():
+            lams = coords[cell][lab]
+            if lab in unplaced:
+                if any(lam < 0 for lam in lams):
+                    continue
+                unplaced.discard(lab)
+            row = [Fraction(0)] * nv
+            row[column[lab]] = Fraction(-1)
+            for l, lam in zip(vertices, lams):
+                row[column[l]] += lam
+            row[-1] = Fraction(1)
+            rows.append(row)
+    for cell in cells:
+        if len(cell) != d + 1:
+            raise NotATriangulation(("non-simplicial cell", tuple(sorted(cell))))
+        if cell in coords and coords[cell] is None:
+            raise NotATriangulation(("degenerate cell", tuple(sorted(cell))))
+    boundary = [f.labels for f in facets(config)] if validate else []
+    for ridge, pairs in owners.items():
+        if len(pairs) > 2:
+            raise NotATriangulation(("overcrowded ridge", tuple(sorted(ridge))))
+        # one cell on a boundary ridge, two on an interior one
+        if validate and (len(pairs) == 2) == any(ridge <= b for b in boundary):
+            kind = "uncovered ridge" if len(pairs) == 1 else "boundary ridge shared twice"
+            raise NotATriangulation((kind, tuple(sorted(ridge))))
+    if validate:  # an apex on its neighbour's side, or a point covered twice
+        first, *rest = ordered
+        for (c1, a1), (c2, a2) in (p for p in owners.values() if len(p) == 2):
+            if coords[c1][a2][sorted(c1).index(a1)] > 0:
+                raise NotATriangulation(("improper pair", tuple(sorted(c1)), tuple(sorted(c2))))
+        for c in rest:
+            if all(sum(lams) >= 0 for lams in zip(*(coords[c][v] for v in first))):
+                raise NotATriangulation(("improper pair", tuple(sorted(first)), tuple(sorted(c))))
+    if unplaced:
+        raise NotATriangulation(("point in no cell", min(unplaced)))
+    return rows
+
+
 def is_triangulation(cells, config: PointConfiguration):
     """Exact check that the cells triangulate conv(config); returns
     (ok, witness) where the witness names a violating cell, ridge or
@@ -222,41 +298,15 @@ def is_triangulation(cells, config: PointConfiguration):
     sorted order, lies in no other closed cell exactly when a
     neighbourhood of it is covered once, so that number is 1.  A
     violation of either condition is reported as an improper pair: two
-    cells that do not meet in a common face."""
-    cells = make_cells(cells)
-    d = config.dim
-    if not cells:
-        return False, "empty cell set"
-    signs = {}
-    for c in cells:
-        if len(c) != d + 1:
-            return False, ("non-simplicial cell", tuple(sorted(c)))
-        signs[c] = orientation(config, sorted(c))
-        if signs[c] == 0:
-            return False, ("degenerate cell", tuple(sorted(c)))
-    boundary = {frozenset(f.labels) for f in facets(config)}
-    ridges: dict[frozenset, list] = {}  # ridge -> (cell, side) per cell on it
-    for c in cells:
-        for r, side in _ridge_sides(tuple(sorted(c)), signs[c]):
-            ridges.setdefault(frozenset(r), []).append((c, side))
-    for ridge, owners in ridges.items():
-        if len(owners) > 2:
-            return False, ("overcrowded ridge", tuple(sorted(ridge)))
-        if len(owners) == 1 and not any(ridge <= b for b in boundary):
-            return False, ("uncovered ridge", tuple(sorted(ridge)))
-        if len(owners) == 2 and any(ridge <= b for b in boundary):
-            return False, ("boundary ridge shared twice", tuple(sorted(ridge)))
-    for owners in ridges.values():
-        if len(owners) == 2 and owners[0][1] == owners[1][1]:
-            pair = sorted(sorted(c) for c, _ in owners)
-            return False, ("improper pair", tuple(pair[0]), tuple(pair[1]))
-    first, *rest = sorted(cells, key=sorted)
-    # the barycentre, homogenized and scaled by d + 1
-    centre = [sum(col) for col in zip(*homogenized(config, first))]
-    for c in rest:
-        a = [list(row) for row in zip(*homogenized(config, sorted(c)))]
-        if all(lam >= 0 for lam in linalg.solve(a, centre)):
-            return False, ("improper pair", tuple(sorted(first)), tuple(sorted(c)))
+    cells that do not meet in a common face.  Each check reads affine
+    coordinates from one reduction per cell: two cells lie on opposite
+    sides of their ridge when the later one's apex has a negative
+    coordinate at the earlier one's apex."""
+    try:
+        _folding_pass(config, cells, {l: k for k, l in enumerate(config.labels)},
+                      config.n + 1, validate=True)
+    except NotATriangulation as e:
+        return False, e.witness
     return True, None
 
 
@@ -295,46 +345,7 @@ def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
     outside a cell lies strictly above that cell's hyperplane.  A cell
     without d+1 vertices, a degenerate cell, a ridge in more than two
     cells and a point in no cell raise NotATriangulation."""
-    ordered = sorted(cells, key=sorted)
-    owners = {}  # ridge -> (cell, apex) per cell on it, in sorted order
-    for cell in ordered:
-        if len(cell) != config.dim + 1:
-            raise NotATriangulation(("non-simplicial cell", tuple(sorted(cell))))
-        for apex in cell:
-            owners.setdefault(cell - {apex}, []).append((cell, apex))
-    targets = {cell: set() for cell in ordered}  # labels a cell's rows lift
-    for ridge, pairs in owners.items():
-        if len(pairs) > 2:
-            raise NotATriangulation(("overcrowded ridge", tuple(sorted(ridge))))
-        if len(pairs) == 2:
-            (first, _), (_, apex) = pairs
-            targets[first].add(apex)
-    used = frozenset().union(*ordered)
-    unplaced = {lab for lab in column if lab not in used}
-    rows = []
-    for cell in ordered:
-        wanted = targets[cell] | unplaced
-        if not wanted:
-            continue
-        points = [lab for lab in column if lab in wanted]
-        vertices = sorted(cell)
-        coords = _affine_coordinates(config, cell, points)
-        if coords is None:
-            raise NotATriangulation(("degenerate cell", tuple(vertices)))
-        for lab, lams in zip(points, coords):
-            if lab in unplaced:
-                if any(lam < 0 for lam in lams):
-                    continue
-                unplaced.discard(lab)
-            row = [Fraction(0)] * nv
-            row[column[lab]] = Fraction(-1)
-            for l, lam in zip(vertices, lams):
-                row[column[l]] += lam
-            row[-1] = Fraction(1)
-            rows.append(row)
-    if unplaced:
-        raise NotATriangulation(("point in no cell", min(unplaced)))
-    return rows
+    return _folding_pass(config, cells, column, nv, validate=False)
 
 
 def _check_certificate(c, a_ub, b_ub, dual) -> bool:
@@ -361,20 +372,17 @@ def is_regular(
     the full system (each lifted outside point above each cell's
     hyperplane), so the duals, padded with zeros, refute that too.  A
     regular verdict rests on the folding lemma, which needs t to be a
-    triangulation of config: validate=True checks that first, and
-    enumerate_regular passes only flips of triangulations.  The check
-    is is_triangulation, which solves no LP, so a validated verdict
-    costs one LP, the margin LP."""
-    if validate:
-        ok, witness = is_triangulation(t.cells, config)
-        if not ok:
-            raise NotATriangulation(witness)
+    triangulation of config: validate=True checks that, and
+    enumerate_regular passes only flips of triangulations.  The pass
+    that builds the rows also runs the checks of is_triangulation, from
+    the same one reduction per cell and with no LP, so a validated
+    verdict costs one LP, the margin LP."""
     labels = sorted(config.labels)
     # heights + margin; the rows are invariant under a common shift of
     # the heights, so max_margin's [0, 2] box on them is [-1, 1] shifted
     nv = len(labels) + 1
-    rows = height_separation_rows(
-        config, t.cells, {l: i for i, l in enumerate(labels)}, nv
+    rows = _folding_pass(
+        config, t.cells, {l: i for i, l in enumerate(labels)}, nv, validate
     )
     c, a_ub, b_ub, res = max_margin(rows, nv)
     if not res.optimal:  # cannot happen: zero heights are feasible
@@ -400,10 +408,15 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
     on; a new cell's sides come from the orientation that found its
     ridge visible, by the parity rule of _ridge_sides, so each ridge
     test is one determinant.  DegenerateStep means the first d+1 points
-    of the order do not span."""
-    if order is None:
-        order = list(config.labels)
+    of the order do not span.  The default order is label order with the
+    first d+1 labels that span moved to the front."""
     d = config.dim
+    if order is None:
+        start = []
+        for lab in config.labels:
+            if len(start) <= d and linalg.rank(homogenized(config, start + [lab])) > len(start):
+                start.append(lab)
+        order = start + [lab for lab in config.labels if lab not in start]
     if len(order) < d + 1:
         raise NotFullDimensional("too few points to span")
     first = tuple(sorted(order[: d + 1]))
@@ -457,13 +470,10 @@ def f_vector(cells) -> list[int]:
     sizes = {len(c) for c in cells}
     if len(sizes) != 1:
         raise NonPureComplex(f"cell sizes {sorted(sizes)}")
-    size = sizes.pop()
-    faces = [set() for _ in range(size)]
-    for c in cells:
-        cs = sorted(c)
-        for k in range(1, size + 1):
-            faces[k - 1].update(itertools.combinations(cs, k))
-    return [len(s) for s in faces]
+    f = [0] * sizes.pop()
+    for face in Triangulation(cells).faces():
+        f[len(face) - 1] += 1
+    return f
 
 
 def h_vector(cells) -> list[int]:

@@ -10,7 +10,7 @@ from regtri import __version__, geometry
 from regtri.cli import main
 from regtri.enumeration import shared_witness
 from regtri.geometry import PointConfiguration
-from regtri.triangulations import Triangulation, heights_to_json
+from regtri.triangulations import Triangulation, heights_to_json, is_triangulation
 
 
 def write_square(path):
@@ -50,7 +50,20 @@ def test_enumerate_degenerate_start_is_a_json_error(tmp_path):
     result = CliRunner().invoke(main, ["enumerate", str(cfg_path)])
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert json.loads(result.stderr)["error"] == "DegenerateStep"
+    # placing starts from labels 1, 2, 4, which span; three points on
+    # a line then stop the flip search
+    assert json.loads(result.stderr)["error"] == "GenericityFailure"
+
+
+def test_triangulate_places_from_the_first_labels_that_span(tmp_path):
+    cfg_path = tmp_path / "collinear.json"
+    cfg = PointConfiguration.from_rows([[0, 0], [1, 0], [2, 0], [0, 1]])
+    cfg_path.write_text(cfg.to_json())
+    result = CliRunner().invoke(main, ["triangulate", str(cfg_path)])
+    assert result.exit_code == 0, result.stderr
+    cells = Triangulation.from_json(result.output).cells
+    assert cells == {frozenset({1, 2, 4}), frozenset({2, 3, 4})}
+    assert is_triangulation(cells, cfg) == (True, None)
 
 
 def test_enumerate_off_general_position_is_a_json_error(tmp_path):

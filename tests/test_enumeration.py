@@ -28,7 +28,12 @@ from regtri.geometry import (
     is_vertex,
 )
 from regtri.lifting import contraction
-from regtri.triangulations import Triangulation, is_regular, placing_triangulation
+from regtri.triangulations import (
+    Triangulation,
+    is_regular,
+    is_triangulation,
+    placing_triangulation,
+)
 
 from oracles import catalan, flip_neighbors_reference, polygon_triangulations
 
@@ -309,6 +314,17 @@ def test_shared_witness_induces_both():
     without_pp = pair.config.delete([7])
     sub = regular_subdivision(without_pp, {l: w[l] for l in without_pp.labels})
     assert sub.cells == t.cells
+
+
+def test_shared_witness_is_none_when_the_relabeled_copy_is_no_triangulation():
+    # t is a regular triangulation of config - 1, but relabeled 5 -> 1
+    # it leaves a ridge uncovered on config - 5
+    cfg = PointConfiguration.from_rows([(0, 7), (2, 1), (3, 0), (3, 6), (5, 7), (5, 8)])
+    t = Triangulation([{2, 3, 6}, {2, 4, 6}, {3, 5, 6}])
+    assert t in enumerate_regular(cfg.delete([1]))
+    on_5 = t.relabel({5: 1}).cells
+    assert is_triangulation(on_5, cfg.delete([5])) == (False, ("uncovered ridge", (2, 4)))
+    assert shared_witness(cfg, 5, 1, t) is None
 
 
 def test_t_sweep_figure_instance():

@@ -4,9 +4,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "regtri").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "regtri").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -57,3 +56,42 @@ def test_every_import_is_used():
         if unused
     }
     assert found == {}
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) of each top-level private function, class or
+    assignment in the given {module: source} that no module reads, by
+    name or as an attribute: a helper that nothing calls any more."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {
+        "a": "_KEPT = 1\n_DROPPED = 2\ndef _helper():\n    return _KEPT\n"
+             "def _left(): pass\nclass _Old: pass\n__all__ = []\n",
+        "b": "from a import _helper\nimport a\na._helper()\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a", "_DROPPED"), ("a", "_Old"), ("a", "_left")]
+
+
+def test_every_private_name_in_the_package_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert unreferenced_private_names(sources) == []

@@ -204,6 +204,27 @@ def test_is_triangulation_solves_no_lp(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_reduction_per_cell(monkeypatch):
+    calls = {"solve": 0, "det_sign": 0}
+    for name in calls:
+        real = getattr(linalg, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    cfg = cyclic_configuration(4, range(1, 9))
+    t = placing_triangulation(cfg)
+    assert len(t.cells) == 10
+    assert is_triangulation(t.cells, cfg)[0]  # warms the facets memo
+    for check in (lambda: is_regular(t, cfg, validate=True).regular,
+                  lambda: is_triangulation(t.cells, cfg)[0]):
+        calls.update(solve=0, det_sign=0)
+        assert check()
+        assert calls == {"solve": 10, "det_sign": 0}
+
+
 @st.composite
 def grid_cell_sets(draw):
     """Points of the 2-D or 3-D grid {0, 1, 2}^d around the corner
@@ -284,6 +305,8 @@ def test_placing_degenerate_start():
     cfg = PointConfiguration.from_rows([[0, 0], [1, 1], [2, 2], [1, 0]])
     with pytest.raises(DegenerateStep):
         placing_triangulation(cfg, order=[1, 2, 3, 4])
+    # the default order starts from 1, 2, 4, the first labels that span
+    assert placing_triangulation(cfg).cells == {frozenset({1, 2, 4}), frozenset({2, 3, 4})}
 
 
 def test_placing_cones_over_ridges_not_hull_facets():
