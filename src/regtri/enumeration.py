@@ -232,7 +232,10 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     Decided by one LP over shifted heights in [0, 2] with a maximized
     strict margin shared by both systems of folding rows.  The pass
     that builds the rows also validates both cell sets, from the same
-    reductions, as the folding lemma needs: None if either fails.
+    reductions, as the folding lemma needs: None if either fails.  In
+    the second system p_j takes p_i's place and reads p_i's height, so
+    the returned heights give p_j that height too: read per label, they
+    induce both triangulations, as t_sweep reads them.
     """
     labels = sorted(config.labels)
     idx = {l: k for k, l in enumerate(labels)}
@@ -242,14 +245,16 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     on_j = {l: idx[l] for l in without_j.labels}
     on_i = {l: idx[i if l == j else l] for l in without_i.labels}  # j reads i's height
     try:
-        rows = _folding_pass(without_j, t.cells, on_j, nv, validate=True)
-        rows += _folding_pass(without_i, t.relabel({i: j}).cells, on_i, nv, validate=True)
+        rows = _folding_pass(without_j, t.cells, on_j, nv, validate=True)[0]
+        rows += _folding_pass(without_i, t.relabel({i: j}).cells, on_i, nv, validate=True)[0]
     except NotATriangulation:
         return None
     _, _, _, res = max_margin(rows, nv)
     if not res.optimal or res.value <= 0:
         return None
-    return {lab: res.x[k] - 1 for k, lab in enumerate(labels)}
+    w = {lab: res.x[k] - 1 for k, lab in enumerate(labels)}
+    w[j] = w[i]  # the variable p_j reads; its own is in no row
+    return w
 
 
 @dataclass(frozen=True)

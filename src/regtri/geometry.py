@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -40,9 +41,9 @@ class PointConfiguration:
 
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
-    Facts derived from the points alone, such as the circuit table, are
-    computed once per object and are not part of equality, hashing or
-    the JSON form.
+    Facts derived from the points alone, such as the circuit table and
+    the integer rows, are computed once per object and are not part of
+    equality, hashing or the JSON form.
     """
 
     dim: int
@@ -115,6 +116,18 @@ class PointConfiguration:
             self.points + (tuple(parse_rational(x) for x in point),),
             self.labels + (label,),
         )
+
+    @cached_property
+    def integer_rows(self) -> dict:
+        """label -> the homogenized row [p, 1] of its point with each
+        coordinate axis scaled by the lcm of that axis's denominators,
+        as ints.  The scaling is an affine map, so affine coordinates
+        and affine dependences read from these rows are the points'."""
+        scales = [lcm(*(p[a].denominator for p in self.points)) for a in range(self.dim)]
+        return {
+            lab: tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales)) + (1,)
+            for lab, p in zip(self.labels, self.points)
+        }
 
     @cached_property
     def circuit_table(self) -> tuple:

@@ -1,10 +1,11 @@
 """Small exact linear algebra helpers over the rationals.
 
 Elimination runs on integers, each row cleared of denominators once
-(`clear_denominators`).  `det`, `det_sign`, `solve`, `rank` and
-`kernel_vector` share one Gauss-Jordan reduction, `_rref`, built on
-`pivot`, the fraction-free step that also drives the exact simplex in
-`linprog`.  Fractions appear only in results.
+(`clear_denominators`; a row of ints is kept as it is).  `det`,
+`det_sign`, `solve_integral`, `rank` and `kernel_vector` share one
+Gauss-Jordan reduction, `_rref`, built on `pivot`, the fraction-free
+step that also drives the exact simplex in `linprog`; `solve` is the
+`Fraction` view of `solve_integral`.  Fractions appear only in results.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from math import lcm, prod
 
 def clear_denominators(row):
     """(m, integer row) where m is the least positive multiplier that
-    makes the rational row integral."""
+    makes the rational row integral.  A row of ints comes back as it
+    is, with m = 1."""
+    if all(map(int.__instancecheck__, row)):
+        return 1, row
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     m = lcm(*(x.denominator for x in row))
     return m, [x.numerator * (m // x.denominator) for x in row]
@@ -86,19 +90,30 @@ def det_sign(rows) -> int:
     return sign if len(pivots) == len(rows) else 0
 
 
+def solve_integral(a, b):
+    """Solve the square system a x = b, b a matrix (a list of rows), in
+    one reduction: (den, integer rows) with x = rows / den and den > 0,
+    or None if a is singular.  The fractions are not reduced, so signs
+    and sums of a row of x read off its integers."""
+    n = len(a)
+    m, den, pivots, _ = _rref([list(row) + list(rhs) for row, rhs in zip(a, b)])
+    if pivots != list(range(n)):
+        return None
+    return den, [row[n:] for row in m]
+
+
 def solve(a, b):
     """Solve the square system a x = b exactly; None if singular.
 
     As in numpy, b may instead be a matrix (a list of rows): all its
     columns are then solved in one reduction, and x is a matrix with
     one column per column of b."""
-    n = len(a)
-    matrix = n > 0 and isinstance(b[0], (list, tuple))
-    rhs = [list(r) if matrix else [r] for r in b]
-    m, den, pivots, _ = _rref([list(row) + rhs[i] for i, row in enumerate(a)])
-    if pivots != list(range(n)):
+    matrix = len(a) > 0 and isinstance(b[0], (list, tuple))
+    sol = solve_integral(a, b if matrix else [[r] for r in b])
+    if sol is None:
         return None
-    x = [[Fraction(v, den) for v in m[i][n:]] for i in range(n)]
+    den, rows = sol
+    x = [[Fraction(v, den) for v in row] for row in rows]
     return x if matrix else [row[0] for row in x]
 
 

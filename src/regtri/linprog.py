@@ -147,13 +147,13 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=()) -> LPResult:
     for r in range(nrows):
         if live[r] and basis[r] < nvars:
             x[basis[r]] = Fraction(tab[r][-1], den)
-    value = sum(ci * xi for ci, xi in zip(c, x)) if c else Z
+    value = sum((ci * xi for ci, xi in zip(c, x) if ci), Z)
 
     # The reduced cost of row i's unit column is its multiplier in the
     # scaled problem; scaling back by m_i / (k * den) gives the dual.
     obj = tab[-1]
-    dual = [Fraction(mults[r] * obj[marker[r]], k * den) if live[r] else Z
-            for r in range(nrows)]
+    dual = [Fraction(mults[r] * obj[marker[r]], k * den)
+            if live[r] and obj[marker[r]] else Z for r in range(nrows)]
     return LPResult("optimal", x=x, value=value, dual=dual)
 
 
@@ -170,13 +170,15 @@ def max_margin(rows, nv: int):
     separation): maximize the margin, the last of nv nonnegative
     variables, over the homogeneous rows (row . x <= 0), the others at
     most 2 and the margin at most 1; the box keeps the LP bounded when
-    no rows exist.  Returns the LP (c, a_ub, b_ub) and its result."""
-    a_ub, b_ub = list(rows), [Fraction(0)] * len(rows)
+    no rows exist.  The box rows, right-hand sides and objective are
+    ints, so integer rows make an all-integer LP.  Returns the LP
+    (c, a_ub, b_ub) and its result."""
+    a_ub, b_ub = list(rows), [0] * len(rows)
     for i in range(nv):
-        row = [Fraction(0)] * nv
-        row[i] = Fraction(1)
+        row = [0] * nv
+        row[i] = 1
         a_ub.append(row)
-        b_ub.append(Fraction(2) if i < nv - 1 else Fraction(1))
-    c = [Fraction(0)] * nv
-    c[-1] = Fraction(1)
+        b_ub.append(2 if i < nv - 1 else 1)
+    c = [0] * nv
+    c[-1] = 1
     return c, a_ub, b_ub, solve_lp(c, a_ub, b_ub)

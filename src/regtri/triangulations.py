@@ -146,23 +146,30 @@ def regular_subdivision(config: PointConfiguration, w: dict) -> Subdivision:
 def _affine_coordinates(config: PointConfiguration, cell, labels):
     """Affine coordinates of each point of `labels` with respect to the
     d+1 points of `cell` in label order, all from one reduction of the
-    cell's homogenized matrix; None if the cell is degenerate."""
-    a = [list(row) for row in zip(*homogenized(config, sorted(cell)))]
-    b = [list(row) for row in zip(*homogenized(config, labels))]
-    sol = linalg.solve(a, b)
+    cell's rows of config.integer_rows: (den, numerators), one tuple of
+    integer numerators per label over the common den > 0, so a
+    coordinate's sign is its numerator's.  None if the cell is
+    degenerate."""
+    rows = config.integer_rows
+    a = list(zip(*(rows[l] for l in sorted(cell))))
+    points = [rows[l] for l in labels]
+    b = [[p[r] for p in points] for r in range(len(a))]
+    sol = linalg.solve_integral(a, b)
     if sol is None:
         return None
-    return list(zip(*sol))
+    den, x = sol
+    return den, list(zip(*x))
 
 
 def barycentric(config: PointConfiguration, cell, label: int):
     """Affine coordinates of the point `label` with respect to the d+1
     affinely independent points of `cell`; None if the cell is
     degenerate."""
-    coords = _affine_coordinates(config, cell, [label])
-    if coords is None:
+    sol = _affine_coordinates(config, cell, [label])
+    if sol is None:
         return None
-    return dict(zip(sorted(cell), coords[0]))
+    den, (nums,) = sol
+    return {l: Fraction(v, den) for l, v in zip(sorted(cell), nums)}
 
 
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
@@ -213,9 +220,15 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
     coordinates of the points the cell reads.  These are the points its
     folding rows lift and, when validating, the first cell's vertices,
     whose summed coordinates place that cell's barycentre.  Validating
-    checks the conditions of is_triangulation in its order; without it,
-    a cell that reads no point is not reduced.  Returns the rows and
-    raises NotATriangulation with the first violation found."""
+    checks the conditions of is_triangulation in its order, from the
+    signs of the integer numerators of _affine_coordinates; without it,
+    a cell that reads no point is not reduced.
+
+    Returns (rows, mults): each folding row as the least integer
+    multiple of the rational row, which is what clear_denominators
+    makes of it, and that multiple m.  A row over the cell's den whose
+    integers have gcd g has m = den / g.  Raises NotATriangulation with
+    the first violation found."""
     cells = make_cells(cells)
     d = config.dim
     if validate and not cells:
@@ -234,28 +247,33 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
             targets[pairs[0][0]].add(pairs[1][1])
     unplaced = set(column).difference(*cells)
     extra = sorted(ordered[0]) if validate else []
-    coords = {}  # cell -> {label: coordinates}, None if degenerate
-    rows = []
+    coords = {}  # cell -> {label: coordinate numerators}, None if degenerate
+    rows, mults = [], []
     for cell in ordered:
         wanted = targets[cell] | unplaced
         points = [lab for lab in column if lab in wanted]
         if len(cell) != d + 1 or not (points or validate):
             continue
         sol = _affine_coordinates(config, cell, points + extra)
-        coords[cell] = sol and dict(zip(points + extra, sol))
+        coords[cell] = sol and dict(zip(points + extra, sol[1]))
+        if sol is None:
+            continue
+        den = sol[0]
         vertices = sorted(cell)
-        for lab in points if sol else ():
-            lams = coords[cell][lab]
+        for lab in points:
+            nums = coords[cell][lab]
             if lab in unplaced:
-                if any(lam < 0 for lam in lams):
+                if any(v < 0 for v in nums):
                     continue
                 unplaced.discard(lab)
-            row = [Fraction(0)] * nv
-            row[column[lab]] = Fraction(-1)
-            for l, lam in zip(vertices, lams):
-                row[column[l]] += lam
-            row[-1] = Fraction(1)
-            rows.append(row)
+            row = [0] * nv  # den times the rational row
+            row[column[lab]] = -den
+            for l, v in zip(vertices, nums):
+                row[column[l]] += v
+            row[-1] = den
+            g = math.gcd(*row)
+            rows.append([v // g for v in row])
+            mults.append(den // g)
     for cell in cells:
         if len(cell) != d + 1:
             raise NotATriangulation(("non-simplicial cell", tuple(sorted(cell))))
@@ -275,11 +293,11 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
             if coords[c1][a2][sorted(c1).index(a1)] > 0:
                 raise NotATriangulation(("improper pair", tuple(sorted(c1)), tuple(sorted(c2))))
         for c in rest:
-            if all(sum(lams) >= 0 for lams in zip(*(coords[c][v] for v in first))):
+            if all(sum(nums) >= 0 for nums in zip(*(coords[c][v] for v in first))):
                 raise NotATriangulation(("improper pair", tuple(sorted(first)), tuple(sorted(c))))
     if unplaced:
         raise NotATriangulation(("point in no cell", min(unplaced)))
-    return rows
+    return rows, mults
 
 
 def is_triangulation(cells, config: PointConfiguration):
@@ -344,21 +362,27 @@ def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
     ridge make the lifted cells a convex surface, so every lifted point
     outside a cell lies strictly above that cell's hyperplane.  A cell
     without d+1 vertices, a degenerate cell, a ridge in more than two
-    cells and a point in no cell raise NotATriangulation."""
-    return _folding_pass(config, cells, column, nv, validate=False)
+    cells and a point in no cell raise NotATriangulation.  The rows are
+    Fractions; is_regular reads the integer rows of the same pass."""
+    rows, mults = _folding_pass(config, cells, column, nv, validate=False)
+    return [[Fraction(v, m) for v in row] for row, m in zip(rows, mults)]
 
 
 def _check_certificate(c, a_ub, b_ub, dual) -> bool:
     """Independent recheck: nonnegative duals that dominate the
     objective and price out to a nonpositive bound prove that no height
-    vector achieves a positive margin."""
-    if any(y < 0 for y in dual):
+    vector achieves a positive margin.  The duals are cleared to one
+    common denominator, the scale both sides of each check are
+    multiplied by, so on the integer rows and objective of is_regular
+    it runs in integers."""
+    scale, ys = linalg.clear_denominators(dual)
+    if any(y < 0 for y in ys):
         return False
-    nv = len(c)
-    for j in range(nv):
-        if sum(dual[i] * a_ub[i][j] for i in range(len(a_ub))) < c[j]:
+    used = [(y, row, b) for y, row, b in zip(ys, a_ub, b_ub) if y]
+    for j, cj in enumerate(c):
+        if sum(y * row[j] for y, row, _ in used) < cj * scale:
             return False
-    return sum(y * b for y, b in zip(dual, b_ub)) <= 0
+    return sum(y * b for y, _, b in used) <= 0
 
 
 def is_regular(
@@ -376,12 +400,19 @@ def is_regular(
     enumerate_regular passes only flips of triangulations.  The pass
     that builds the rows also runs the checks of is_triangulation, from
     the same one reduction per cell and with no LP, so a validated
-    verdict costs one LP, the margin LP."""
+    verdict costs one LP, the margin LP.
+
+    The pass hands the LP integer rows, each the rational row times its
+    multiplier m.  That is the tableau solve_lp builds from the rational
+    rows, so the pivots, witness and margin are the same; each row's
+    dual comes out divided by m, and times m it is the certificate over
+    the rational rows.  _check_certificate rechecks the LP's own duals
+    against the integer rows."""
     labels = sorted(config.labels)
     # heights + margin; the rows are invariant under a common shift of
     # the heights, so max_margin's [0, 2] box on them is [-1, 1] shifted
     nv = len(labels) + 1
-    rows = _folding_pass(
+    rows, mults = _folding_pass(
         config, t.cells, {l: i for i, l in enumerate(labels)}, nv, validate
     )
     c, a_ub, b_ub, res = max_margin(rows, nv)
@@ -390,10 +421,11 @@ def is_regular(
     if res.value > 0:
         w = {lab: res.x[i] - 1 for i, lab in enumerate(labels)}
         return RegularityResult(True, witness=w, margin=res.value)
+    certificate = [y * m for y, m in zip(res.dual, mults)] + res.dual[len(mults):]
     return RegularityResult(
         False,
         margin=res.value,
-        certificate=tuple(res.dual),
+        certificate=tuple(certificate),
         certificate_valid=_check_certificate(c, a_ub, b_ub, res.dual),
     )
 

@@ -33,6 +33,7 @@ from regtri.triangulations import (
     is_regular,
     is_triangulation,
     placing_triangulation,
+    regular_subdivision,
 )
 
 from oracles import catalan, flip_neighbors_reference, polygon_triangulations
@@ -175,8 +176,14 @@ def test_circuit_table_stays_out_of_equality_and_json():
     cfg = cyclic_configuration(3, range(1, 7))
     twin = PointConfiguration.from_json(cfg.to_json())
     assert len(cfg.circuit_table) == math.comb(6, 5)
+    assert cfg.integer_rows[2] == (2, 4, 8, 1)
     assert cfg == twin and hash(cfg) == hash(twin)
     assert cfg.to_json() == twin.to_json()
+    assert vars(twin).keys().isdisjoint({"circuit_table", "integer_rows"})
+    # each axis scaled by the lcm of its denominators: 2 and 9 here
+    halves = PointConfiguration.from_rows([(F(1, 2), F(-1, 3)), (1, F(2, 9)), (0, 0)])
+    assert halves.integer_rows == {1: (1, -3, 1), 2: (2, 2, 1), 3: (0, 0, 1)}
+    assert halves == PointConfiguration.from_json(halves.to_json())
 
 
 def test_enumerate_regular_matches_oracle_regular_subset():
@@ -314,6 +321,21 @@ def test_shared_witness_induces_both():
     without_pp = pair.config.delete([7])
     sub = regular_subdivision(without_pp, {l: w[l] for l in without_pp.labels})
     assert sub.cells == t.cells
+
+
+def test_shared_witness_gives_p_j_the_height_it_reads():
+    # in the second system p_2 takes p_1's place and reads its height;
+    # its own variable is in no row, and its LP value, 0 - 1, would
+    # put the lifted p_2 below the copy of t
+    cfg = PointConfiguration.from_rows([(0, 1), (2, 1), (2, 4), (5, 4), (7, 2), (8, 6)])
+    t = Triangulation([{1, 3, 4}, {1, 4, 5}, {3, 4, 6}, {4, 5, 6}])
+    w = shared_witness(cfg, 1, 2, t)
+    assert w is not None and w[2] == w[1]
+    for config, copy in ((cfg.delete([2]), t), (cfg.delete([1]), t.relabel({1: 2}))):
+        heights = {l: w[l] for l in config.labels}
+        assert regular_subdivision(config, heights).cells == copy.cells
+    trace = t_sweep(SplitPair(cfg, 1, 2, F(1)), t, w)
+    assert trace.snapshots
 
 
 def test_shared_witness_is_none_when_the_relabeled_copy_is_no_triangulation():

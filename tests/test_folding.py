@@ -25,7 +25,7 @@ from regtri.triangulations import (
     regular_subdivision,
 )
 
-from oracles import height_separation_rows_reference
+from oracles import fraction_simplex, height_separation_rows_reference
 
 NESTED = [[4, 0], [0, 4], [0, 0], [2, 1], [1, 2], [1, 1]]
 
@@ -108,6 +108,28 @@ def test_folding_rows_decide_as_the_full_rows(case):
         padded[where[tuple(row)].pop()] = y
     padded += res.certificate[len(folded):]
     assert _check_certificate(c, a_ub, b_ub, padded)
+
+
+@PROPERTY
+@given(triangulated_configurations())
+@example(twisted_nested_triangles())
+def test_is_regular_equals_the_fraction_simplex_on_the_rational_rows(case):
+    """is_regular runs its LP on integer rows and scales the duals back;
+    the Fraction simplex on the rational rows of height_separation_rows
+    must give the same witness, margin and certificate."""
+    cfg, t = case
+    labels = sorted(cfg.labels)
+    nv = len(labels) + 1
+    rows = height_separation_rows(cfg, t.cells, {l: i for i, l in enumerate(labels)}, nv)
+    status, x, value, dual = fraction_simplex(*max_margin(rows, nv)[:3], nonneg=True)
+    res = is_regular(t, cfg, validate=True)
+    assert status == "optimal" and res.margin == value
+    if res.regular:
+        assert res.witness == {l: x[i] - 1 for i, l in enumerate(labels)}
+        assert res.certificate is None
+    else:
+        assert res.witness is None
+        assert res.certificate == tuple(dual) and res.certificate_valid
 
 
 @PROPERTY

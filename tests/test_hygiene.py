@@ -95,3 +95,44 @@ def test_unreferenced_private_names_are_found():
 def test_every_private_name_in_the_package_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+# math functions that take and return integers; every other name in
+# math (sqrt, log, exp, pi, ...) is floating point
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def floating_point(source: str) -> list:
+    """(line, what) of each float or complex literal, float() call and
+    floating-point math name in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float()"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in INTEGER_MATH):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{alias.name}") for alias in node.names
+                      if alias.name not in INTEGER_MATH]
+    return sorted(found)
+
+
+def test_floating_point_is_found():
+    source = (
+        "import math\nfrom math import lcm, sqrt\nx = 0.5 + 1j\n"
+        "y = float('1')\nz = math.log(2) + math.comb(4, 2) + math.pi\n"
+        "w = lcm(2, 3) // 1\n"
+    )
+    assert floating_point(source) == [
+        (2, "math.sqrt"), (3, "0.5"), (3, "1j"), (4, "float()"),
+        (5, "math.log"), (5, "math.pi")]
+
+
+def test_no_floating_point_in_the_package():
+    """The README promises no floating point anywhere in regtri."""
+    found = {path.name: fp for path in PACKAGE if (fp := floating_point(path.read_text()))}
+    assert found == {}

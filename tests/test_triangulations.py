@@ -41,6 +41,7 @@ from regtri.triangulations import (
 )
 
 from oracles import (
+    fraction_rref,
     gale_evenness_facets,
     height_separation_rows_reference,
     is_triangulation_reference,
@@ -205,7 +206,7 @@ def test_is_triangulation_solves_no_lp(monkeypatch):
 
 
 def test_one_reduction_per_cell(monkeypatch):
-    calls = {"solve": 0, "det_sign": 0}
+    calls = {"solve_integral": 0, "det_sign": 0}
     for name in calls:
         real = getattr(linalg, name)
 
@@ -220,9 +221,9 @@ def test_one_reduction_per_cell(monkeypatch):
     assert is_triangulation(t.cells, cfg)[0]  # warms the facets memo
     for check in (lambda: is_regular(t, cfg, validate=True).regular,
                   lambda: is_triangulation(t.cells, cfg)[0]):
-        calls.update(solve=0, det_sign=0)
+        calls.update(solve_integral=0, det_sign=0)
         assert check()
-        assert calls == {"solve": 10, "det_sign": 0}
+        assert calls == {"solve_integral": 10, "det_sign": 0}
 
 
 @st.composite
@@ -399,6 +400,41 @@ def test_nonregular_fixture_certified():
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+coprime = st.builds(F, st.integers(-10**7, 10**7), st.sampled_from([3, 7, 11, 10**6]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 3)).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[coprime] * d), min_size=d + 2, max_size=d + 2, unique=True),
+    st.integers(0, d + 1), st.none() if d == 1 else st.one_of(st.none(), coprime))))
+@example(([(F(1, 3), F(2, 7)), (F(-1, 11), F(3, 10**6)), (F(5, 3), F(-4, 7)),
+           (F(0), F(1, 11))], 3, F(1, 3)))
+def test_barycentric_equals_fraction_rref(case):
+    """Per-axis scaled integer rows give the coordinates of a rational
+    Gauss-Jordan reduction.  With a drawn fraction s (d > 1), the last
+    cell vertex is moved onto the line of the first two, a degenerate
+    cell."""
+    rows, label, s = case
+    d = len(rows[0])
+    if s is not None:
+        p, q = rows[0], rows[1]
+        rows[d] = tuple(x + s * (y - x) for x, y in zip(p, q))
+        assume(len(set(rows)) == len(rows))
+    cfg = PointConfiguration.from_rows(rows)
+    cell = list(range(1, d + 2))
+    target = list(cfg.point(label + 1)) + [1]
+    reduced, pivots = fraction_rref(
+        [[cfg.point(v)[r] if r < d else 1 for v in cell] + [target[r]]
+         for r in range(d + 1)])
+    expected = None
+    if pivots == list(range(d + 1)):
+        expected = {v: reduced[k][-1] for k, v in enumerate(cell)}
+    got = barycentric(cfg, cell, label + 1)
+    assert got == expected
+    assert s is None or got is None
+    assert got is None or all(type(v) is F for v in got.values())
 
 
 @st.composite
