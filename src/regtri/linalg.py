@@ -1,11 +1,11 @@
 """Small exact linear algebra helpers over the rationals.
 
 Elimination runs on integers, each row cleared of denominators once
-(`clear_denominators`; a row of ints is kept as it is).  `det`,
-`det_sign`, `solve_integral`, `rank` and `kernel_vector` share one
-Gauss-Jordan reduction, `_rref`, built on `pivot`, the fraction-free
-step that also drives the exact simplex in `linprog`; `solve` is the
-`Fraction` view of `solve_integral`.  Fractions appear only in results.
+(`clear_denominators`).  `det`, `det_sign`, `solve_integral`, `rank`
+and `kernel_vector` share one Gauss-Jordan reduction, `_rref`, built on
+`pivot`, the fraction-free step that also drives the exact simplex in
+`linprog`; `solve` is the `Fraction` view of `solve_integral`.
+Fractions appear only in results.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from math import lcm, prod
 def clear_denominators(row):
     """(m, integer row) where m is the least positive multiplier that
     makes the rational row integral.  A row of ints comes back as it
-    is, with m = 1."""
+    is: the general path would give the same (1, row), and skipping its
+    per-entry work keeps the integer rows of the regularity LP cheap."""
     if all(map(int.__instancecheck__, row)):
         return 1, row
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]

@@ -368,17 +368,22 @@ def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
     return [[Fraction(v, m) for v in row] for row, m in zip(rows, mults)]
 
 
-def _check_certificate(c, a_ub, b_ub, dual) -> bool:
+def _check_certificate(c, a_ub, b_ub, dual, mults=()) -> bool:
     """Independent recheck: nonnegative duals that dominate the
     objective and price out to a nonpositive bound prove that no height
-    vector achieves a positive margin.  The duals are cleared to one
-    common denominator, the scale both sides of each check are
-    multiplied by, so on the integer rows and objective of is_regular
-    it runs in integers."""
+    vector achieves a positive margin.  Row i of a_ub, with its bound,
+    stands for itself divided by mults[i] (1 past the end of mults), so
+    integer rows with their multipliers check a certificate over the
+    rational rows.  Both sides of each check are multiplied by the
+    common denominator of the duals and the lcm of the multipliers, so
+    on integer rows it runs in integers."""
     scale, ys = linalg.clear_denominators(dual)
     if any(y < 0 for y in ys):
         return False
-    used = [(y, row, b) for y, row, b in zip(ys, a_ub, b_ub) if y]
+    ms = list(mults) + [1] * (len(ys) - len(mults))
+    big = math.lcm(*ms)
+    scale *= big
+    used = [(y * (big // m), row, b) for y, m, row, b in zip(ys, ms, a_ub, b_ub) if y]
     for j, cj in enumerate(c):
         if sum(y * row[j] for y, row, _ in used) < cj * scale:
             return False
@@ -406,8 +411,9 @@ def is_regular(
     multiplier m.  That is the tableau solve_lp builds from the rational
     rows, so the pivots, witness and margin are the same; each row's
     dual comes out divided by m, and times m it is the certificate over
-    the rational rows.  _check_certificate rechecks the LP's own duals
-    against the integer rows."""
+    the rational rows.  _check_certificate rechecks that certificate,
+    the vector returned, against the integer rows over their
+    multipliers, which are the rational rows."""
     labels = sorted(config.labels)
     # heights + margin; the rows are invariant under a common shift of
     # the heights, so max_margin's [0, 2] box on them is [-1, 1] shifted
@@ -426,7 +432,7 @@ def is_regular(
         False,
         margin=res.value,
         certificate=tuple(certificate),
-        certificate_valid=_check_certificate(c, a_ub, b_ub, res.dual),
+        certificate_valid=_check_certificate(c, a_ub, b_ub, certificate, mults),
     )
 
 
