@@ -316,6 +316,8 @@ def census(
         raise ValueError("census varies a double lift; d must be even")
     if n <= d:
         raise ValueError("need n > d")
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative budget {budget}")
     base = sew(n, d - 2).stage_configs[-1] if d > 2 else degenerate_base(n)
     labels = tuple(sorted(base.labels))
     total = math.factorial(n)

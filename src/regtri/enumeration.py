@@ -312,7 +312,10 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     so a configuration with d+1 points on a hyperplane raises
     GenericityFailure rather than return a partial set.  Known miss:
     flipping only circuits among the labels in use, it finds 5 of the 16
-    regular triangulations of a pentagon with its centre."""
+    regular triangulations of a pentagon with its centre.  A budget of
+    k stops the search once it holds k + 1; it must not be negative."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative budget {budget}")
     start = placing_triangulation(config)
     if len(config.circuit_table) != math.comb(config.n, config.dim + 2):
         raise GenericityFailure("d+1 points on a hyperplane; flip search "
@@ -342,8 +345,11 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     over the apex of the unique cell over it, then repeatedly extends
     across the lexicographically first open ridge; each triangulation is
     produced exactly once.  Independent of the flip enumerator by
-    design, so the two can cross-check each other.
+    design, so the two can cross-check each other.  The budget is read
+    as in enumerate_regular.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative budget {budget}")
     d = config.dim
     hull = facets(config)
     for f in hull:

@@ -118,12 +118,18 @@ class PointConfiguration:
         )
 
     @cached_property
+    def _axis_scales(self) -> tuple:
+        """The lcm of each axis's denominators, by which integer_rows
+        scales the axis and hyperplane_functional scales back."""
+        return tuple(lcm(*(p[a].denominator for p in self.points)) for a in range(self.dim))
+
+    @cached_property
     def integer_rows(self) -> dict:
-        """label -> the homogenized row [p, 1] of its point with each
-        coordinate axis scaled by the lcm of that axis's denominators,
-        as ints.  The scaling is an affine map, so affine coordinates
-        and affine dependences read from these rows are the points'."""
-        scales = [lcm(*(p[a].denominator for p in self.points)) for a in range(self.dim)]
+        """label -> the homogenized row [p, 1] of its point, each axis
+        scaled by _axis_scales, as ints: the one point matrix, read
+        through homogenized.  The scaling is a positive diagonal map, so
+        ranks, orientation signs and affine coordinates are the points'."""
+        scales = self._axis_scales
         return {
             lab: tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales)) + (1,)
             for lab, p in zip(self.labels, self.points)
@@ -133,21 +139,21 @@ class PointConfiguration:
     def circuit_table(self) -> tuple:
         """The flips of the configuration: one (subset, side_pos,
         side_neg) per (d+2)-subset whose Radon partition has no zero
-        coefficient, in combinations(sorted(labels), d+2) order.  The two
+        coefficient, in combinations(sorted(labels), d+2) order.  The
+        partition is read off the affine coordinates of the last label
+        in the first d+1: the positive ones against the rest.  The two
         sides are the two triangulations of the subset's circuit, as
         cell sets; a flip trades one for the other."""
         table = []
         for subset in itertools.combinations(sorted(self.labels), self.dim + 2):
-            rp = _radon_partition(self, subset)
-            if rp is None:
+            *cell, last = subset
+            sol = _affine_coordinates(self, cell, [last])
+            if sol is None or 0 in sol[1][0]:
                 continue
-            pos, neg = rp
             s = frozenset(subset)
-            table.append((
-                s,
-                frozenset(s - {l} for l in neg),
-                frozenset(s - {l} for l in pos),
-            ))
+            ahead = frozenset(l for l, v in zip(cell, sol[1][0]) if v > 0)
+            table.append((s, frozenset(s - {l} for l in ahead),
+                          frozenset(s - {l} for l in s - ahead)))
         return tuple(table)
 
     def to_json(self) -> str:
@@ -174,17 +180,6 @@ class PointConfiguration:
             return cls(dim=data["dim"], points=pts, labels=labels)
 
 
-def _radon_partition(config: PointConfiguration, subset):
-    """Signs of the unique affine dependence on d+2 points, or None off
-    general position."""
-    lam = linalg.kernel_vector(homogenized(config, subset))
-    if lam is None or any(v == 0 for v in lam):
-        return None
-    pos = frozenset(l for l, v in zip(subset, lam) if v > 0)
-    neg = frozenset(l for l, v in zip(subset, lam) if v < 0)
-    return pos, neg
-
-
 @dataclass(frozen=True)
 class FaceRecord:
     """A facet given by its label set and a certified supporting
@@ -200,8 +195,31 @@ class FaceRecord:
 
 
 def homogenized(config: PointConfiguration, labels: Iterable[int]) -> list:
-    """The row [p, 1] of each labeled point, in the given order."""
-    return [list(config.point(l)) + [1] for l in labels]
+    """The row [p, 1] of each labeled point, in the given order, as the
+    tuple of ints config.integer_rows caches: every determinant, rank,
+    kernel and affine-coordinate reduction of the points reads them."""
+    rows = config.integer_rows
+    try:
+        return [rows[l] for l in labels]
+    except KeyError as e:
+        raise ValueError(f"label {e.args[0]} not in configuration") from None
+
+
+def _affine_coordinates(config: PointConfiguration, cell, labels):
+    """Affine coordinates of each point of `labels` with respect to the
+    d+1 points of `cell` in label order, all from one reduction of the
+    homogenized rows: (den, numerators), one tuple of integer numerators
+    per label over the common den > 0, so a coordinate's sign is its
+    numerator's.  None if the cell is degenerate.  The folding rows,
+    barycentric and the circuit table all read it."""
+    a = list(zip(*homogenized(config, sorted(cell))))
+    points = homogenized(config, labels)
+    b = [[p[r] for p in points] for r in range(len(a))]
+    sol = linalg.solve_integral(a, b)
+    if sol is None:
+        return None
+    den, x = sol
+    return den, list(zip(*x))
 
 
 def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
@@ -216,19 +234,15 @@ def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
 
 
 def affine_dim(config: PointConfiguration) -> int:
-    if config.n == 0:
-        return -1
-    base = config.points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in config.points[1:]]
-    return linalg.rank(diffs)
+    return linalg.rank(homogenized(config, config.labels)) - 1
 
 
 def hyperplane_functional(config: PointConfiguration, labels: Sequence[int]):
     """Affine functional vanishing on the span of the given d labels,
     or None when they do not span a hyperplane.  Returned as
-    (normal, offset) with f(x) = normal.x - offset: the kernel of the
-    homogenized rows [p, 1], which is one-dimensional iff they have
-    rank d."""
+    (normal, offset) with f(x) = normal.x - offset and the last nonzero
+    entry of (normal, -offset) 1: the kernel of the homogenized rows,
+    one-dimensional iff they have rank d, scaled back to the axes."""
     labels = tuple(labels)
     d = config.dim
     if len(labels) != d:
@@ -236,7 +250,9 @@ def hyperplane_functional(config: PointConfiguration, labels: Sequence[int]):
     vec = linalg.kernel_vector(list(zip(*homogenized(config, labels))))
     if vec is None or not any(vec[:d]):
         return None
-    return tuple(vec[:d]), -vec[d]
+    vec = [v * s for v, s in zip(vec, config._axis_scales)] + [vec[d]]
+    last = next(v for v in reversed(vec) if v)
+    return tuple(v / last for v in vec[:d]), -vec[d] / last
 
 
 def spanned_hyperplanes(config: PointConfiguration, labels=None):

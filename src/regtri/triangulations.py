@@ -25,6 +25,7 @@ from .errors import (
 )
 from .geometry import (
     PointConfiguration,
+    _affine_coordinates,
     affine_dim,
     facets,
     format_rational,
@@ -105,7 +106,10 @@ class Triangulation:
     @classmethod
     def from_json(cls, text: str) -> "Triangulation":
         with wire_format("triangulation"):
-            return cls(make_cells(json.loads(text)["cells"]))
+            cells = make_cells(json.loads(text)["cells"])
+            if not all(type(l) is int for c in cells for l in c):
+                raise TypeError("cell labels must be integers")
+            return cls(cells)
 
 
 def heights_to_json(w: dict) -> str:
@@ -141,24 +145,6 @@ def regular_subdivision(config: PointConfiguration, w: dict) -> Subdivision:
         if f.normal[-1] < 0:
             cells.append(f.labels)
     return Subdivision(make_cells(cells))
-
-
-def _affine_coordinates(config: PointConfiguration, cell, labels):
-    """Affine coordinates of each point of `labels` with respect to the
-    d+1 points of `cell` in label order, all from one reduction of the
-    cell's rows of config.integer_rows: (den, numerators), one tuple of
-    integer numerators per label over the common den > 0, so a
-    coordinate's sign is its numerator's.  None if the cell is
-    degenerate."""
-    rows = config.integer_rows
-    a = list(zip(*(rows[l] for l in sorted(cell))))
-    points = [rows[l] for l in labels]
-    b = [[p[r] for p in points] for r in range(len(a))]
-    sol = linalg.solve_integral(a, b)
-    if sol is None:
-        return None
-    den, x = sol
-    return den, list(zip(*x))
 
 
 def barycentric(config: PointConfiguration, cell, label: int):
@@ -228,11 +214,16 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
     multiple of the rational row, which is what clear_denominators
     makes of it, and that multiple m.  A row over the cell's den whose
     integers have gcd g has m = den / g.  Raises NotATriangulation with
-    the first violation found."""
+    the first violation found, first a label outside column."""
     cells = make_cells(cells)
     d = config.dim
     if validate and not cells:
         raise NotATriangulation("empty cell set")
+    stray = frozenset().union(*cells).difference(column)
+    if stray:
+        # by type first: labels of different types do not compare
+        first = min(stray, key=lambda l: (str(type(l)), l))
+        raise NotATriangulation(("label not in configuration", first))
     ordered = sorted(cells, key=sorted)
     position = {cell: k for k, cell in enumerate(ordered)}
     owners = {}  # ridge -> (cell, apex) per cell on it; two in sorted order

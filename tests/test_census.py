@@ -321,6 +321,13 @@ def test_census_single_permutation_budget(tmp_path):
     assert report.bound == 5  # 5!/4!
 
 
+def test_census_refuses_a_negative_budget(tmp_path):
+    store = FingerprintStore(tmp_path / "c.store")
+    with pytest.raises(ValueError, match="negative budget"):
+        census(3, 2, store, budget=-2)
+    assert len(store) == 0
+
+
 def test_census_resubmission_keeps_store_size(tmp_path):
     store = FingerprintStore(tmp_path / "c.store")
     census(5, 4, store, budget=1, seed=3)

@@ -236,6 +236,40 @@ def test_malformed_wire_format_is_a_json_error(tmp_path, command, bad_text):
     assert json.loads(result.stderr)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "cells, error",
+    [([[1, 2, 99], [2, 3, 4]], "NotATriangulation"), ([["1", 2, 3], [2, 3, 4]], "ValueError")],
+    ids=["label-outside-configuration", "string-label"],
+)
+def test_regular_on_labels_outside_the_configuration_is_a_json_error(tmp_path, cells, error):
+    cfg_path, tri_path = tmp_path / "square.json", tmp_path / "tri.json"
+    write_square(cfg_path)
+    tri_path.write_text(json.dumps({"cells": cells}))
+    result = CliRunner().invoke(main, ["regular", str(cfg_path), str(tri_path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["enumerate", "{square}", "--budget", "-1"],
+     ["enumerate", "{square}", "--oracle", "--budget", "-1"],
+     ["census", "--n", "3", "--d", "2", "--budget", "-2", "--store", "{store}"]],
+    ids=["enumerate", "enumerate-oracle", "census"],
+)
+def test_negative_budget_is_a_json_error(tmp_path, args):
+    paths = {"square": tmp_path / "square.json", "store": tmp_path / "census.store"}
+    write_square(paths["square"])
+    result = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "ValueError" and "negative budget" in error["message"]
+
+
 def sweep_inputs(tmp_path):
     """Files for `regtri sweep` on a split heptagon pair (6, 7), and a
     shared witness for them."""

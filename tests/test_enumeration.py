@@ -154,12 +154,15 @@ def test_enumerate_regular_refuses_exactly_off_general_position(case):
 
 
 def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
+    # the circuit table reads each partition off geometry's one
+    # affine-coordinate reduction; triangulations holds its own binding,
+    # so the cell reductions of is_regular are not counted here
     calls = []
-    real = geometry._radon_partition
+    real = geometry._affine_coordinates
     monkeypatch.setattr(
         geometry,
-        "_radon_partition",
-        lambda cfg, subset: calls.append(subset) or real(cfg, subset),
+        "_affine_coordinates",
+        lambda cfg, cell, labels: calls.append(cell) or real(cfg, cell, labels),
     )
     cfg = cyclic_configuration(4, range(1, 9))
     found = enumerate_regular(cfg)
@@ -179,7 +182,7 @@ def test_circuit_table_stays_out_of_equality_and_json():
     assert cfg.integer_rows[2] == (2, 4, 8, 1)
     assert cfg == twin and hash(cfg) == hash(twin)
     assert cfg.to_json() == twin.to_json()
-    assert vars(twin).keys().isdisjoint({"circuit_table", "integer_rows"})
+    assert vars(twin).keys().isdisjoint({"circuit_table", "integer_rows", "_axis_scales"})
     # each axis scaled by the lcm of its denominators: 2 and 9 here
     halves = PointConfiguration.from_rows([(F(1, 2), F(-1, 3)), (1, F(2, 9)), (0, 0)])
     assert halves.integer_rows == {1: (1, -3, 1), 2: (2, 2, 1), 3: (0, 0, 1)}
@@ -258,6 +261,12 @@ def test_zero_budget_stops_both_enumerators_at_the_first_triangulation(rows):
         stops.append((exc_info.value.count, exc_info.value.partial))
     assert stops[0] == stops[1]
     assert stops[0][0] == 1
+
+
+def test_negative_budget_is_refused():
+    for enumerator in (enumerate_regular, enumerate_all_oracle):
+        with pytest.raises(ValueError, match="negative budget"):
+            enumerator(square(), budget=-1)
 
 
 def test_split_point_properties():
@@ -347,6 +356,12 @@ def test_shared_witness_is_none_when_the_relabeled_copy_is_no_triangulation():
     on_5 = t.relabel({5: 1}).cells
     assert is_triangulation(on_5, cfg.delete([5])) == (False, ("uncovered ridge", (2, 4)))
     assert shared_witness(cfg, 5, 1, t) is None
+
+
+def test_shared_witness_is_none_for_a_label_outside_the_configuration():
+    pair, t = figure_pair()
+    stray = Triangulation(t.cells | {frozenset({1, 2, 99})})
+    assert shared_witness(pair.config, 6, 7, stray) is None
 
 
 def test_t_sweep_figure_instance():

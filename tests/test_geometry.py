@@ -203,16 +203,40 @@ def test_separation_lps_agree_with_brute_force_facets(case):
         assert visibility(cfg, f.labels, p) == (v > 0, v < 0)
 
 
-@given(
-    st.sampled_from([2, 3]).flatmap(
-        lambda d: st.lists(
-            st.tuples(*[st.integers(0, 2)] * d), min_size=d, max_size=d, unique=True
-        )
-    )
+# grid coordinates, where affinely dependent tuples come up often, or
+# coprime denominators up to 10**6 with mixed signs, which give each
+# axis its own scale in the integer rows
+coordinates = st.one_of(
+    st.integers(0, 2).map(F),
+    st.builds(F, st.integers(-10**7, 10**7), st.sampled_from([3, 7, 11, 10**6])),
 )
+
+
+def point_lists(extra):
+    """Lists of d + extra distinct points in d = 2 or 3 dimensions."""
+    return st.sampled_from([2, 3]).flatmap(lambda d: st.lists(
+        st.tuples(*[coordinates] * d), min_size=d + extra, max_size=d + extra, unique=True))
+
+
+@given(point_lists(1))
+@example([(0, 0), (1, 1), (2, 2)])
+@example([(F(1, 3), F(-2, 7)), (F(2, 3), F(-4, 7)), (F(-1, 3), F(2, 7))])
+@example([(F(1, 3), F(2, 7)), (F(-1, 11), F(3, 10**6)), (F(5, 3), F(-4, 7))])
+def test_orientation_is_the_sign_of_the_homogenized_determinant(rows):
+    cfg = PointConfiguration.from_rows(rows)
+    det = naive_det([list(p) + [1] for p in cfg.points])
+    assert orientation(cfg, cfg.labels) == (det > 0) - (det < 0)
+
+
+@given(point_lists(0))
 @example([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
 @example([(0, 0, 1), (1, 0, 1), (2, 2, 1)])
+@example([(F(1, 3), F(1, 7), F(-1, 11)), (F(2, 3), F(2, 7), F(-2, 11)), (1, F(3, 7), F(-3, 11))])
+@example([(F(1, 3), F(-2, 7)), (F(-5, 11), F(3, 10**6))])
+@example([(F(1, 3), F(2, 7)), (F(1, 3), F(-3, 10**6))])
 def test_hyperplane_functional_is_a_multiple_of_the_cofactor_functional(rows):
+    # the multiple whose last nonzero entry of (normal, -offset) is 1,
+    # exactly, whatever scales the integer rows give the axes
     cfg = PointConfiguration.from_rows(rows)
     d = cfg.dim
 
@@ -227,9 +251,8 @@ def test_hyperplane_functional_is_a_multiple_of_the_cofactor_functional(rows):
         return
     assert fn is not None
     normal, offset = fn
-    f = list(normal) + [-offset]
-    lam = next(a / b for a, b in zip(f, g) if b)
-    assert lam != 0 and f == [lam * b for b in g]
+    last = next(b for b in reversed(g) if b)
+    assert list(normal) + [-offset] == [b / last for b in g]
 
 
 def test_facets_memo_holds_at_most_256_configurations():

@@ -136,3 +136,32 @@ def test_no_floating_point_in_the_package():
     """The README promises no floating point anywhere in regtri."""
     found = {path.name: fp for path in PACKAGE if (fp := floating_point(path.read_text()))}
     assert found == {}
+
+
+def reads_of(source: str, name: str) -> list:
+    """Lines that use `name` as an attribute, a bare name or a string
+    (as getattr takes it): every way a module can reach an attribute."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Constant) and node.value == name)
+    })
+
+
+def test_reads_of_a_name_are_found():
+    source = (
+        "rows = config.integer_rows\n"
+        "'the integer_rows, in prose, are no read'\n"
+        "x = getattr(config, 'integer_rows')\n"
+        "integer_rows = 1\n"
+        "y = config.integer_rows_other\n"
+    )
+    assert reads_of(source, "integer_rows") == [1, 3, 4]
+
+
+def test_only_geometry_reads_the_integer_rows():
+    """geometry.homogenized is the one way to the integer point matrix."""
+    found = {path.name: lines for path in PACKAGE if path.name != "geometry.py"
+             if (lines := reads_of(path.read_text(), "integer_rows"))}
+    assert found == {}

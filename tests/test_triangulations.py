@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -499,6 +500,24 @@ def test_folding_rows_reject_non_triangulations():
         with pytest.raises(NotATriangulation):
             height_separation_rows(cfg, make_cells(cells),
                                    {l: l - 1 for l in cfg.labels}, cfg.n + 1)
+
+
+def test_a_label_outside_the_configuration_is_refused():
+    cells = [[1, 2, 99], [2, 3, 4]]
+    assert is_triangulation(cells, square()) == (False, ("label not in configuration", 99))
+    with pytest.raises(NotATriangulation) as exc_info:
+        is_regular(Triangulation(cells), square(), validate=True)
+    assert exc_info.value.witness == ("label not in configuration", 99)
+    # ints and strings are never compared with each other
+    assert is_triangulation([[1, 2, "a"], [2, 3, 99]], square())[1] == (
+        "label not in configuration", 99)
+
+
+@pytest.mark.parametrize("label", ["1", 1.5, True, None], ids=["string", "float", "bool", "null"])
+def test_triangulation_json_refuses_labels_that_are_not_integers(label):
+    with pytest.raises(ValueError, match="malformed triangulation JSON"):
+        Triangulation.from_json(json.dumps({"cells": [[label, 2, 3], [2, 3, 4]]}))
+    assert Triangulation.from_json(json.dumps({"cells": [[1, 2, 3]]})).cells == {frozenset({1, 2, 3})}
 
 
 def test_f_vector_h_vector_square():
