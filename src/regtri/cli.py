@@ -169,7 +169,10 @@ def regular(config_file, triangulation_file):
 @command("enumerate")
 @click.argument("config_file", type=click.Path(exists=True))
 @click.option("--oracle", is_flag=True, help="use the extension-search oracle instead of flip search")
-@click.option("--budget", type=int)
+@click.option(
+    "--budget", type=int,
+    help="stop once BUDGET + 1 triangulations are found; they are emitted and the exit code is 2",
+)
 def enumerate(config_file, oracle, budget):
     """Enumerate (regular) triangulations as JSON lines plus summary."""
     config = _load_config(config_file)
@@ -236,7 +239,11 @@ def sew(n, d):
 @click.option("--n", type=int, required=True, help="base points of the varied stage")
 @click.option("--d", type=int, required=True)
 @click.option("--exhaustive", is_flag=True)
-@click.option("--budget", type=int)
+@click.option(
+    "--budget", type=int,
+    help="when n! exceeds BUDGET, fingerprint BUDGET distinct permutations drawn with --seed "
+    "and exit 2; otherwise run all n!",
+)
 @click.option("--seed", type=int, default=0)
 @click.option("--store", "store_path", type=click.Path(), envvar="REGTRI_STORE")
 def census_cmd(n, d, exhaustive, budget, seed, store_path):

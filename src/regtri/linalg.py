@@ -3,9 +3,8 @@
 Elimination runs on integers, each row cleared of denominators once
 (`clear_denominators`).  `det`, `det_sign`, `solve_integral`, `rank`
 and `kernel_vector` share one Gauss-Jordan reduction, `_rref`, built on
-`pivot`, the fraction-free step that also drives the exact simplex in
-`linprog`; `solve` is the `Fraction` view of `solve_integral`.
-Fractions appear only in results.
+`pivot`, the fraction-free step; `solve` is the `Fraction` view of
+`solve_integral`.  Fractions appear only in results.
 """
 
 from __future__ import annotations

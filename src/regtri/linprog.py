@@ -1,12 +1,18 @@
 """Exact rational linear programming.
 
-A dense two-phase tableau simplex with Bland's rule: exact, deterministic,
+A two-phase tableau simplex with Bland's rule: exact, deterministic,
 and able to hand back the dual multipliers the regularity certificates
 need.  The tableau is fraction-free: each row is cleared of denominators
 once, and every entry is then an integer over one common denominator,
-updated by `linalg.pivot` with exact divisions.  Bland's rule reads only
-signs and ratio comparisons, which that scaling preserves, so pivots,
-solutions and duals are those of the rational simplex.
+updated by Edmonds' step (1967) with exact divisions.  Bland's rule
+reads only signs and ratio comparisons, which that scaling preserves,
+so pivots, solutions and duals are those of the rational simplex.
+
+The tableau is compact, the dictionary form of lrs (Avis, 2000): a row
+keeps only the nonbasic columns and the right-hand side, since a basic
+column is den times a unit vector.  An exchange writes the leaving
+variable's column where the entering one was, so a pivot rewrites
+one entry per nonbasic variable in each row, not one per variable.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import clear_denominators, pivot
+from .linalg import clear_denominators
 
 Z = Fraction(0)
 
@@ -34,16 +40,52 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _run_simplex(tab, basis, nrows, ncols, den):
-    """Maximize with Bland's rule over the first ncols columns.  The
-    last row of tab holds the reduced costs z_j - c_j and, in its last
-    slot, minus the objective value, all over den.  Returns the status
-    and the final denominator."""
+def _exchange(tab, cols, basis, r, k, den) -> int:
+    """One fraction-free exchange (Edmonds 1967) on the compact tableau:
+    the nonbasic variable cols[k] enters on row r, the basic variable
+    basis[r] leaves and takes over compact column k.  Returns the new
+    den.
+
+    The entries are the integers the dense step computes on the
+    nonbasic columns: with p = |a_rk| and s its sign, row r is
+    multiplied by s, every other row becomes (p*x - f*y) // den, f its
+    entry in column k and y row r, exact by Sylvester's identity, and
+    column k becomes the leaving variable's dense column after the step,
+    s*den in row r and -s*f in the others."""
+    prow = tab[r]
+    p = prow[k]
+    s = 1
+    if p < 0:
+        p, s = -p, -1
+        prow = [-y for y in prow]
+    for i, row in enumerate(tab):
+        if i == r:
+            continue
+        f = row[k]
+        if f:
+            row = [(p * x - f * y) // den for x, y in zip(row, prow)]
+            row[k] = -s * f
+            tab[i] = row
+        elif p != den:
+            tab[i] = [p * x // den for x in row]
+    prow[k] = s * den
+    tab[r] = prow
+    cols[k], basis[r] = basis[r], cols[k]
+    return p
+
+
+def _run_simplex(tab, cols, basis, nrows, limit, den):
+    """Maximize with Bland's rule: the entering variable is the smallest
+    one below limit with a negative reduced cost.  The last row of tab
+    holds the reduced costs z_j - c_j of the variables in cols and, in
+    its last slot, minus the objective value, all over den.  Returns the
+    status and the final denominator."""
     while True:
         obj = tab[-1]
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
-        if enter is None:
+        negative = [(v, k) for k, v in enumerate(cols) if v < limit and obj[k] < 0]
+        if not negative:
             return "optimal", den
+        enter = min(negative)[1]
         leave = None
         for r in range(nrows):
             a = tab[r][enter]
@@ -56,8 +98,7 @@ def _run_simplex(tab, basis, nrows, ncols, den):
                     leave, best_rhs, best_a = r, rhs, a
         if leave is None:
             return "unbounded", den
-        den = pivot(tab, leave, enter, den)
-        basis[leave] = enter
+        den = _exchange(tab, cols, basis, leave, enter, den)
 
 
 def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=()) -> LPResult:
@@ -86,60 +127,61 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=()) -> LPResult:
             return LPResult("optimal", x=[Z] * nvars, value=Z, dual=[])
         return LPResult("unbounded")
 
-    # Columns: structural | one slack per <= row (the <= rows come
-    # first, so row i's slack is column nvars + i) | one artificial per
+    # Variables: structural | one slack per <= row (the <= rows come
+    # first, so row i's slack is nvars + i) | one artificial per
     # equality row or negated row.  Only the first nreal may enter.
+    # Each row starts with its artificial basic if it has one, else its
+    # slack; the slack of a negated row, coefficient -1, starts
+    # nonbasic.  The tableau keeps only the nonbasic columns, cols[k]
+    # naming compact column k's variable, then the right-hand side.
     n_ub = len(ub_rows)
     nreal = nvars + n_ub
     art_rows = [i for i, m in enumerate(mults) if i >= n_ub or m < 0]
-    art_col = {i: nreal + k for k, i in enumerate(art_rows)}
-    ncols = nreal + len(art_rows)
+    art_var = {i: nreal + j for j, i in enumerate(art_rows)}
+    flipped = [i for i in art_rows if i < n_ub]
+    cols = list(range(nvars)) + [nvars + i for i in flipped]
     for i, ints in enumerate(tab):
-        row = ints[:-1] + [0] * (ncols - nvars) + [ints[-1]]
-        if i < n_ub:
-            row[nvars + i] = 1 if mults[i] > 0 else -1
-        if i in art_col:
-            row[art_col[i]] = 1
-        tab[i] = row
-    basis = [art_col.get(i, nvars + i) for i in range(nrows)]
-    marker = basis[:]  # unit column identifying each row, for dual recovery
+        tab[i] = ints[:-1] + [-1 if i == j else 0 for j in flipped] + ints[-1:]
+    basis = [art_var.get(i, nvars + i) for i in range(nrows)]
+    marker = basis[:]  # the variable identifying each row, for dual recovery
 
-    # The phase-2 objective, scaled by the lcm k of c's denominators,
+    # The phase-2 objective, scaled by the lcm q of c's denominators,
     # rides along as the last row from the start.
-    k, cint = clear_denominators(c)
-    tab.append([-v for v in cint] + [0] * (ncols - nvars + 1))
+    q, cint = clear_denominators(c)
+    tab.append([-v for v in cint] + [0] * (len(flipped) + 1))
     den = 1
     live = [True] * nrows  # rows surviving redundancy elimination
 
     # Phase 1: drive artificials to zero, maximizing minus their sum.
     # Artificial i stands for |m_i| times the rational one, so its cost
     # is weighted by w / |m_i| (w the lcm of those |m_i|), which keeps
-    # every reduced cost a positive multiple of the rational one.
+    # every reduced cost a positive multiple of the rational one.  The
+    # artificials are basic, so their reduced costs start at zero and
+    # the row is minus the weighted sum of their rows.
     if art_rows:
         w = lcm(*(abs(mults[i]) for i in art_rows))
-        phase1 = [0] * (ncols + 1)
+        phase1 = [0] * (len(cols) + 1)
         for i in art_rows:
             f = w // abs(mults[i])
             phase1 = [x - f * y for x, y in zip(phase1, tab[i])]
-        phase1[nreal:ncols] = [0] * len(art_rows)
         tab.append(phase1)
-        _, den = _run_simplex(tab, basis, nrows, nreal, den)
+        _, den = _run_simplex(tab, cols, basis, nrows, nreal, den)
         # phase-1 value is -(sum of artificials); anything below zero
         # means no feasible point exists
         if tab.pop()[-1] < 0:
             return LPResult("infeasible")
-        # Drive leftover basic artificials out; zero rows are redundant.
+        # Drive leftover basic artificials out on the smallest real
+        # variable with a nonzero entry; zero rows are redundant.
         for r in art_rows:
             if basis[r] >= nreal:
-                col = next((j for j in range(nreal) if tab[r][j]), None)
-                if col is not None:
-                    den = pivot(tab, r, col, den)
-                    basis[r] = col
+                nonzero = [(v, k) for k, v in enumerate(cols) if v < nreal and tab[r][k]]
+                if nonzero:
+                    den = _exchange(tab, cols, basis, r, min(nonzero)[1], den)
                 else:
                     live[r] = False
-                    tab[r] = [0] * (ncols + 1)
+                    tab[r] = [0] * len(tab[r])
 
-    status, den = _run_simplex(tab, basis, nrows, nreal, den)
+    status, den = _run_simplex(tab, cols, basis, nrows, nreal, den)
     if status == "unbounded":
         return LPResult("unbounded")
 
@@ -149,11 +191,12 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=()) -> LPResult:
             x[basis[r]] = Fraction(tab[r][-1], den)
     value = sum((ci * xi for ci, xi in zip(c, x) if ci), Z)
 
-    # The reduced cost of row i's unit column is its multiplier in the
-    # scaled problem; scaling back by m_i / (k * den) gives the dual.
-    obj = tab[-1]
-    dual = [Fraction(mults[r] * obj[marker[r]], k * den)
-            if live[r] and obj[marker[r]] else Z for r in range(nrows)]
+    # The reduced cost of row i's marker is its multiplier in the
+    # scaled problem; scaling back by m_i / (q * den) gives the dual.  A
+    # basic marker has reduced cost zero.
+    reduced = dict(zip(cols, tab[-1]))
+    dual = [Fraction(mults[r] * reduced[marker[r]], q * den)
+            if live[r] and reduced.get(marker[r]) else Z for r in range(nrows)]
     return LPResult("optimal", x=x, value=value, dual=dual)
 
 

@@ -399,10 +399,10 @@ def is_regular(
     verdict costs one LP, the margin LP.
 
     The pass hands the LP integer rows, each the rational row times its
-    multiplier m.  That is the tableau solve_lp builds from the rational
-    rows, so the pivots, witness and margin are the same; each row's
-    dual comes out divided by m, and times m it is the certificate over
-    the rational rows.  _check_certificate rechecks that certificate,
+    multiplier m.  Those are the rows solve_lp clears the rational rows
+    to, so the tableau, pivots, witness and margin are the same; each
+    row's dual comes out divided by m, and times m it is the certificate
+    over the rational rows.  _check_certificate rechecks that certificate,
     the vector returned, against the integer rows over their
     multipliers, which are the rational rows."""
     labels = sorted(config.labels)

@@ -270,6 +270,17 @@ def test_negative_budget_is_a_json_error(tmp_path, args):
     assert error["error"] == "ValueError" and "negative budget" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "command, says",
+    [("enumerate", "stop once BUDGET + 1 triangulations are found"),
+     ("census", "when n! exceeds BUDGET, fingerprint BUDGET distinct permutations")],
+)
+def test_budget_help_says_what_the_budget_counts(command, says):
+    result = CliRunner().invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert says in " ".join(result.output.split())
+
+
 def sweep_inputs(tmp_path):
     """Files for `regtri sweep` on a split heptagon pair (6, 7), and a
     shared witness for them."""

@@ -4,14 +4,15 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtri import linalg, linprog
-from regtri.geometry import PointConfiguration, cyclic_configuration
-from regtri.linprog import lp_feasible, max_margin, solve_lp
-from regtri.triangulations import (
-    Triangulation,
-    height_separation_rows,
-    placing_triangulation,
+from regtri import linprog
+from regtri.enumeration import enumerate_all_oracle, enumerate_regular
+from regtri.geometry import (
+    PointConfiguration,
+    configuration_in_general_position,
+    cyclic_configuration,
 )
+from regtri.linprog import lp_feasible, max_margin, solve_lp
+from regtri.triangulations import Triangulation, height_separation_rows
 
 from oracles import fraction_simplex
 
@@ -163,6 +164,22 @@ def small_lps(draw):
     return draw(row), a_ub, b_ub, a_eq, b_eq
 
 
+@st.composite
+def wide_lps(draw):
+    """LPs of up to 6 variables and 8 rows, up to 3 of them equality
+    rows, entries and right-hand sides of both signs: wide enough for
+    many exchanges between structural, slack and artificial variables."""
+    nv = draw(st.integers(1, 6))
+    row = st.lists(rationals, min_size=nv, max_size=nv)
+    n_ub = draw(st.integers(0, 8))
+    n_eq = draw(st.integers(0, min(3, 8 - n_ub)))
+    a_ub = draw(st.lists(row, min_size=n_ub, max_size=n_ub))
+    b_ub = draw(st.lists(rationals, min_size=n_ub, max_size=n_ub))
+    a_eq = draw(st.lists(row, min_size=n_eq, max_size=n_eq))
+    b_eq = draw(st.lists(rationals, min_size=n_eq, max_size=n_eq))
+    return draw(row), a_ub, b_ub, a_eq, b_eq
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_lps())
 def test_solve_lp_equals_fraction_simplex(lp):
@@ -170,14 +187,22 @@ def test_solve_lp_equals_fraction_simplex(lp):
     assert fields(res) == fraction_simplex(*lp, nonneg=True)
 
 
+@settings(max_examples=300, deadline=None)
+@given(wide_lps())
+def test_wide_lps_equal_fraction_simplex(lp):
+    res = solve_lp(*lp)
+    assert fields(res) == fraction_simplex(*lp, nonneg=True)
+
+
 def test_solve_lp_fixed_cases_equal_fraction_simplex(monkeypatch):
     negative_pivots = []
+    exchange = linprog._exchange
 
-    def recording_pivot(rows, r, c, den):
-        negative_pivots.append(rows[r][c] < 0)
-        return linalg.pivot(rows, r, c, den)
+    def recording_exchange(tab, cols, basis, r, k, den):
+        negative_pivots.append(tab[r][k] < 0)
+        return exchange(tab, cols, basis, r, k, den)
 
-    monkeypatch.setattr(linprog, "pivot", recording_pivot)
+    monkeypatch.setattr(linprog, "_exchange", recording_exchange)
     cases = {
         "dead row": ([1, 1], [[1, 1]], [4], [[1, -1], [F(2, 3), F(-2, 3)]], [0, 0]),
         "infeasible": ([F(1, 2)], [[1], [-1]], [1, F(-5, 2)], [], []),
@@ -188,6 +213,9 @@ def test_solve_lp_fixed_cases_equal_fraction_simplex(monkeypatch):
         "negative drive-out": (
             [2, 1, 2], [[2, 1, 2], [-1, 0, 0]], [2, 1], [[-1, 0, -2]], [0]
         ),
+        # a drive-out on -1 whose artificial leaves with the column
+        # the equality row's dual, 1/2, is read from
+        "negative drive-out dual": ([-2, -1], [], [], [[-1, -2]], [0]),
     }
     got = {}
     for name, lp in cases.items():
@@ -200,6 +228,8 @@ def test_solve_lp_fixed_cases_equal_fraction_simplex(monkeypatch):
     assert got["unbounded"][0].status == "unbounded"
     assert got["negative rhs"][0].optimal
     assert got["negative drive-out"][0].optimal and got["negative drive-out"][1]
+    assert got["negative drive-out dual"][0].dual == [F(1, 2)]
+    assert got["negative drive-out dual"][1]
 
 
 def regularity_lp(cfg, t):
@@ -209,16 +239,36 @@ def regularity_lp(cfg, t):
     return max_margin(rows, nv)
 
 
+def nested_triangles_with_seventh_point():
+    """The nested triangles plus a seventh point, each coordinate moved
+    by a seeded odd multiple of 1/64 until the points are in general
+    position: 74 triangulations, 7 of them not regular."""
+    rows = [[4, 0], [0, 4], [0, 0], [2, 1], [1, 2], [1, 1], [F(6, 5), F(3, 2)]]
+    rng = random.Random(0)
+    while True:
+        cfg = PointConfiguration.from_rows(
+            [[x + F(rng.choice((-3, -1, 1, 3)), 64) for x in r] for r in rows]
+        )
+        if configuration_in_general_position(cfg):
+            return cfg
+
+
 def test_regularity_lps_equal_fraction_simplex():
-    cyc = cyclic_configuration(4, [1, 2, 3, 4, 5, 6, 7, 8])
     twisted_cfg = PointConfiguration.from_rows(
         [[4, 0], [0, 4], [0, 0], [2, 1], [1, 2], [1, 1]]
     )
     twisted = Triangulation(
         [{1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {3, 5, 6}, {1, 3, 6}, {1, 4, 6}, {4, 5, 6}]
     )
-    for cfg, t, regular in ((cyc, placing_triangulation(cyc), True),
-                            (twisted_cfg, twisted, False)):
+    nested = nested_triangles_with_seventh_point()
+    cyc = cyclic_configuration(4, [1, 2, 3, 4, 5, 6, 7, 8])
+    cases = ([(twisted_cfg, twisted)]
+             + [(nested, t) for t in enumerate_all_oracle(nested)]
+             + [(cyc, t) for t in enumerate_regular(cyc)])
+    regular = []
+    for cfg, t in cases:
         c, a_ub, b_ub, res = regularity_lp(cfg, t)
         assert fields(res) == fraction_simplex(c, a_ub, b_ub, nonneg=True)
-        assert (res.value > 0) == regular
+        regular.append(res.value > 0)
+    assert len(cases) == 1 + 74 + 40
+    assert not regular[0] and sum(regular[1:75]) == 67 and all(regular[75:])
