@@ -33,12 +33,13 @@ from .errors import (
 from .geometry import (
     PointConfiguration,
     facets,
-    functional_value,
     is_general_position,
     is_vertex,
     moment_curve_point,
+    normal_l1,
     orientation,
     parse_rational,
+    side_value,
     spanned_hyperplanes,
 )
 from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
@@ -80,12 +81,12 @@ class SweepTrace:
 def _hyperplane_gap(config: PointConfiguration, p_label: int) -> Fraction:
     """Smallest normalized margin |f(p)| / |f|_1 over hyperplanes
     spanned by the other points; an exact lower bound (up to the norm
-    choice) on how far p can move before crossing one."""
-    p = config.point(p_label)
+    choice) on how far p can move before crossing one.  Each margin is
+    read in integers: |h.row_p| over the 1-norm of h's normal."""
     others = [l for l in config.labels if l != p_label]
     gaps = [
-        abs(functional_value(fn, p)) / sum(abs(a) for a in fn[0])
-        for _, fn in spanned_hyperplanes(config, others)
+        Fraction(abs(side_value(config, h, p_label)), normal_l1(config, h))
+        for _, h in spanned_hyperplanes(config, others)
     ]
     if not any(gaps):
         raise RegtriError("no spanned hyperplane; configuration too small")

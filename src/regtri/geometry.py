@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -237,35 +238,63 @@ def affine_dim(config: PointConfiguration) -> int:
     return linalg.rank(homogenized(config, config.labels)) - 1
 
 
+def _integer_functional(config: PointConfiguration, labels) -> list | None:
+    """The integer kernel h of the homogenized rows of the d labels, or
+    None when they do not span a hyperplane: h.row vanishes on their
+    rows, and its sign at another point's row (`side_value`) is the
+    sign of hyperplane_functional there, since h's last nonzero entry
+    is positive."""
+    sol = linalg.kernel_integral(list(zip(*homogenized(config, labels))))
+    return None if sol is None else sol[1]
+
+
 def hyperplane_functional(config: PointConfiguration, labels: Sequence[int]):
     """Affine functional vanishing on the span of the given d labels,
     or None when they do not span a hyperplane.  Returned as
     (normal, offset) with f(x) = normal.x - offset and the last nonzero
-    entry of (normal, -offset) 1: the kernel of the homogenized rows,
-    one-dimensional iff they have rank d, scaled back to the axes."""
+    entry of (normal, -offset) 1: the integer kernel of the homogenized
+    rows, scaled back to the axes, one Fraction per entry."""
     labels = tuple(labels)
     d = config.dim
     if len(labels) != d:
         raise ValueError(f"need {d} labels for a hyperplane in dim {d}")
-    vec = linalg.kernel_vector(list(zip(*homogenized(config, labels))))
-    if vec is None or not any(vec[:d]):
+    h = _integer_functional(config, labels)
+    if h is None:
         return None
-    vec = [v * s for v, s in zip(vec, config._axis_scales)] + [vec[d]]
-    last = next(v for v in reversed(vec) if v)
-    return tuple(v / last for v in vec[:d]), -vec[d] / last
+    g = [a * s for a, s in zip(h, config._axis_scales)] + [h[d]]
+    last = next(v for v in reversed(g) if v)
+    return tuple(Fraction(v, last) for v in g[:d]), Fraction(-g[d], last)
+
+
+def _colex(labels, k):
+    """The k-subsets of labels in colexicographic order: the subsets
+    inside any prefix of labels come first."""
+    # colex order is the lex order of the reversed labels, backwards
+    for rev in reversed(list(itertools.combinations(labels[::-1], k))):
+        yield rev[::-1]
 
 
 def spanned_hyperplanes(config: PointConfiguration, labels=None):
-    """Yield (subset, hyperplane_functional) for each d-subset of labels
-    (default: all) that spans a hyperplane, in colexicographic order:
-    the subsets inside any prefix of labels come first."""
-    labels = config.labels if labels is None else labels
-    # colex order is the lex order of the reversed labels, backwards
-    for rev in reversed(list(itertools.combinations(labels[::-1], config.dim))):
-        subset = rev[::-1]
-        fn = hyperplane_functional(config, subset)
-        if fn is not None:
-            yield subset, fn
+    """Yield (subset, h) for each d-subset of labels (default: all)
+    that spans a hyperplane, in colexicographic order, h its integer
+    functional on the homogenized rows; `side_value` reads it at a point."""
+    for subset in _colex(config.labels if labels is None else labels, config.dim):
+        h = _integer_functional(config, subset)
+        if h is not None:
+            yield subset, h
+
+
+def side_value(config: PointConfiguration, h, label: int) -> int:
+    """h.row at the labeled point's integer row: positive, zero or
+    negative as the point lies on the positive side of the hyperplane,
+    on it or on the negative side."""
+    return sum(map(mul, h, config.integer_rows[label]))
+
+
+def normal_l1(config: PointConfiguration, h) -> int:
+    """The 1-norm of h's normal in the configuration's own axes, so that
+    |side_value| / normal_l1 is the point's normalized margin."""
+    return sum(abs(a * s) for a, s in zip(h, config._axis_scales))
 
 
 def functional_value(fn, x) -> Fraction:
@@ -285,7 +314,10 @@ def facets(config: PointConfiguration):
     if affine_dim(config) != d:
         raise NotFullDimensional(f"configuration does not span dimension {d}")
     found: dict[frozenset, FaceRecord] = {}
-    for _, fn in spanned_hyperplanes(config):
+    for subset in _colex(config.labels, d):
+        fn = hyperplane_functional(config, subset)
+        if fn is None:
+            continue
         on, neg, pos = [], False, False
         for lab, p in zip(config.labels, config.points):
             v = functional_value(fn, p)
@@ -417,8 +449,12 @@ def classify_visibility(config: PointConfiguration, face, p) -> str:
 def is_general_position(config: PointConfiguration, q) -> bool:
     """True iff no hyperplane spanned by d configuration points
     contains q."""
-    q = tuple(parse_rational(x) for x in q)
-    return all(functional_value(fn, q) != 0 for _, fn in spanned_hyperplanes(config))
+    q = [parse_rational(x) for x in q]
+    if len(q) != config.dim:
+        raise ValueError(f"point has dimension {len(q)}, configuration {config.dim}")
+    # q's row [q, 1] scaled like integer_rows, then by a positive integer
+    row = linalg.clear_denominators([x * s for x, s in zip(q, config._axis_scales)] + [1])[1]
+    return all(sum(map(mul, h, row)) for _, h in spanned_hyperplanes(config))
 
 
 def configuration_in_general_position(config: PointConfiguration) -> bool:

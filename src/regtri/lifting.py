@@ -13,10 +13,10 @@ from .geometry import (
     PointConfiguration,
     _strictly_separable,
     format_rational,
-    functional_value,
     in_convex_position,
     is_general_position,
     parse_rational,
+    side_value,
     spanned_hyperplanes,
 )
 from .linprog import solve_lp  # noqa: F401  (perfbench traces this import site)
@@ -77,15 +77,14 @@ def _validate_same_side(lifted: PointConfiguration, apex_label: int):
     point order, then in combinations order of the hyperplane's labels."""
     labels = [l for l in lifted.labels if l != apex_label]
     position = {l: i for i, l in enumerate(labels)}
-    apex = lifted.point(apex_label)
     first = (len(labels), [])  # (point, subset) positions of the first violation
-    for subset, fn in spanned_hyperplanes(lifted, labels[:-1]):
+    for subset, h in spanned_hyperplanes(lifted, labels[:-1]):
         last = position[subset[-1]]
         if last >= first[0]:
             break  # hyperplanes come by last label: none finds an earlier one
-        side = functional_value(fn, apex)
+        side = side_value(lifted, h, apex_label)
         for i in range(last + 1, min(first[0] + 1, len(labels))):
-            if side * functional_value(fn, lifted.point(labels[i])) <= 0:
+            if side * side_value(lifted, h, labels[i]) <= 0:
                 first = min(first, (i, [position[l] for l in subset]))
                 break
     i, subset = first

@@ -2,9 +2,10 @@
 
 Elimination runs on integers, each row cleared of denominators once
 (`clear_denominators`).  `det`, `det_sign`, `solve_integral`, `rank`
-and `kernel_vector` share one Gauss-Jordan reduction, `_rref`, built on
-`pivot`, the fraction-free step; `solve` is the `Fraction` view of
-`solve_integral`.  Fractions appear only in results.
+and `kernel_integral` share one Gauss-Jordan reduction, `_rref`, built
+on `pivot`, the fraction-free step; `solve` and `kernel_vector` are the
+`Fraction` views of `solve_integral` and `kernel_integral`.  Fractions
+appear only in results.
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ def rank(rows) -> int:
     return len(_rref(rows)[2])
 
 
-def kernel_vector(columns):
+def kernel_integral(columns):
     """One nonzero kernel vector of the matrix with the given columns,
-    or None if the kernel is trivial or has dimension > 1."""
+    in one reduction: (den, integer numerators) over den > 0, or None if
+    the kernel is trivial or has dimension > 1.  The numerator at the
+    one free column is den and every later entry is 0, so the last
+    nonzero entry is positive."""
     ncols = len(columns)
     nrows = len(columns[0]) if columns else 0
     m, den, pivots, _ = _rref(
@@ -133,8 +137,18 @@ def kernel_vector(columns):
     if len(free) != 1:
         return None
     f = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[f] = Fraction(1)
+    vec = [0] * ncols
+    vec[f] = den
     for row_idx, col in enumerate(pivots):
-        vec[col] = Fraction(-m[row_idx][f], den)
-    return vec
+        vec[col] = -m[row_idx][f]
+    return den, vec
+
+
+def kernel_vector(columns):
+    """One nonzero kernel vector of the matrix with the given columns,
+    or None if the kernel is trivial or has dimension > 1."""
+    sol = kernel_integral(columns)
+    if sol is None:
+        return None
+    den, vec = sol
+    return [Fraction(v, den) for v in vec]

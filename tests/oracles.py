@@ -165,6 +165,75 @@ def same_side_reference(labels, points, apex):
     return None
 
 
+def fraction_functional(points):
+    """The affine functional through d points in dimension d, over
+    Fractions, normalized as the library's hyperplane_functional:
+    (normal, offset) with f(x) = normal.x - offset vanishing on the
+    points and the last nonzero entry of (normal, -offset) equal to 1,
+    read off the kernel of the homogenized rows; None when the points
+    do not span a hyperplane."""
+    rows = [[Fraction(x) for x in p] + [Fraction(1)] for p in points]
+    d = len(rows)
+    reduced, pivots = fraction_rref(rows)
+    free = [c for c in range(d + 1) if c not in pivots]
+    if len(free) != 1:
+        return None
+    vec = [Fraction(0)] * (d + 1)
+    vec[free[0]] = Fraction(1)
+    for r, col in enumerate(pivots):
+        vec[col] = -reduced[r][free[0]]
+    last = next(v for v in reversed(vec) if v)
+    return [v / last for v in vec[:d]], -vec[d] / last
+
+
+def fraction_value(fn, x):
+    normal, offset = fn
+    return sum(a * Fraction(y) for a, y in zip(normal, x)) - offset
+
+
+def _fraction_hyperplanes(points, d):
+    for subset in combinations(points, d):
+        fn = fraction_functional(subset)
+        if fn is not None:
+            yield fn
+
+
+def same_side_fraction(labels, points, apex):
+    """The same-side condition of a lexicographic lift as
+    same_side_reference states it, decided by evaluating Fraction
+    functionals instead of determinants: None when it holds, else
+    (label, frozenset of the hyperplane's labels) of the first
+    violation, points in order and subsets in combinations order."""
+    d = len(apex)
+    at = dict(zip(labels, points))
+    fns = {}
+    for i in range(d, len(labels)):
+        for subset in combinations(labels[:i], d):
+            if subset not in fns:
+                fns[subset] = fraction_functional([at[l] for l in subset])
+            fn = fns[subset]
+            if fn is None:
+                continue
+            if fraction_value(fn, apex) * fraction_value(fn, at[labels[i]]) <= 0:
+                return labels[i], frozenset(subset)
+    return None
+
+
+def hyperplane_gap_fraction(points, p):
+    """The smallest nonzero normalized margin |f(p)| / |normal|_1 of p
+    over the hyperplanes spanned by d of the points, from Fraction
+    functionals; None when there is none."""
+    gaps = [abs(fraction_value(fn, p)) / sum(abs(a) for a in fn[0])
+            for fn in _fraction_hyperplanes(points, len(p))]
+    return min((g for g in gaps if g), default=None)
+
+
+def is_general_position_fraction(points, q):
+    """Whether no hyperplane spanned by d of the points contains q,
+    from Fraction functionals."""
+    return all(fraction_value(fn, q) != 0 for fn in _fraction_hyperplanes(points, len(q)))
+
+
 def flip_neighbors_reference(cells, points):
     """Cell sets of the triangulations one bistellar flip away from the
     given one, in the order the library lists them: for each (d+2)-subset

@@ -167,6 +167,12 @@ def test_general_position():
     )
 
 
+def test_general_position_refuses_a_point_of_another_dimension():
+    for q in [(1,), (1, 1, 5)]:
+        with pytest.raises(ValueError, match="dimension"):
+            is_general_position(square(), q)
+
+
 def test_is_vertex_and_convex_position():
     cfg = square().append_point((F(1, 2), F(1, 2)))
     assert is_vertex(cfg, 1)

@@ -165,3 +165,51 @@ def test_only_geometry_reads_the_integer_rows():
     found = {path.name: lines for path in PACKAGE if path.name != "geometry.py"
              if (lines := reads_of(path.read_text(), "integer_rows"))}
     assert found == {}
+
+
+def callers_of(source: str, name: str) -> list:
+    """Qualified names (Class.method, function or <module>) of the
+    definitions whose own bodies call `name`, bare or as an attribute,
+    one entry per call; a call inside a nested definition counts for
+    that definition."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if ((isinstance(func, ast.Name) and func.id == name)
+                        or (isinstance(func, ast.Attribute) and func.attr == name)):
+                    found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_callers_of_a_name_are_found():
+    source = (
+        "x = f(1)\n"
+        "def g():\n    return [f(a) for a in m.f(2)]\n"
+        "class C:\n    def v(self):\n        def inner():\n            return f\n"
+        "        return inner() + self.f(3) + other.f_value(1)\n"
+        "def h():\n    return f_other(1)\n"
+    )
+    assert callers_of(source, "f") == ["<module>", "C.v", "g", "g"]
+
+
+def test_fraction_functionals_are_evaluated_only_in_facets():
+    """Side-of-hyperplane tests read integer side values
+    (geometry.side_value); Fraction evaluation is left to facets and
+    FaceRecord.value."""
+    found = {}
+    for path in PACKAGE:
+        calls = set(callers_of(path.read_text(), "functional_value"))
+        if path.name == "geometry.py":
+            calls -= {"facets", "FaceRecord.value"}
+        if calls:
+            found[path.name] = calls
+    assert found == {}

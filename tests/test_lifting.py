@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import geometry, lifting, linprog
+from regtri import geometry, lifting, linalg, linprog
 from regtri.census import single_lift
 from regtri.errors import NotAVertex, NotConvexPosition, ValidationFailed
 from regtri.geometry import (
@@ -279,18 +279,19 @@ def test_same_side_check_equals_determinant_reference(case):
 def test_validating_lift_computes_each_hyperplane_once(monkeypatch):
     # n base points lift to dimension d+1; every (d+1)-subset of the
     # first n-1 lifted points spans a hyperplane checked against the
-    # later ones, so a validating lift computes C(n-1, d+1) functionals
-    # where one per (point, earlier subset) pair would be C(n, d+2)
+    # later ones, so a validating lift makes C(n-1, d+1) integer kernel
+    # reductions where one per (point, earlier subset) pair would make
+    # C(n, d+2)
     base = cyclic_configuration(3, range(1, 8))
     spec = auto_epsilons(base, apex_over(base))
     calls = []
-    real = geometry.hyperplane_functional
+    real = linalg.kernel_integral
 
-    def counting(config, labels):
-        calls.append(tuple(labels))
-        return real(config, labels)
+    def counting(columns):
+        calls.append(columns)
+        return real(columns)
 
-    monkeypatch.setattr(geometry, "hyperplane_functional", counting)
+    monkeypatch.setattr(linalg, "kernel_integral", counting)
     lc = lex_lift(base, spec)
     assert len(calls) == comb(6, 4) == 15 < comb(7, 5)
     lifted = [lc.lifted.point(l) for l in base.labels]

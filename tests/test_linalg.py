@@ -148,6 +148,16 @@ def test_rank_and_kernel_vector_equal_fraction_rref(m):
         for r, col in enumerate(kpivots):
             expected[col] = -kreduced[r][free[0]]
     assert linalg.kernel_vector(m) == expected
+    # kernel_integral: the same vector as integers over den > 0, whose
+    # last nonzero entry is den itself
+    sol = linalg.kernel_integral(m)
+    if expected is None:
+        assert sol is None
+    else:
+        den, vec = sol
+        assert den > 0 and all(isinstance(v, int) for v in vec)
+        assert [Fraction(v, den) for v in vec] == expected
+        assert next(v for v in reversed(vec) if v) == den
 
 
 @settings(max_examples=200, deadline=None)
