@@ -111,6 +111,8 @@ def split_point(
         epsilon = _hyperplane_gap(config, p_label) / 2
     else:
         epsilon = parse_rational(epsilon)
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
     p = config.point(p_label)
     rng = random.Random(seed)
     for _ in range(1000):

@@ -178,6 +178,8 @@ class PointConfiguration:
                 for row in data["points"]
             )
             labels = tuple(data.get("labels") or range(1, len(pts) + 1))
+            if not all(type(v) is int for v in (data["dim"],) + labels):
+                raise TypeError("dim and labels must be integers")
             return cls(dim=data["dim"], points=pts, labels=labels)
 
 

@@ -5,7 +5,9 @@ Elimination runs on integers, each row cleared of denominators once
 and `kernel_integral` share one Gauss-Jordan reduction, `_rref`, built
 on `pivot`, the fraction-free step; `solve` and `kernel_vector` are the
 `Fraction` views of `solve_integral` and `kernel_integral`.  Fractions
-appear only in results.
+appear only in results.  `pivot` is also the step of the simplex
+(`linprog._exchange`), so it is the one place that writes Edmonds'
+update.
 """
 
 from __future__ import annotations

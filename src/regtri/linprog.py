@@ -4,15 +4,18 @@ A two-phase tableau simplex with Bland's rule: exact, deterministic,
 and able to hand back the dual multipliers the regularity certificates
 need.  The tableau is fraction-free: each row is cleared of denominators
 once, and every entry is then an integer over one common denominator,
-updated by Edmonds' step (1967) with exact divisions.  Bland's rule
-reads only signs and ratio comparisons, which that scaling preserves,
-so pivots, solutions and duals are those of the rational simplex.
+updated by `linalg.pivot`, Edmonds' step (1967) with exact divisions.
+Bland's rule reads only signs and ratio comparisons, which that scaling
+preserves, so pivots, solutions and duals are those of the rational
+simplex.
 
 The tableau is compact, the dictionary form of lrs (Avis, 2000): a row
 keeps only the nonbasic columns and the right-hand side, since a basic
-column is den times a unit vector.  An exchange writes the leaving
-variable's column where the entering one was, so a pivot rewrites
-one entry per nonbasic variable in each row, not one per variable.
+column is den times a unit vector.  An exchange (`_exchange`) runs
+`pivot` on the compact rows, then rewrites only column k, which passes
+from the entering variable to the leaving one, and the two labels; so
+a pivot rewrites one entry per nonbasic variable in each row, not one
+per variable.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import clear_denominators
+from .linalg import clear_denominators, pivot
 
 Z = Fraction(0)
 
@@ -41,37 +44,22 @@ class LPResult:
 
 
 def _exchange(tab, cols, basis, r, k, den) -> int:
-    """One fraction-free exchange (Edmonds 1967) on the compact tableau:
-    the nonbasic variable cols[k] enters on row r, the basic variable
-    basis[r] leaves and takes over compact column k.  Returns the new
-    den.
+    """One exchange on the compact tableau: the nonbasic variable
+    cols[k] enters on row r, the basic variable basis[r] leaves and
+    takes over compact column k.  Returns the new den.
 
-    The entries are the integers the dense step computes on the
-    nonbasic columns: with p = |a_rk| and s its sign, row r is
-    multiplied by s, every other row becomes (p*x - f*y) // den, f its
-    entry in column k and y row r, exact by Sylvester's identity, and
-    column k becomes the leaving variable's dense column after the step,
-    s*den in row r and -s*f in the others."""
-    prow = tab[r]
-    p = prow[k]
-    s = 1
-    if p < 0:
-        p, s = -p, -1
-        prow = [-y for y in prow]
-    for i, row in enumerate(tab):
-        if i == r:
-            continue
-        f = row[k]
-        if f:
-            row = [(p * x - f * y) // den for x, y in zip(row, prow)]
-            row[k] = -s * f
-            tab[i] = row
-        elif p != den:
-            tab[i] = [p * x // den for x in row]
-    prow[k] = s * den
-    tab[r] = prow
+    `linalg.pivot` makes the fraction-free step on every column, which
+    leaves the entering variable's column, the new den times a unit
+    vector, in column k.  Column k then becomes the leaving variable's
+    dense column after the step: s*den in row r and -s*f in the others,
+    s the sign of the pivot and f a row's old entry in column k."""
+    col = [row[k] for row in tab]
+    s = -1 if col[r] < 0 else 1
+    new_den = pivot(tab, r, k, den)
+    for i, f in enumerate(col):
+        tab[i][k] = s * den if i == r else -s * f
     cols[k], basis[r] = basis[r], cols[k]
-    return p
+    return new_den
 
 
 def _run_simplex(tab, cols, basis, nrows, limit, den):

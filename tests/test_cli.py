@@ -13,6 +13,9 @@ from regtri.geometry import PointConfiguration
 from regtri.triangulations import Triangulation, heights_to_json, is_triangulation
 
 
+SQUARE_JSON = PointConfiguration.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]]).to_json()
+
+
 def write_square(path):
     cfg = PointConfiguration.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]])
     path.write_text(cfg.to_json())
@@ -219,9 +222,13 @@ def test_regular_on_overlapping_cells_is_a_json_error(tmp_path, rows, cells, nam
         (["sweep", "{square}", "{cells}", "{bad}", "--p", "1", "--p-prime", "4"],
          json.dumps({"heights": [0, 0, 0, 1]})),
         (["lift", "{square}", "--spec-file", "{bad}"], json.dumps({"apex": ["0", "1"]})),
+        (["lift", "{bad}"], SQUARE_JSON.replace("[1, 2, 3, 4]", '["a", "b", "c", "d"]')),
+        (["triangulate", "{bad}"], SQUARE_JSON.replace("[1, 2, 3, 4]", "[1.5, 2, 3, 4]")),
+        (["triangulate", "{bad}"], SQUARE_JSON.replace('"dim": 2', '"dim": 2.0')),
     ],
     ids=["config-without-dim", "config-integer-points", "triangulation-without-cells",
-         "heights-as-list", "spec-without-epsilons"],
+         "heights-as-list", "spec-without-epsilons", "config-string-labels",
+         "config-float-label", "config-float-dim"],
 )
 def test_malformed_wire_format_is_a_json_error(tmp_path, command, bad_text):
     paths = {"square": tmp_path / "square.json", "cells": tmp_path / "cells.json",

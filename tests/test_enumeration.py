@@ -282,6 +282,13 @@ def test_split_point_properties():
         split_point(square().append_point((F(1, 2), F(1, 2))), 5)
 
 
+@pytest.mark.parametrize("epsilon", [0, "0", F(-1, 10), "-1/10"],
+                         ids=["zero", "zero-string", "negative", "negative-string"])
+def test_split_point_refuses_an_epsilon_that_is_not_positive(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        split_point(hexagon(), 2, epsilon=epsilon, seed=1)
+
+
 def test_split_point_deterministic():
     cfg = hexagon()
     assert split_point(cfg, 3, seed=5) == split_point(cfg, 3, seed=5)

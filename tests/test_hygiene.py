@@ -167,11 +167,11 @@ def test_only_geometry_reads_the_integer_rows():
     assert found == {}
 
 
-def callers_of(source: str, name: str) -> list:
+def scopes_where(source: str, matches) -> list:
     """Qualified names (Class.method, function or <module>) of the
-    definitions whose own bodies call `name`, bare or as an attribute,
-    one entry per call; a call inside a nested definition counts for
-    that definition."""
+    definitions whose own bodies hold a node for which matches(node) is
+    true, one entry per node; a node inside a nested definition counts
+    for that definition."""
     found = []
 
     def visit(node, scope):
@@ -179,15 +179,23 @@ def callers_of(source: str, name: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if ((isinstance(func, ast.Name) and func.id == name)
-                        or (isinstance(func, ast.Attribute) and func.attr == name)):
-                    found.append(scope or "<module>")
+            if matches(child):
+                found.append(scope or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return sorted(found)
+
+
+def callers_of(source: str, name: str) -> list:
+    """The definitions (see scopes_where) whose own bodies call `name`,
+    bare or as an attribute, one entry per call."""
+    def calls(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return ((isinstance(func, ast.Name) and func.id == name)
+                or (isinstance(func, ast.Attribute) and func.attr == name))
+
+    return scopes_where(source, calls)
 
 
 def test_callers_of_a_name_are_found():
@@ -213,3 +221,35 @@ def test_fraction_functionals_are_evaluated_only_in_facets():
         if calls:
             found[path.name] = calls
     assert found == {}
+
+
+def floor_divisions_by(source: str, name: str) -> list:
+    """The definitions (see scopes_where) whose own bodies floor-divide
+    by the bare name `name`, with // or //=, one entry per division;
+    dividing by an attribute (x // self.name) or dividing `name` itself
+    does not count."""
+    def divides(node):
+        divisor = (node.right if isinstance(node, ast.BinOp)
+                   else node.value if isinstance(node, ast.AugAssign) else None)
+        return (isinstance(getattr(node, "op", None), ast.FloorDiv)
+                and isinstance(divisor, ast.Name) and divisor.id == name)
+
+    return scopes_where(source, divides)
+
+
+def test_floor_divisions_by_a_name_are_found():
+    source = (
+        "x = 6 // den\n"
+        "def step(rows, den):\n    return [[(p * x) // den for x in r] for r in rows]\n"
+        "class T:\n    def scale(self, den, g):\n        g //= den\n        den //= g\n"
+        "        return den // g + self.den // 2 + 4 // self.den + 1 / den\n"
+    )
+    assert floor_divisions_by(source, "den") == ["<module>", "T.scale", "step"]
+
+
+def test_only_pivot_writes_the_fraction_free_step():
+    """Edmonds' update divides by the running denominator den; linalg.pivot
+    is the one place that writes it, for _rref and the simplex alike."""
+    found = {path.name: divs for path in PACKAGE
+             if (divs := floor_divisions_by(path.read_text(), "den"))}
+    assert found == {"linalg.py": ["pivot", "pivot"]}
