@@ -78,7 +78,10 @@ def double_lift(
 
     The input must be r-neighborly of even dimension 2r; the output is
     then (r+1)-neighborly, which verify=True certifies subset by
-    subset.  Pass a list as specs to capture the two LiftSpecs used.
+    subset.  Neither lift re-proves convex position: verify=True checks
+    that the base is r-neighborly, which for r >= 1 makes every point a
+    vertex, and verify=False trusts the base.  Pass a list as specs to
+    capture the two LiftSpecs used.
     """
     if config.dim % 2:
         raise ValueError("double lift needs an even-dimensional base")
@@ -86,9 +89,7 @@ def double_lift(
     if verify and not is_k_neighborly(config, r):
         raise ValueError(f"base is not {r}-neighborly")
     sigma = tuple(sigma)
-    mid, spec1 = single_lift(config, sigma, check_convex=config.dim > 0)
-    # the intermediate of a dim-0 base is collinear, so skip the hull
-    # vertex check there; the same-side validation still guards it
+    mid, spec1 = single_lift(config, sigma, check_convex=False)
     out, spec2 = single_lift(mid, mid.labels, check_convex=False)
     if specs is not None:
         specs.extend([spec1, spec2])

@@ -253,7 +253,7 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     except NotATriangulation:
         return None
     _, _, _, res = max_margin(rows, nv)
-    if not res.optimal or res.value <= 0:
+    if res.value <= 0:
         return None
     w = {lab: res.x[k] - 1 for k, lab in enumerate(labels)}
     w[j] = w[i]  # the variable p_j reads; its own is in no row

@@ -173,6 +173,10 @@ class PointConfiguration:
     def from_json(cls, text: str) -> "PointConfiguration":
         with wire_format("configuration"):
             data = json.loads(text)
+            # int() would truncate a JSON number 0.9 and read true as 1
+            if not all(type(v) in (int, str) for row in data["points"]
+                       for pair in row for v in pair):
+                raise TypeError("numerators and denominators must be integers or strings")
             pts = tuple(
                 tuple(Fraction(int(num), int(den)) for num, den in row)
                 for row in data["points"]

@@ -1,11 +1,14 @@
 """Exact rational linear programming.
 
-A two-phase tableau simplex with Bland's rule: exact, deterministic,
+A one-phase tableau simplex with Bland's rule: exact, deterministic,
 and able to hand back the dual multipliers the regularity certificates
-need.  The tableau is fraction-free: each row is cleared of denominators
-once, and every entry is then an integer over one common denominator,
-updated by `linalg.pivot`, Edmonds' step (1967) with exact divisions.
-Bland's rule reads only signs and ratio comparisons, which that scaling
+need.  Every LP the package solves has right-hand sides >= 0, so the
+origin is a feasible vertex and the simplex starts there, every slack
+basic: no phase 1 and no artificial variables.  The tableau is
+fraction-free: each row is cleared of denominators once, and every
+entry is then an integer over one common denominator, updated by
+`linalg.pivot`, Edmonds' step (1967) with exact divisions.  Bland's
+rule reads only signs and ratio comparisons, which that scaling
 preserves, so pivots, solutions and duals are those of the rational
 simplex.
 
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .linalg import clear_denominators, pivot
 
@@ -31,11 +33,10 @@ Z = Fraction(0)
 
 @dataclass
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: list[Fraction] | None = None
     value: Fraction | None = None
-    # One multiplier per input row, A_ub rows first, then A_eq rows.
-    # Inequality duals are >= 0 at an optimum.
+    # One multiplier per a_ub row, >= 0 at an optimum.
     dual: list[Fraction] | None = None
 
     @property
@@ -51,26 +52,26 @@ def _exchange(tab, cols, basis, r, k, den) -> int:
     `linalg.pivot` makes the fraction-free step on every column, which
     leaves the entering variable's column, the new den times a unit
     vector, in column k.  Column k then becomes the leaving variable's
-    dense column after the step: s*den in row r and -s*f in the others,
-    s the sign of the pivot and f a row's old entry in column k."""
+    dense column after the step: den in row r and -f in the others, f a
+    row's old entry in column k.  The ratio test pivots only on positive
+    entries, so no sign is needed."""
     col = [row[k] for row in tab]
-    s = -1 if col[r] < 0 else 1
     new_den = pivot(tab, r, k, den)
     for i, f in enumerate(col):
-        tab[i][k] = s * den if i == r else -s * f
+        tab[i][k] = den if i == r else -f
     cols[k], basis[r] = basis[r], cols[k]
     return new_den
 
 
-def _run_simplex(tab, cols, basis, nrows, limit, den):
+def _run_simplex(tab, cols, basis, nrows, den):
     """Maximize with Bland's rule: the entering variable is the smallest
-    one below limit with a negative reduced cost.  The last row of tab
-    holds the reduced costs z_j - c_j of the variables in cols and, in
-    its last slot, minus the objective value, all over den.  Returns the
-    status and the final denominator."""
+    one with a negative reduced cost.  The last row of tab holds the
+    reduced costs z_j - c_j of the variables in cols and, in its last
+    slot, minus the objective value, all over den.  Returns the status
+    and the final denominator."""
     while True:
         obj = tab[-1]
-        negative = [(v, k) for k, v in enumerate(cols) if v < limit and obj[k] < 0]
+        negative = [(v, k) for k, v in enumerate(cols) if obj[k] < 0]
         if not negative:
             return "optimal", den
         enter = min(negative)[1]
@@ -89,24 +90,25 @@ def _run_simplex(tab, cols, basis, nrows, limit, den):
         den = _exchange(tab, cols, basis, leave, enter, den)
 
 
-def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=()) -> LPResult:
-    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq and x >= 0.
+def solve_lp(c, a_ub, b_ub) -> LPResult:
+    """Maximize c.x subject to a_ub x <= b_ub and x >= 0, where every
+    entry of b_ub is >= 0 (ValueError otherwise), so that the origin is
+    feasible and the LP is optimal or unbounded.
 
     Every model is stated over nonnegative variables; a free variable
     is the difference of two of them.
     """
     c = [Fraction(v) for v in c]
     nvars = len(c)
-    # Row i is multiplied by m_i: the lcm of its denominators, negated
-    # when its right-hand side is negative.  Its slack keeps coefficient
-    # +-1, so it stands for |m_i| times the rational slack.
-    ub_rows = list(zip(a_ub, b_ub))
+    # Row i is multiplied by m_i, the lcm of its denominators.  Its
+    # slack keeps coefficient 1, so it stands for m_i times the rational
+    # slack.
     tab = []
     mults = []
-    for coeffs, rhs in ub_rows + list(zip(a_eq, b_eq)):
+    for coeffs, rhs in zip(a_ub, b_ub):
+        if rhs < 0:
+            raise ValueError(f"right-hand side {rhs} < 0: the origin is not feasible")
         m, ints = clear_denominators(list(coeffs) + [rhs])
-        if ints[-1] < 0:
-            m, ints = -m, [-v for v in ints]
         tab.append(ints)
         mults.append(m)
     nrows = len(tab)
@@ -115,93 +117,40 @@ def solve_lp(c, a_ub, b_ub, a_eq=(), b_eq=()) -> LPResult:
             return LPResult("optimal", x=[Z] * nvars, value=Z, dual=[])
         return LPResult("unbounded")
 
-    # Variables: structural | one slack per <= row (the <= rows come
-    # first, so row i's slack is nvars + i) | one artificial per
-    # equality row or negated row.  Only the first nreal may enter.
-    # Each row starts with its artificial basic if it has one, else its
-    # slack; the slack of a negated row, coefficient -1, starts
-    # nonbasic.  The tableau keeps only the nonbasic columns, cols[k]
-    # naming compact column k's variable, then the right-hand side.
-    n_ub = len(ub_rows)
-    nreal = nvars + n_ub
-    art_rows = [i for i, m in enumerate(mults) if i >= n_ub or m < 0]
-    art_var = {i: nreal + j for j, i in enumerate(art_rows)}
-    flipped = [i for i in art_rows if i < n_ub]
-    cols = list(range(nvars)) + [nvars + i for i in flipped]
-    for i, ints in enumerate(tab):
-        tab[i] = ints[:-1] + [-1 if i == j else 0 for j in flipped] + ints[-1:]
-    basis = [art_var.get(i, nvars + i) for i in range(nrows)]
-    marker = basis[:]  # the variable identifying each row, for dual recovery
-
-    # The phase-2 objective, scaled by the lcm q of c's denominators,
-    # rides along as the last row from the start.
+    # Variables: structural | one slack per row, row i's slack nvars + i.
+    # The simplex starts at the origin with every slack basic; the
+    # tableau keeps only the nonbasic columns, cols[k] naming compact
+    # column k's variable, then the right-hand side.  The objective,
+    # scaled by the lcm q of c's denominators, is the last row.
+    cols = list(range(nvars))
+    basis = [nvars + i for i in range(nrows)]
     q, cint = clear_denominators(c)
-    tab.append([-v for v in cint] + [0] * (len(flipped) + 1))
-    den = 1
-    live = [True] * nrows  # rows surviving redundancy elimination
-
-    # Phase 1: drive artificials to zero, maximizing minus their sum.
-    # Artificial i stands for |m_i| times the rational one, so its cost
-    # is weighted by w / |m_i| (w the lcm of those |m_i|), which keeps
-    # every reduced cost a positive multiple of the rational one.  The
-    # artificials are basic, so their reduced costs start at zero and
-    # the row is minus the weighted sum of their rows.
-    if art_rows:
-        w = lcm(*(abs(mults[i]) for i in art_rows))
-        phase1 = [0] * (len(cols) + 1)
-        for i in art_rows:
-            f = w // abs(mults[i])
-            phase1 = [x - f * y for x, y in zip(phase1, tab[i])]
-        tab.append(phase1)
-        _, den = _run_simplex(tab, cols, basis, nrows, nreal, den)
-        # phase-1 value is -(sum of artificials); anything below zero
-        # means no feasible point exists
-        if tab.pop()[-1] < 0:
-            return LPResult("infeasible")
-        # Drive leftover basic artificials out on the smallest real
-        # variable with a nonzero entry; zero rows are redundant.
-        for r in art_rows:
-            if basis[r] >= nreal:
-                nonzero = [(v, k) for k, v in enumerate(cols) if v < nreal and tab[r][k]]
-                if nonzero:
-                    den = _exchange(tab, cols, basis, r, min(nonzero)[1], den)
-                else:
-                    live[r] = False
-                    tab[r] = [0] * len(tab[r])
-
-    status, den = _run_simplex(tab, cols, basis, nrows, nreal, den)
+    tab.append([-v for v in cint] + [0])
+    status, den = _run_simplex(tab, cols, basis, nrows, 1)
     if status == "unbounded":
         return LPResult("unbounded")
 
     x = [Z] * nvars
     for r in range(nrows):
-        if live[r] and basis[r] < nvars:
+        if basis[r] < nvars:
             x[basis[r]] = Fraction(tab[r][-1], den)
     value = sum((ci * xi for ci, xi in zip(c, x) if ci), Z)
 
-    # The reduced cost of row i's marker is its multiplier in the
-    # scaled problem; scaling back by m_i / (q * den) gives the dual.  A
-    # basic marker has reduced cost zero.
+    # The reduced cost of row i's slack is its multiplier in the scaled
+    # problem; scaling back by m_i / (q * den) gives the dual.  A basic
+    # slack has reduced cost zero.
     reduced = dict(zip(cols, tab[-1]))
-    dual = [Fraction(mults[r] * reduced[marker[r]], q * den)
-            if live[r] and reduced.get(marker[r]) else Z for r in range(nrows)]
+    dual = [Fraction(m * reduced[nvars + r], q * den) if reduced.get(nvars + r) else Z
+            for r, m in enumerate(mults)]
     return LPResult("optimal", x=x, value=value, dual=dual)
-
-
-def lp_feasible(a_ub, b_ub, a_eq=(), b_eq=()):
-    """Feasibility check over nonnegative variables; returns a feasible
-    point or None."""
-    nvars = len((a_ub if len(a_ub) else a_eq)[0])
-    res = solve_lp([Z] * nvars, a_ub, b_ub, a_eq, b_eq)
-    return res.x if res.optimal else None
 
 
 def max_margin(rows, nv: int):
     """The one margin LP (regularity, shared witnesses, strict
     separation): maximize the margin, the last of nv nonnegative
     variables, over the homogeneous rows (row . x <= 0), the others at
-    most 2 and the margin at most 1; the box keeps the LP bounded when
-    no rows exist.  The box rows, right-hand sides and objective are
+    most 2 and the margin at most 1.  The origin is feasible and the
+    box bounds the LP, so its result is always optimal.  The box rows, right-hand sides and objective are
     ints, so integer rows make an all-integer LP.  Returns the LP
     (c, a_ub, b_ub) and its result."""
     a_ub, b_ub = list(rows), [0] * len(rows)
@@ -213,3 +162,19 @@ def max_margin(rows, nv: int):
     c = [0] * nv
     c[-1] = 1
     return c, a_ub, b_ub, solve_lp(c, a_ub, b_ub)
+
+
+def lp_feasible(a_ub, b_ub, a_eq=(), b_eq=()):
+    """A point x >= 0 with a_ub x <= b_ub and a_eq x = b_eq, or None if
+    there is none.  The right-hand sides may have either sign: the
+    margin LP runs on the homogenized rows (a, -b).(x, t) <= 0, an
+    equality as two opposite rows, and a positive margin t gives x / t.
+    """
+    rows = [list(a) + [-b] for a, b in zip(a_ub, b_ub)]
+    for a, b in zip(a_eq, b_eq):
+        rows += [list(a) + [-b], [-v for v in a] + [b]]
+    res = max_margin(rows, len(rows[0]))[3]
+    if res.value <= 0:
+        return None
+    t = res.x[-1]
+    return [v / t for v in res.x[:-1]]

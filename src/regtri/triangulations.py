@@ -161,30 +161,25 @@ def barycentric(config: PointConfiguration, cell, label: int):
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
     """Whether two simplices meet in a common face (possibly empty).
 
-    Exact LP on barycentric weights: the simplices meet improperly iff a
-    common point can put positive weight on a vertex outside the shared
-    label set.
+    Exact LP on weights l >= 0 on the vertices of s1 and u >= 0 on those
+    of s2, with sum l_a (a, 1) = sum u_b (b, 1) (two opposite <= rows per
+    coordinate) and sum l <= 1, maximizing the weight l puts outside the
+    shared labels.  Weights with equal positive totals scale to a common
+    point, so the simplices meet improperly iff the optimum is positive.
+    The origin is feasible and the weights are bounded, so the LP is
+    always optimal.
     """
     s1, s2 = sorted(s1), sorted(s2)
     shared = set(s1) & set(s2)
-    d = config.dim
-    n1, n2 = len(s1), len(s2)
-    nv = n1 + n2
-    a_eq, b_eq = [], []
-    for i in range(d):
-        row = [config.point(l)[i] for l in s1] + [-config.point(l)[i] for l in s2]
-        a_eq.append(row)
-        b_eq.append(Fraction(0))
-    a_eq.append([Fraction(1)] * n1 + [Fraction(0)] * n2)
-    b_eq.append(Fraction(1))
-    a_eq.append([Fraction(0)] * n1 + [Fraction(1)] * n2)
-    b_eq.append(Fraction(1))
-    c = [Fraction(1) if l not in shared else Fraction(0) for l in s1]
-    c += [Fraction(0)] * n2
-    res = solve_lp(c, [], [], a_eq, b_eq)
-    if not res.optimal:
-        return True  # disjoint simplices intersect properly (empty face)
-    return res.value == 0
+    # the columns (a, 1) of s1 and -(b, 1) of s2, read row by row
+    columns = [(*config.point(l), 1) for l in s1]
+    columns += [(*(-x for x in config.point(l)), -1) for l in s2]
+    a_ub = []
+    for row in zip(*columns):
+        a_ub += [row, [-v for v in row]]
+    a_ub.append([1] * len(s1) + [0] * len(s2))
+    c = [0 if l in shared else 1 for l in s1] + [0] * len(s2)
+    return solve_lp(c, a_ub, [0] * (len(a_ub) - 1) + [1]).value == 0
 
 
 def _ridge_sides(cell: tuple, sign: int):
@@ -413,8 +408,6 @@ def is_regular(
         config, t.cells, {l: i for i, l in enumerate(labels)}, nv, validate
     )
     c, a_ub, b_ub, res = max_margin(rows, nv)
-    if not res.optimal:  # cannot happen: zero heights are feasible
-        raise NotATriangulation("regularity LP unsolvable")
     if res.value > 0:
         w = {lab: res.x[i] - 1 for i, lab in enumerate(labels)}
         return RegularityResult(True, witness=w, margin=res.value)

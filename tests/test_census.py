@@ -80,6 +80,17 @@ def test_double_lift_rejects_wrong_order():
         double_lift(degenerate_base(3), (1, 2))
 
 
+def test_double_lift_trusts_an_unverified_base_to_be_in_convex_position(monkeypatch):
+    base = sew(6, 2).stage_configs[-1]
+    calls = []
+    real = geometry.is_vertex
+    monkeypatch.setattr(
+        geometry, "is_vertex", lambda cfg, lab: calls.append(lab) or real(cfg, lab)
+    )
+    double_lift(base, (4, 1, 6, 2, 5, 3), verify=False)
+    assert calls == []
+
+
 def test_double_contraction_recovers_base_type():
     base = sew(6, 2).stage_configs[-1]
     lifted = double_lift(base, tuple(sorted(base.labels)))

@@ -225,10 +225,17 @@ def test_regular_on_overlapping_cells_is_a_json_error(tmp_path, rows, cells, nam
         (["lift", "{bad}"], SQUARE_JSON.replace("[1, 2, 3, 4]", '["a", "b", "c", "d"]')),
         (["triangulate", "{bad}"], SQUARE_JSON.replace("[1, 2, 3, 4]", "[1.5, 2, 3, 4]")),
         (["triangulate", "{bad}"], SQUARE_JSON.replace('"dim": 2', '"dim": 2.0')),
+        (["triangulate", "{bad}"],
+         json.dumps({"dim": 2, "points": [[[0.9, "1"], ["0", 1]], [[4.7, 1], ["0", 1]],
+                                          [["0", 1], ["4", 1]]]})),
+        (["triangulate", "{bad}"],
+         json.dumps({"dim": 2, "points": [[[True, 1], ["0", 1]], [["4", 1], ["0", 1]],
+                                          [["0", 1], ["4", 1]]]})),
     ],
     ids=["config-without-dim", "config-integer-points", "triangulation-without-cells",
          "heights-as-list", "spec-without-epsilons", "config-string-labels",
-         "config-float-label", "config-float-dim"],
+         "config-float-label", "config-float-dim", "config-float-coordinate",
+         "config-bool-coordinate"],
 )
 def test_malformed_wire_format_is_a_json_error(tmp_path, command, bad_text):
     paths = {"square": tmp_path / "square.json", "cells": tmp_path / "cells.json",

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from operator import mul
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regtri import linprog
@@ -28,20 +30,6 @@ def test_simple_max():
     assert res.value == 4
 
 
-def test_equality_constraints():
-    # max x st x + y = 3, x - y = 1
-    res = solve_lp([1, 0], [], [], [[1, 1], [1, -1]], [3, 1])
-    assert res.optimal
-    assert res.x == [F(2), F(1)]
-
-
-def test_infeasible():
-    res = solve_lp([1], [[1], [-1]], [1, -2])
-    assert res.status == "infeasible"
-    res = solve_lp([0, 0], [], [], [[1, 1], [1, 1]], [1, 2])
-    assert res.status == "infeasible"
-
-
 def test_unbounded():
     res = solve_lp([1], [], [])
     assert res.status == "unbounded"
@@ -49,18 +37,9 @@ def test_unbounded():
     assert res.status == "unbounded"
 
 
-def test_negative_rhs_handling():
-    # max -x st -x <= -3  (x >= 3)
-    res = solve_lp([-1], [[-1]], [-3])
-    assert res.optimal
-    assert res.x == [F(3)]
-    assert res.value == -3
-
-
-def test_redundant_equality_rows():
-    res = solve_lp([1, 1], [[1, 1]], [4], [[1, -1], [2, -2]], [0, 0])
-    assert res.optimal
-    assert res.value == 4
+def test_a_negative_right_hand_side_is_refused():
+    with pytest.raises(ValueError):
+        solve_lp([1, 1], [[1, 0], [0, 1]], [2, F(-1, 3)])
 
 
 def test_duals_certify_optimality():
@@ -85,14 +64,6 @@ def test_duals_certify_optimality():
         for j in range(nv):
             assert sum(y[i] * a[i][j] for i in range(len(a))) >= c[j]
         assert sum(yi * bi for yi, bi in zip(y, b)) == res.value
-
-
-def test_dual_signs_with_flipped_rows():
-    # max x st -x <= -2, x <= 5: optimum 5, dual of first row 0
-    res = solve_lp([1], [[-1], [1]], [-2, 5])
-    assert res.optimal and res.value == 5
-    assert res.dual[0] == 0
-    assert res.dual[1] == 1
 
 
 def test_lp_feasible():
@@ -142,6 +113,20 @@ def fields(res):
     return res.status, res.x, res.value, res.dual
 
 
+@pytest.fixture
+def pivots(monkeypatch):
+    """The pivot entry of every exchange made while the test runs."""
+    seen = []
+    exchange = linprog._exchange
+
+    def recording_exchange(tab, cols, basis, r, k, den):
+        seen.append(tab[r][k])
+        return exchange(tab, cols, basis, r, k, den)
+
+    monkeypatch.setattr(linprog, "_exchange", recording_exchange)
+    return seen
+
+
 rationals = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6]))
 
 
@@ -149,7 +134,7 @@ rationals = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6]))
 def small_lps(draw):
     """Small LPs with <= and = rows, right-hand sides of both signs and
     entries over mixed denominators; sometimes an equality row gets a
-    rational multiple as a redundant copy, which phase 1 leaves dead."""
+    rational multiple as a redundant copy."""
     nv = draw(st.integers(1, 3))
     row = st.lists(rationals, min_size=nv, max_size=nv)
     a_ub = draw(st.lists(row, max_size=4))
@@ -168,7 +153,7 @@ def small_lps(draw):
 def wide_lps(draw):
     """LPs of up to 6 variables and 8 rows, up to 3 of them equality
     rows, entries and right-hand sides of both signs: wide enough for
-    many exchanges between structural, slack and artificial variables."""
+    many exchanges between structural and slack variables."""
     nv = draw(st.integers(1, 6))
     row = st.lists(rationals, min_size=nv, max_size=nv)
     n_ub = draw(st.integers(0, 8))
@@ -180,56 +165,57 @@ def wide_lps(draw):
     return draw(row), a_ub, b_ub, a_eq, b_eq
 
 
+def origin_feasible(lp):
+    """The LP solve_lp takes from a drawn one: its <= rows, each
+    right-hand side made >= 0 so that the origin is feasible."""
+    c, a_ub, b_ub, _, _ = lp
+    return c, a_ub, [abs(b) for b in b_ub]
+
+
 @settings(max_examples=400, deadline=None)
-@given(small_lps())
+@given(small_lps().map(origin_feasible))
 def test_solve_lp_equals_fraction_simplex(lp):
     res = solve_lp(*lp)
     assert fields(res) == fraction_simplex(*lp, nonneg=True)
 
 
 @settings(max_examples=300, deadline=None)
-@given(wide_lps())
+@given(wide_lps().map(origin_feasible))
 def test_wide_lps_equal_fraction_simplex(lp):
     res = solve_lp(*lp)
     assert fields(res) == fraction_simplex(*lp, nonneg=True)
 
 
-def test_solve_lp_fixed_cases_equal_fraction_simplex(monkeypatch):
-    negative_pivots = []
-    exchange = linprog._exchange
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_lps(), wide_lps()))
+def test_lp_feasible_finds_a_point_exactly_when_one_exists(lp):
+    _, a_ub, b_ub, a_eq, b_eq = lp
+    assume(a_ub or a_eq)
+    x = lp_feasible(a_ub, b_ub, a_eq, b_eq)
+    assert (x is not None) == (fraction_simplex(*lp, nonneg=True)[0] != "infeasible")
+    if x is not None:
+        assert all(v >= 0 for v in x)
+        assert all(sum(map(mul, a, x)) <= b for a, b in zip(a_ub, b_ub))
+        assert all(sum(map(mul, a, x)) == b for a, b in zip(a_eq, b_eq))
 
-    def recording_exchange(tab, cols, basis, r, k, den):
-        negative_pivots.append(tab[r][k] < 0)
-        return exchange(tab, cols, basis, r, k, den)
 
-    monkeypatch.setattr(linprog, "_exchange", recording_exchange)
+def test_solve_lp_fixed_cases_equal_fraction_simplex(pivots):
     cases = {
-        "dead row": ([1, 1], [[1, 1]], [4], [[1, -1], [F(2, 3), F(-2, 3)]], [0, 0]),
-        "infeasible": ([F(1, 2)], [[1], [-1]], [1, F(-5, 2)], [], []),
-        "unbounded": ([F(1, 3), 1], [[1, -1]], [F(-1, 2)], [], []),
-        "negative rhs": ([-1, F(1, 2)], [[F(-1, 3), 1], [1, 1]], [F(-2, 5), 3], [], []),
-        # phase 1 ends with the artificial of the equality row basic at
-        # zero, and the drive-out pivots on its entry -1
-        "negative drive-out": (
-            [2, 1, 2], [[2, 1, 2], [-1, 0, 0]], [2, 1], [[-1, 0, -2]], [0]
-        ),
-        # a drive-out on -1 whose artificial leaves with the column
-        # the equality row's dual, 1/2, is read from
-        "negative drive-out dual": ([-2, -1], [], [], [[-1, -2]], [0]),
+        "unbounded": ([F(1, 3), 1], [[1, -1]], [F(1, 2)]),
+        # ties in the ratio test on the rows with right-hand side 0
+        "degenerate": ([1, 1], [[1, -1], [-1, 1], [1, 1]], [0, 0, F(3, 2)]),
+        "rational rows": ([F(2, 3), F(-1, 5), 1], [[F(1, 2), 1, F(1, 3)], [1, F(-2, 7), 1]],
+                          [F(5, 4), 2]),
     }
     got = {}
     for name, lp in cases.items():
-        negative_pivots.clear()
         res = solve_lp(*lp)
         assert fields(res) == fraction_simplex(*lp, nonneg=True)
-        got[name] = (res, any(negative_pivots))
-    assert got["dead row"][0].optimal and got["dead row"][0].dual[-1] == 0
-    assert got["infeasible"][0].status == "infeasible"
-    assert got["unbounded"][0].status == "unbounded"
-    assert got["negative rhs"][0].optimal
-    assert got["negative drive-out"][0].optimal and got["negative drive-out"][1]
-    assert got["negative drive-out dual"][0].dual == [F(1, 2)]
-    assert got["negative drive-out dual"][1]
+        got[name] = res
+    assert got["unbounded"].status == "unbounded"
+    assert got["degenerate"].optimal and got["degenerate"].value == F(3, 2)
+    assert got["rational rows"].optimal
+    assert pivots and all(p > 0 for p in pivots)
 
 
 def regularity_lp(cfg, t):
@@ -253,7 +239,7 @@ def nested_triangles_with_seventh_point():
             return cfg
 
 
-def test_regularity_lps_equal_fraction_simplex():
+def test_regularity_lps_equal_fraction_simplex(pivots):
     twisted_cfg = PointConfiguration.from_rows(
         [[4, 0], [0, 4], [0, 0], [2, 1], [1, 2], [1, 1]]
     )
@@ -272,3 +258,4 @@ def test_regularity_lps_equal_fraction_simplex():
         regular.append(res.value > 0)
     assert len(cases) == 1 + 74 + 40
     assert not regular[0] and sum(regular[1:75]) == 67 and all(regular[75:])
+    assert pivots and all(p > 0 for p in pivots)

@@ -39,6 +39,7 @@ from regtri.triangulations import (
     placing_triangulation,
     pulling_triangulation,
     regular_subdivision,
+    simplices_properly_intersect,
 )
 
 from oracles import (
@@ -291,6 +292,42 @@ def test_is_triangulation_agrees_with_pairwise_reference(case):
         assert not simplices_properly_intersect_reference(rows, *witness[1:])
     else:
         assert witness == ref_witness
+
+
+@st.composite
+def grid_simplex_pairs(draw):
+    """Points of the 2-D or 3-D grid {0, ..., 3}^d and two vertex sets of
+    1 to d+1 labels, not necessarily affinely independent: drawn
+    independently, drawn to share labels, or the second moved by 4
+    along the first axis, onto new labels, so that the two are apart."""
+    d = draw(st.sampled_from((2, 3)))
+    grid = st.tuples(*[st.integers(0, 3)] * d)
+    rows = draw(st.lists(grid, min_size=d + 2, max_size=2 * d + 2, unique=True))
+    labels = range(1, len(rows) + 1)
+    simplex = st.sets(st.sampled_from(labels), min_size=1, max_size=d + 1)
+    s1 = draw(simplex)
+    how = draw(st.sampled_from(["independent", "sharing", "apart"]))
+    if how == "sharing":
+        kept = draw(st.sets(st.sampled_from(sorted(s1)), min_size=1))
+        s2 = kept | draw(st.sets(st.sampled_from(labels), max_size=d + 1 - len(kept)))
+    else:
+        s2 = draw(simplex)
+    if how == "apart":
+        moved = [(rows[l - 1][0] + 4,) + rows[l - 1][1:] for l in sorted(s2)]
+        s2 = set(range(len(rows) + 1, len(rows) + 1 + len(moved)))
+        rows += moved
+    return rows, s1, s2
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_simplex_pairs())
+@example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 3}, {2, 3, 4}))  # a shared edge
+@example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 4}, {1, 2, 3}))  # overlapping
+def test_simplices_properly_intersect_agrees_with_reference(case):
+    rows, s1, s2 = case
+    cfg = PointConfiguration.from_rows(rows)
+    assert (simplices_properly_intersect(cfg, s1, s2)
+            == simplices_properly_intersect_reference(rows, s1, s2))
 
 
 def test_placing_triangulation_square_orders():
