@@ -24,8 +24,8 @@ from .errors import NonUniqueIndex, TooFewPoints, wire_format
 from .geometry import PointConfiguration, centroid, facets, is_facet_meet
 from .lifting import auto_lift
 
-# fingerprints and recovery read each configuration once; a cache would
-# only keep them alive
+# neighborliness checks, fingerprints and recovery read each
+# configuration once; a cache would only keep them alive
 _uncached_facets = facets.__wrapped__
 
 
@@ -45,7 +45,7 @@ def is_k_neighborly(config: PointConfiguration, k: int) -> NeighborlinessResult:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return NeighborlinessResult(True)
-    facet_sets = [f.labels for f in facets(config)]
+    facet_sets = [f.labels for f in _uncached_facets(config)]
     for subset in itertools.combinations(sorted(config.labels), k):
         if not is_facet_meet(facet_sets, subset):
             return NeighborlinessResult(False, frozenset(subset))
@@ -56,7 +56,7 @@ def _lift_apex(base: PointConfiguration):
     return tuple(centroid(base)) + (Fraction(1),)
 
 
-def single_lift(base: PointConfiguration, order, check_convex: bool = True):
+def single_lift(base: PointConfiguration, order):
     """One positive lexicographic lift processing the points in the
     given label order; labels are preserved and the apex gets the next
     free label.  Returns (lifted configuration, spec used)."""
@@ -66,7 +66,7 @@ def single_lift(base: PointConfiguration, order, check_convex: bool = True):
     reordered = PointConfiguration(
         base.dim, tuple(base.point(l) for l in order), order
     )
-    lifted = auto_lift(reordered, _lift_apex(reordered), check_convex=check_convex)
+    lifted = auto_lift(reordered, _lift_apex(reordered))
     return lifted.lifted, lifted.spec
 
 
@@ -78,9 +78,7 @@ def double_lift(
 
     The input must be r-neighborly of even dimension 2r; the output is
     then (r+1)-neighborly, which verify=True certifies subset by
-    subset.  Neither lift re-proves convex position: verify=True checks
-    that the base is r-neighborly, which for r >= 1 makes every point a
-    vertex, and verify=False trusts the base.  Pass a list as specs to
+    subset; verify=False trusts the base.  Pass a list as specs to
     capture the two LiftSpecs used.
     """
     if config.dim % 2:
@@ -89,8 +87,8 @@ def double_lift(
     if verify and not is_k_neighborly(config, r):
         raise ValueError(f"base is not {r}-neighborly")
     sigma = tuple(sigma)
-    mid, spec1 = single_lift(config, sigma, check_convex=False)
-    out, spec2 = single_lift(mid, mid.labels, check_convex=False)
+    mid, spec1 = single_lift(config, sigma)
+    out, spec2 = single_lift(mid, mid.labels)
     if specs is not None:
         specs.extend([spec1, spec2])
     if verify:
@@ -319,7 +317,7 @@ def census(
         raise ValueError("need n > d")
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")
-    base = sew(n, d - 2).stage_configs[-1] if d > 2 else degenerate_base(n)
+    base = sew(n, d - 2).stage_configs[-1]
     labels = tuple(sorted(base.labels))
     total = math.factorial(n)
     if budget is not None and total > budget:

@@ -31,8 +31,8 @@ from .enumeration import (
     enumerate_regular,
     t_sweep,
 )
-from .errors import BudgetExceeded, RegtriError
-from .geometry import PointConfiguration, format_rational
+from .errors import BudgetExceeded, NotConvexPosition, RegtriError
+from .geometry import PointConfiguration, format_rational, in_convex_position
 from .lifting import LiftSpec, auto_lift, contraction, lex_lift
 from .triangulations import (
     Triangulation,
@@ -113,6 +113,9 @@ def command(name):
 def lift(config_file, spec_file, apex):
     """Positive lexicographic lift of a configuration."""
     base = _load_config(config_file)
+    # segments with interior points are a standard base case
+    if base.dim > 1 and not in_convex_position(base):
+        raise NotConvexPosition("base configuration is not in convex position")
     if spec_file:
         lifted = lex_lift(base, LiftSpec.from_json(Path(spec_file).read_text()))
     else:

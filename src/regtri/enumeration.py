@@ -407,11 +407,9 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
             extend(cells | {cand})
 
     start_facet = min(boundary, key=sorted)
-    fn = next(f for f in hull if f.labels == start_facet)
     for lab in config.labels:
-        if lab in start_facet or fn.value(config.point(lab)) == 0:
-            continue
-        extend({start_facet | {lab}})
+        if lab not in start_facet:
+            extend({start_facet | {lab}})
     return results
 
 
@@ -463,22 +461,18 @@ def cyclic_inseparable_realization(d: int, n: int) -> RealizationRun:
     halvings = []
     gap = Fraction(1)
     for i in range(d + 2, n + 1):
-        placed = False
         for h in range(40):
             t_new = q_param - gap
-            if any(abs(t_new - t) == 0 for t in params.values()):
-                gap /= 2
+            gap /= 2
+            if t_new in params.values():
                 continue
             cand = config.append_point(moment_curve_point(t_new, d), i)
             if check_inseparable(cand, i, q_label).inseparable:
                 config = cand
                 params[i] = t_new
                 halvings.append(h)
-                gap /= 2
-                placed = True
                 break
-            gap /= 2
-        if not placed:
+        else:
             raise RegtriError(f"could not certify inseparability at point {i}")
     return RealizationRun(
         config, q_label, params, triangulation_count_bound(n, d), tuple(halvings)

@@ -8,12 +8,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAVertex, NotConvexPosition, RegtriError, ValidationFailed, wire_format
+from .errors import NotAVertex, RegtriError, ValidationFailed, wire_format
 from .geometry import (
     PointConfiguration,
     _strictly_separable,
     format_rational,
-    in_convex_position,
     is_general_position,
     parse_rational,
     side_value,
@@ -92,26 +91,18 @@ def _validate_same_side(lifted: PointConfiguration, apex_label: int):
         raise ValidationFailed(labels[i], [labels[k] for k in subset])
 
 
-def lex_lift(
-    base: PointConfiguration, spec: LiftSpec, check_convex: bool = True
-) -> LiftedConfiguration:
-    """Positive lexicographic lifting of a configuration in convex
-    position; raises ValidationFailed when the epsilon chain is not
-    steep enough (callers should shrink and retry).
+def lex_lift(base: PointConfiguration, spec: LiftSpec) -> LiftedConfiguration:
+    """Positive lexicographic lifting; raises ValidationFailed when the
+    epsilon chain is not steep enough (callers should shrink and retry).
 
-    check_convex=False admits bases with hull-interior points, which
-    the iterated sewing pipeline needs for the collinear intermediate
-    between its first two lifts; the same-side validation still runs.
+    Any base is accepted, hull-interior points included (the collinear
+    intermediate of the sewing pipeline has them); the same-side
+    validation is the only check.
     """
     if len(spec.epsilons) != base.n:
         raise ValueError("need one epsilon per base point")
     if len(spec.apex) != base.dim + 1:
         raise ValueError("apex must live one dimension up")
-    # dim <= 1 bases are admitted with interior points: the lift is
-    # still well defined and validated, and segments with interior
-    # points are a standard base case
-    if check_convex and base.dim > 1 and not in_convex_position(base):
-        raise NotConvexPosition("base configuration is not in convex position")
     apex = spec.apex
     rows = []
     for p, eps in zip(base.points, spec.epsilons):
@@ -129,30 +120,24 @@ def lex_lift(
     return LiftedConfiguration(base, lifted, apex_label, spec)
 
 
-def auto_lift(
-    base: PointConfiguration, apex, check_convex: bool = True
-) -> LiftedConfiguration:
+def auto_lift(base: PointConfiguration, apex) -> LiftedConfiguration:
     """Lift with a validating epsilon chain found by geometric back-off:
     eps_i = beta^i, halving beta until the lift validates, at most 64
-    times.  Convex position is checked on the first attempt only;
-    halving beta does not change the base."""
+    times."""
     apex = tuple(parse_rational(x) for x in apex)
     beta = Fraction(1, 2)
-    for k in range(64):
+    for _ in range(64):
         eps = tuple(beta ** (i + 1) for i in range(base.n))
-        spec = LiftSpec(apex, eps)
         try:
-            return lex_lift(base, spec, check_convex=check_convex and k == 0)
+            return lex_lift(base, LiftSpec(apex, eps))
         except ValidationFailed:
             beta /= 2
     raise RegtriError("no validating epsilon chain found; base may be degenerate")
 
 
-def auto_epsilons(
-    base: PointConfiguration, apex, check_convex: bool = True
-) -> LiftSpec:
+def auto_epsilons(base: PointConfiguration, apex) -> LiftSpec:
     """The epsilon chain of auto_lift."""
-    return auto_lift(base, apex, check_convex).spec
+    return auto_lift(base, apex).spec
 
 
 def contraction(config: PointConfiguration, p_label: int) -> PointConfiguration:

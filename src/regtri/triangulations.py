@@ -95,13 +95,8 @@ class Triangulation:
         keep = frozenset(labels)
         return frozenset(f for f in self.faces() if f <= keep)
 
-    def to_json(self, config_id=None) -> str:
-        return json.dumps(
-            {
-                "config": config_id,
-                "cells": sorted(sorted(c) for c in self.cells),
-            }
-        )
+    def to_json(self) -> str:
+        return json.dumps({"config": None, "cells": sorted(sorted(c) for c in self.cells)})
 
     @classmethod
     def from_json(cls, text: str) -> "Triangulation":

@@ -212,7 +212,7 @@ def test_fingerprint_independent_of_liftspec():
     base = sew(5, 2).stage_configs[-1]
     sigma = (2, 4, 1, 5, 3)
     mid1, _ = single_lift(base, sigma)
-    out1, _ = single_lift(mid1, mid1.labels, check_convex=False)
+    out1, _ = single_lift(mid1, mid1.labels)
     # steeper chain: lift with apex shifted
     from regtri.lifting import auto_epsilons, lex_lift
 
@@ -222,7 +222,7 @@ def test_fingerprint_independent_of_liftspec():
     apex = tuple(x + F(1, 7) for x in centroid(base)) + (F(2),)
     spec = auto_epsilons(reordered, apex)
     mid2 = lex_lift(reordered, spec).lifted
-    out2, _ = single_lift(mid2, mid2.labels, check_convex=False)
+    out2, _ = single_lift(mid2, mid2.labels)
     assert fingerprint(out1) == fingerprint(out2)
 
 

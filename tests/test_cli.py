@@ -10,6 +10,7 @@ from regtri import __version__, geometry
 from regtri.cli import main
 from regtri.enumeration import shared_witness
 from regtri.geometry import PointConfiguration
+from regtri.lifting import LiftSpec
 from regtri.triangulations import Triangulation, heights_to_json, is_triangulation
 
 
@@ -163,6 +164,26 @@ def test_lift_proves_convex_position_once(tmp_path, monkeypatch):
     assert len(calls) == pentagon.n
     manifest = json.loads((tmp_path / "lifted.json.manifest.json").read_text())
     assert manifest["parameters"]["spec"]["epsilons"][0] != "1/2"
+
+
+def test_lift_refuses_a_base_not_in_convex_position(tmp_path):
+    cfg = PointConfiguration.from_rows([[0, 0], [4, 0], [5, 3], [2, 5], [-1, 3], [2, 2]])
+    cfg_path = tmp_path / "pentagon_and_centre.json"
+    cfg_path.write_text(cfg.to_json())
+    # a spec one epsilon short: the base is refused before the spec is read
+    spec_path = tmp_path / "spec.json"
+    spec = LiftSpec.make(["2", "2", "1"], ["1/2", "1/4", "1/8", "1/16", "1/32"])
+    spec_path.write_text(spec.to_json())
+    for extra in ([], ["--spec-file", str(spec_path)]):
+        result = CliRunner().invoke(main, ["lift", str(cfg_path), *extra])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "NotConvexPosition"
+    # a segment with an interior point is a standard base case
+    cfg_path.write_text(PointConfiguration.from_rows([[0], [1], [3]]).to_json())
+    result = CliRunner().invoke(main, ["lift", str(cfg_path)])
+    assert result.exit_code == 0, result.output
+    assert PointConfiguration.from_json(result.stdout).n == 4
 
 
 def test_contract_invalid_label_exits_one(tmp_path):

@@ -217,6 +217,14 @@ def test_solve_lp_has_two_callers():
     assert found == {"linprog.max_margin", "triangulations.simplices_properly_intersect"}
 
 
+def test_in_convex_position_has_two_callers():
+    """Library lifts take any base; convex position is proved where
+    regtri lift reads its input, and by pulling, which needs it."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "in_convex_position")}
+    assert found == {"cli.lift", "triangulations.pulling_triangulation"}
+
+
 def test_fraction_functionals_are_evaluated_only_in_facets():
     """Side-of-hyperplane tests read integer side values
     (geometry.side_value); Fraction evaluation is left to facets and

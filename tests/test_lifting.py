@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from regtri import geometry, lifting, linalg, linprog
 from regtri.census import single_lift
-from regtri.errors import NotAVertex, NotConvexPosition, ValidationFailed
+from regtri.errors import NotAVertex, ValidationFailed
 from regtri.geometry import (
     PointConfiguration,
     affine_dim,
@@ -99,7 +99,7 @@ def test_auto_epsilons_validates_pentagon():
     lex_lift(base, spec)  # must not raise
 
 
-def test_convex_position_proved_once_per_auto_lift(monkeypatch):
+def test_library_lifts_solve_no_vertex_lp(monkeypatch):
     # this insertion order of the pentagon fails validation at beta = 1/2
     order = (3, 5, 4, 2, 1)
     base = pentagon()
@@ -111,22 +111,18 @@ def test_convex_position_proved_once_per_auto_lift(monkeypatch):
     )
     lifted, spec = single_lift(base, order)
     assert spec.epsilons[0] < F(1, 2)
-    assert len(calls) == base.n
-    calls.clear()
     assert auto_epsilons(reordered, apex_over(reordered)) == spec
-    assert len(calls) == base.n
-    calls.clear()
     lc = auto_lift(reordered, apex_over(reordered))
     assert (lc.lifted, lc.spec) == (lifted, spec)
-    assert len(calls) == base.n
+    assert calls == []
 
 
-def test_lift_requires_convex_position():
+def test_lift_of_a_base_with_an_interior_point_validates():
     cfg = pentagon().append_point((2, 2))
-    with pytest.raises(NotConvexPosition):
-        lex_lift(cfg, LiftSpec(apex_over(cfg), tuple(F(1, 2) ** (i + 1) for i in range(6))))
-    with pytest.raises(NotConvexPosition):
-        auto_lift(cfg, apex_over(cfg))
+    lc = auto_lift(cfg, apex_over(cfg))
+    assert lc.spec.epsilons[0] == F(1, 2)
+    lifted = [lc.lifted.point(l) for l in cfg.labels]
+    assert same_side_reference(cfg.labels, lifted, lc.spec.apex) is None
 
 
 def test_lift_orientation_preserved_under_apex_contraction():
@@ -269,7 +265,7 @@ def test_same_side_check_equals_determinant_reference(case):
     ]
     expect = same_side_reference(base.labels, lifted, spec.apex)
     try:
-        lex_lift(base, spec, check_convex=False)
+        lex_lift(base, spec)
     except ValidationFailed as exc:
         assert (exc.label, exc.hyperplane_labels) == expect
     else:
@@ -302,8 +298,7 @@ def test_double_contraction_of_double_lift_recovers_base_facets():
     base = pentagon()
     lc1 = lex_lift(base, auto_epsilons(base, apex_over(base)))
     mid = lc1.lifted
-    lc2 = lex_lift(mid, auto_epsilons(mid, apex_over(mid), check_convex=False),
-                   check_convex=False)
+    lc2 = lex_lift(mid, auto_epsilons(mid, apex_over(mid)))
     back = double_contraction(lc2.lifted, lc1.apex_label, lc2.apex_label)
     assert {f.labels for f in facets(back)} == {f.labels for f in facets(base)}
 

@@ -139,7 +139,7 @@ def test_same_side_check_equals_fraction_reference(case):
     ]
     expect = same_side_fraction(base.labels, lifted, spec.apex)
     try:
-        lex_lift(base, spec, check_convex=False)
+        lex_lift(base, spec)
     except ValidationFailed as exc:
         assert (exc.label, exc.hyperplane_labels) == expect
     else:
