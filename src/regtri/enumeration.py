@@ -44,6 +44,7 @@ from .geometry import (
 )
 from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 from .triangulations import (
+    CellCoordinates,
     Triangulation,
     _folding_pass,
     barycentric,
@@ -248,8 +249,10 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     on_j = {l: idx[l] for l in without_j.labels}
     on_i = {l: idx[i if l == j else l] for l in without_i.labels}  # j reads i's height
     try:
-        rows = _folding_pass(without_j, t.cells, on_j, nv, validate=True)[0]
-        rows += _folding_pass(without_i, t.relabel({i: j}).cells, on_i, nv, validate=True)[0]
+        rows = _folding_pass(without_j, t.cells, on_j, nv, validate=True,
+                             memo=CellCoordinates(without_j))[0]
+        rows += _folding_pass(without_i, t.relabel({i: j}).cells, on_i, nv, validate=True,
+                              memo=CellCoordinates(without_i))[0]
     except NotATriangulation:
         return None
     _, _, _, res = max_margin(rows, nv)
@@ -316,7 +319,13 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     GenericityFailure rather than return a partial set.  Known miss:
     flipping only circuits among the labels in use, it finds 5 of the 16
     regular triangulations of a pentagon with its centre.  A budget of
-    k stops the search once it holds k + 1; it must not be negative."""
+    k stops the search once it holds k + 1; it must not be negative.
+
+    The walk keeps one CellCoordinates for all its is_regular calls, so
+    each (cell, point) pair is reduced once per enumeration, and it
+    remembers the flips is_regular rejected, so each distinct candidate
+    costs at most one regularity LP however many triangulations reach
+    it."""
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")
     start = placing_triangulation(config)
@@ -324,7 +333,9 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
         raise GenericityFailure("d+1 points on a hyperplane; flip search "
                                 "needs general position")
     found = set()
+    rejected = set()
     frontier = []
+    memo = CellCoordinates(config)
 
     def add(t):
         found.add(t)
@@ -336,8 +347,12 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     while frontier:
         t = frontier.pop()
         for nb in flip_neighbors(t, config):
-            if nb not in found and is_regular(nb, config).regular:
+            if nb in found or nb in rejected:
+                continue
+            if is_regular(nb, config, memo=memo).regular:
                 add(nb)
+            else:
+                rejected.add(nb)
     return found
 
 

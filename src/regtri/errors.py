@@ -28,12 +28,16 @@ class ValidationFailed(RegtriError):
 
     Carries the label of the offending point and the labels spanning the
     violated hyperplane; the usual remedy is to shrink the epsilon chain
-    from that index on and retry.
+    from that index on and retry.  apex_hyperplane, when not None, names
+    lifted points whose hyperplane passes through the apex: their base
+    points share a hyperplane, so every chain under which they span one
+    fails the same way, and no retry can help.
     """
 
-    def __init__(self, label, hyperplane_labels):
+    def __init__(self, label, hyperplane_labels, apex_hyperplane=None):
         self.label = label
         self.hyperplane_labels = frozenset(hyperplane_labels)
+        self.apex_hyperplane = apex_hyperplane and frozenset(apex_hyperplane)
         super().__init__(
             f"lift validation failed at point {label} "
             f"against hyperplane {sorted(self.hyperplane_labels)}"

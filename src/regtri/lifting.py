@@ -73,22 +73,31 @@ def _validate_same_side(lifted: PointConfiguration, apex_label: int):
     must be strictly on the apex side of each hyperplane spanned by
     earlier lifted points.  Each hyperplane is computed once and checked
     against the later points; the violation reported is the first in
-    point order, then in combinations order of the hyperplane's labels."""
+    point order, then in combinations order of the hyperplane's labels.
+
+    A hyperplane through the apex fails at the next point whatever the
+    chain: the lifted points are apex + eps_i ((p_i, 0) - apex), so the
+    apex lies on their hyperplane exactly when their base points share
+    one.  The first such hyperplane the scan meets is reported as the
+    error's apex_hyperplane, so that a caller stops shrinking."""
     labels = [l for l in lifted.labels if l != apex_label]
     position = {l: i for i, l in enumerate(labels)}
     first = (len(labels), [])  # (point, subset) positions of the first violation
+    through_apex = None
     for subset, h in spanned_hyperplanes(lifted, labels[:-1]):
         last = position[subset[-1]]
         if last >= first[0]:
             break  # hyperplanes come by last label: none finds an earlier one
         side = side_value(lifted, h, apex_label)
+        if side == 0 and through_apex is None:
+            through_apex = subset
         for i in range(last + 1, min(first[0] + 1, len(labels))):
             if side * side_value(lifted, h, labels[i]) <= 0:
                 first = min(first, (i, [position[l] for l in subset]))
                 break
     i, subset = first
     if i < len(labels):
-        raise ValidationFailed(labels[i], [labels[k] for k in subset])
+        raise ValidationFailed(labels[i], [labels[k] for k in subset], through_apex)
 
 
 def lex_lift(base: PointConfiguration, spec: LiftSpec) -> LiftedConfiguration:
@@ -123,14 +132,21 @@ def lex_lift(base: PointConfiguration, spec: LiftSpec) -> LiftedConfiguration:
 def auto_lift(base: PointConfiguration, apex) -> LiftedConfiguration:
     """Lift with a validating epsilon chain found by geometric back-off:
     eps_i = beta^i, halving beta until the lift validates, at most 64
-    times."""
+    times.  A failure against a hyperplane through the apex ends the
+    search at once: no chain moves the apex off it."""
     apex = tuple(parse_rational(x) for x in apex)
     beta = Fraction(1, 2)
     for _ in range(64):
         eps = tuple(beta ** (i + 1) for i in range(base.n))
         try:
             return lex_lift(base, LiftSpec(apex, eps))
-        except ValidationFailed:
+        except ValidationFailed as e:
+            if e.apex_hyperplane:
+                raise RegtriError(
+                    f"the apex lies on the hyperplane of lifted points "
+                    f"{sorted(e.apex_hyperplane)}, whose base points share a "
+                    "hyperplane; no smaller epsilon chain moves it off"
+                ) from e
             beta /= 2
     raise RegtriError("no validating epsilon chain found; base may be degenerate")
 

@@ -189,22 +189,65 @@ def _ridge_sides(cell: tuple, sign: int):
     ]
 
 
-def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool):
+class CellCoordinates:
+    """A memo of affine coordinates over the cells of one configuration,
+    so that each (cell, point) pair is reduced once.  Per cell it keeps
+    the denominator of the cell's reduction and the integer numerators
+    of every label reduced so far, or None for a degenerate cell.  The
+    denominator of _rref depends only on the cell's columns, and each
+    right-hand column is reduced on its own, so a later request reduces
+    only the labels still missing, in one _affine_coordinates call, and
+    gets the integers one reduction of all of them would give.
+
+    A caller makes one per configuration and passes it to the folding
+    pass: enumerate_regular one for its whole walk, every other caller
+    a fresh one per call."""
+
+    __slots__ = ("config", "_cells")
+
+    def __init__(self, config: PointConfiguration):
+        self.config = config
+        self._cells = {}  # cell -> (den, {label: numerators}) or None
+
+    def reduce(self, cell, labels):
+        """(den, {label: numerators}) for a cell, holding at least the
+        given labels, or None if the cell is degenerate."""
+        entry = self._cells.get(cell, ())
+        if entry is None:
+            return None
+        known = entry[1] if entry else {}
+        missing = [lab for lab in dict.fromkeys(labels) if lab not in known]
+        if entry and not missing:
+            return entry
+        sol = _affine_coordinates(self.config, cell, missing)
+        if sol is None:
+            self._cells[cell] = None
+            return None
+        known.update(zip(missing, sol[1]))
+        entry = self._cells[cell] = (sol[0], known)
+        return entry
+
+
+def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool,
+                  memo: CellCoordinates):
     """The one pass over a cell set behind is_triangulation,
     height_separation_rows, is_regular and shared_witness: one ridge ->
-    (cell, apex) map and one reduction per cell, for the affine
-    coordinates of the points the cell reads.  These are the points its
-    folding rows lift and, when validating, the first cell's vertices,
-    whose summed coordinates place that cell's barycentre.  Validating
-    checks the conditions of is_triangulation in its order, from the
-    signs of the integer numerators of _affine_coordinates; without it,
-    a cell that reads no point is not reduced.
+    (cell, apex) map and, from memo, the affine coordinates of the
+    points each cell reads.  These are the points its folding rows lift
+    and, when validating, the first cell's vertices, whose summed
+    coordinates place that cell's barycentre.  Validating checks the
+    conditions of is_triangulation in its order, from the signs of the
+    integer numerators of the cell's reduction; without it, a cell that
+    reads no point is not reduced.  memo must belong to config (an equal
+    configuration will do): another configuration's is a ValueError.
 
     Returns (rows, mults): each folding row as the least integer
     multiple of the rational row, which is what clear_denominators
     makes of it, and that multiple m.  A row over the cell's den whose
     integers have gcd g has m = den / g.  Raises NotATriangulation with
     the first violation found, first a label outside column."""
+    if memo.config != config:
+        raise ValueError("cell coordinates of another configuration")
     cells = make_cells(cells)
     d = config.dim
     if validate and not cells:
@@ -235,8 +278,8 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
         points = [lab for lab in column if lab in wanted]
         if len(cell) != d + 1 or not (points or validate):
             continue
-        sol = _affine_coordinates(config, cell, points + extra)
-        coords[cell] = sol and dict(zip(points + extra, sol[1]))
+        sol = memo.reduce(cell, points + extra)
+        coords[cell] = sol and sol[1]
         if sol is None:
             continue
         den = sol[0]
@@ -303,7 +346,7 @@ def is_triangulation(cells, config: PointConfiguration):
     coordinate at the earlier one's apex."""
     try:
         _folding_pass(config, cells, {l: k for k, l in enumerate(config.labels)},
-                      config.n + 1, validate=True)
+                      config.n + 1, validate=True, memo=CellCoordinates(config))
     except NotATriangulation as e:
         return False, e.witness
     return True, None
@@ -345,7 +388,8 @@ def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
     without d+1 vertices, a degenerate cell, a ridge in more than two
     cells and a point in no cell raise NotATriangulation.  The rows are
     Fractions; is_regular reads the integer rows of the same pass."""
-    rows, mults = _folding_pass(config, cells, column, nv, validate=False)
+    rows, mults = _folding_pass(config, cells, column, nv, validate=False,
+                                memo=CellCoordinates(config))
     return [[Fraction(v, m) for v in row] for row, m in zip(rows, mults)]
 
 
@@ -372,7 +416,10 @@ def _check_certificate(c, a_ub, b_ub, dual, mults=()) -> bool:
 
 
 def is_regular(
-    t: Triangulation, config: PointConfiguration, validate: bool = False
+    t: Triangulation,
+    config: PointConfiguration,
+    validate: bool = False,
+    memo: CellCoordinates | None = None,
 ) -> RegularityResult:
     """Certify regularity by exact LP: maximize the margin of the local
     folding rows of height_separation_rows.  Returns a witness height
@@ -385,8 +432,15 @@ def is_regular(
     triangulation of config: validate=True checks that, and
     enumerate_regular passes only flips of triangulations.  The pass
     that builds the rows also runs the checks of is_triangulation, from
-    the same one reduction per cell and with no LP, so a validated
-    verdict costs one LP, the margin LP.
+    the same cell coordinates and with no LP, so a validated verdict
+    costs one LP, the margin LP.
+
+    The coordinates come from memo, a CellCoordinates of config, fresh
+    when none is given.  A caller that asks about many cell sets of one
+    configuration, as enumerate_regular does along its flip walk, passes
+    one memo to every call: a flip changes only the cells of one
+    circuit, so the other cells' coordinates are read, not reduced
+    again.  The result is the same with or without a shared memo.
 
     The pass hands the LP integer rows, each the rational row times its
     multiplier m.  Those are the rows solve_lp clears the rational rows
@@ -400,7 +454,8 @@ def is_regular(
     # the heights, so max_margin's [0, 2] box on them is [-1, 1] shifted
     nv = len(labels) + 1
     rows, mults = _folding_pass(
-        config, t.cells, {l: i for i, l in enumerate(labels)}, nv, validate
+        config, t.cells, {l: i for i, l in enumerate(labels)}, nv, validate,
+        memo=CellCoordinates(config) if memo is None else memo,
     )
     c, a_ub, b_ub, res = max_margin(rows, nv)
     if res.value > 0:

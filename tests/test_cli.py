@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from regtri import __version__, geometry
+from regtri import __version__, geometry, lifting
 from regtri.cli import main
 from regtri.enumeration import shared_witness
 from regtri.geometry import PointConfiguration
@@ -184,6 +184,27 @@ def test_lift_refuses_a_base_not_in_convex_position(tmp_path):
     result = CliRunner().invoke(main, ["lift", str(cfg_path)])
     assert result.exit_code == 0, result.output
     assert PointConfiguration.from_json(result.stdout).n == 4
+
+
+def test_lift_of_the_cube_stops_at_once_with_its_error_kind(tmp_path, monkeypatch):
+    # the cube is in convex position, but four of its vertices share a
+    # face, which no epsilon chain lifts off the apex's hyperplane
+    attempts = []
+    real = lifting.lex_lift
+    monkeypatch.setattr(lifting, "lex_lift",
+                        lambda base, spec: attempts.append(spec) or real(base, spec))
+    cube = PointConfiguration.from_rows(
+        [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    )
+    cfg_path = tmp_path / "cube.json"
+    cfg_path.write_text(cube.to_json())
+    result = CliRunner().invoke(main, ["lift", str(cfg_path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "RegtriError"
+    assert "[1, 2, 3, 4]" in error["message"]
+    assert len(attempts) == 1
 
 
 def test_contract_invalid_label_exits_one(tmp_path):

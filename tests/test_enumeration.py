@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import geometry
+from regtri import enumeration, geometry
 from regtri.enumeration import (
     SplitPair,
     check_inseparable,
@@ -173,6 +173,37 @@ def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
     calls.clear()
     assert enumerate_regular(cfg) == found
     assert calls == []
+
+
+def test_enumerate_regular_solves_each_rejected_flip_once(monkeypatch):
+    # four flips of cyclic(4,9) are not regular and each is reached from
+    # several found triangulations: 368 regularity LPs for 356 distinct
+    # candidates without the memory of rejections
+    verdicts = {}
+    real = enumeration.is_regular
+
+    def recording(t, cfg, **kwargs):
+        res = real(t, cfg, **kwargs)
+        assert t not in verdicts
+        verdicts[t] = res.regular
+        return res
+
+    monkeypatch.setattr(enumeration, "is_regular", recording)
+    cfg = cyclic_configuration(4, range(1, 10))
+    found = enumerate_regular(cfg)
+    assert (len(found), len(verdicts)) == (353, 356)
+    rejected = [t for t, regular in verdicts.items() if not regular]
+    assert len(rejected) == 4
+    assert not any(real(t, cfg).regular for t in rejected)
+    # found is still the flip-connected regular component of the start
+    start = placing_triangulation(cfg)
+    component, frontier = {start}, [start]
+    while frontier:
+        for nb in flip_neighbors(frontier.pop(), cfg):
+            if nb not in component and verdicts[nb]:
+                component.add(nb)
+                frontier.append(nb)
+    assert found == component
 
 
 def test_circuit_table_stays_out_of_equality_and_json():

@@ -4,11 +4,18 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from regtri import linprog, triangulations
-from regtri.enumeration import flip_neighbors, shared_witness, split_point
+from regtri.enumeration import (
+    enumerate_all_oracle,
+    enumerate_regular,
+    flip_neighbors,
+    shared_witness,
+    split_point,
+)
 from regtri.geometry import (
     PointConfiguration,
     configuration_in_general_position,
@@ -17,6 +24,7 @@ from regtri.geometry import (
 )
 from regtri.linprog import max_margin
 from regtri.triangulations import (
+    CellCoordinates,
     Triangulation,
     _check_certificate,
     height_separation_rows,
@@ -186,3 +194,76 @@ def test_is_regular_hands_solve_lp_one_row_per_interior_ridge_and_unused_point(
         shapes.clear()
         assert is_regular(t, cfg).regular
         assert shapes == [rows + unused + cfg.n + 1]
+
+
+def test_a_shared_memo_gives_the_results_of_fresh_ones():
+    """One CellCoordinates over every triangulation of a configuration,
+    validating and not, in turn: each call reads what earlier calls
+    reduced and must return what a fresh memo returns, witness, margin,
+    certificate and its check alike.  The nested triangles have two
+    non-regular triangulations among their 18."""
+    cases = [
+        (cyclic_configuration(4, range(1, 9)), 0),
+        (cyclic_configuration(3, range(1, 8)), 0),
+        (PointConfiguration.from_rows(NESTED), 2),
+    ]
+    for cfg, non_regular in cases:
+        memo = CellCoordinates(cfg)
+        every = sorted(enumerate_all_oracle(cfg), key=lambda t: sorted(map(sorted, t.cells)))
+        refuted = 0
+        for k, t in enumerate(every):
+            validate = k % 2 == 1
+            shared = is_regular(t, cfg, validate=validate, memo=memo)
+            assert shared == is_regular(t, cfg, validate=validate)
+            assert shared.certificate_valid in (None, True)
+            refuted += not shared.regular
+        assert refuted == non_regular
+
+
+def test_memo_reduces_only_missing_labels_to_the_integers_of_one_reduction(monkeypatch):
+    cfg = cyclic_configuration(3, range(1, 8))
+    calls = []
+    real = triangulations._affine_coordinates
+    monkeypatch.setattr(
+        triangulations, "_affine_coordinates",
+        lambda c, cell, labels: calls.append(list(labels)) or real(c, cell, labels),
+    )
+    memo = CellCoordinates(cfg)
+    cell = frozenset({1, 2, 3, 4})
+    den, nums = memo.reduce(cell, [5, 6])
+    assert memo.reduce(cell, [6, 7, 7, 5]) == (den, nums)
+    assert memo.reduce(cell, [7]) == (den, nums)
+    assert calls == [[5, 6], [7]]
+    assert (den, [nums[l] for l in (5, 6, 7)]) == real(cfg, cell, [5, 6, 7])
+    # a degenerate cell is remembered as None
+    flat = PointConfiguration.from_rows([[0, 0], [1, 0], [2, 0], [0, 1]])
+    flat_memo = CellCoordinates(flat)
+    calls.clear()
+    assert flat_memo.reduce(frozenset({1, 2, 3}), [4]) is None
+    assert flat_memo.reduce(frozenset({1, 2, 3}), [1]) is None
+    assert len(calls) == 1
+
+
+def test_one_enumeration_reduces_each_cell_and_point_once(monkeypatch):
+    pairs = []
+    real = triangulations._affine_coordinates
+
+    def counting(cfg, cell, labels):
+        pairs.extend((cell, lab) for lab in labels)
+        return real(cfg, cell, labels)
+
+    monkeypatch.setattr(triangulations, "_affine_coordinates", counting)
+    cfg = cyclic_configuration(4, range(1, 9))
+    assert len(enumerate_regular(cfg)) == 40
+    assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_a_memo_of_another_configuration_is_refused():
+    cfg, t = twisted_nested_triangles()
+    other = PointConfiguration.from_rows(NESTED[:5] + [[1, 3]])
+    for memo in (CellCoordinates(other), CellCoordinates(cfg.relabel({6: 7}))):
+        with pytest.raises(ValueError, match="another configuration"):
+            is_regular(t, cfg, memo=memo)
+    # an equal configuration holds the same coordinates
+    twin = PointConfiguration.from_json(cfg.to_json())
+    assert is_regular(t, cfg, memo=CellCoordinates(twin)) == is_regular(t, cfg)

@@ -269,3 +269,13 @@ def test_only_pivot_writes_the_fraction_free_step():
     found = {path.name: divs for path in PACKAGE
              if (divs := floor_divisions_by(path.read_text(), "den"))}
     assert found == {"linalg.py": ["pivot", "pivot"]}
+
+
+def test_folding_pass_reduces_cells_only_through_the_memo():
+    """_folding_pass reads affine coordinates from its CellCoordinates,
+    which reduces each (cell, point) pair once; barycentric is the one
+    other caller of _affine_coordinates in triangulations."""
+    source = (ROOT / "src" / "regtri" / "triangulations.py").read_text()
+    assert callers_of(source, "_affine_coordinates") == [
+        "CellCoordinates.reduce", "barycentric"]
+    assert callers_of(source, "reduce") == ["_folding_pass"]

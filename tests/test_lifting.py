@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from regtri import geometry, lifting, linalg, linprog
 from regtri.census import single_lift
-from regtri.errors import NotAVertex, ValidationFailed
+from regtri.errors import NotAVertex, RegtriError, ValidationFailed
 from regtri.geometry import (
     PointConfiguration,
     affine_dim,
@@ -123,6 +123,45 @@ def test_lift_of_a_base_with_an_interior_point_validates():
     assert lc.spec.epsilons[0] == F(1, 2)
     lifted = [lc.lifted.point(l) for l in cfg.labels]
     assert same_side_reference(cfg.labels, lifted, lc.spec.apex) is None
+
+
+def unit_cube():
+    return PointConfiguration.from_rows(
+        [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    )
+
+
+def test_auto_lift_stops_at_a_hyperplane_through_the_apex(monkeypatch):
+    # the first four cube vertices lie on the face x = 0: their lifts
+    # span a hyperplane through the apex under every chain, so the
+    # first attempt is the last
+    attempts = []
+    real = lifting.lex_lift
+    monkeypatch.setattr(lifting, "lex_lift",
+                        lambda base, spec: attempts.append(spec) or real(base, spec))
+    cube = unit_cube()
+    with pytest.raises(RegtriError, match=r"lifted points \[1, 2, 3, 4\]") as exc:
+        auto_lift(cube, apex_over(cube))
+    assert type(exc.value) is RegtriError
+    assert len(attempts) == 1
+    failure = exc.value.__cause__
+    assert isinstance(failure, ValidationFailed)
+    assert failure.apex_hyperplane == frozenset({1, 2, 3, 4})
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0], [1, 1], [2, 2], [3, 0], [0, 3]],
+    [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+])
+def test_apex_hyperplane_names_base_points_on_one_hyperplane(rows):
+    base = PointConfiguration.from_rows(rows)
+    for beta in (F(1, 2), F(1, 64)):
+        spec = LiftSpec.make(apex_over(base), [beta ** (i + 1) for i in range(base.n)])
+        with pytest.raises(ValidationFailed) as exc:
+            lex_lift(base, spec)
+        named = sorted(exc.value.apex_hyperplane)
+        assert len(named) == base.dim + 1
+        assert orientation(base, named) == 0
 
 
 def test_lift_orientation_preserved_under_apex_contraction():
