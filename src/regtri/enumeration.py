@@ -44,7 +44,6 @@ from .geometry import (
 )
 from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 from .triangulations import (
-    CellCoordinates,
     Triangulation,
     _folding_pass,
     barycentric,
@@ -241,18 +240,21 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     the returned heights give p_j that height too: read per label, they
     induce both triangulations, as t_sweep reads them.
     """
+    return _shared_witness(config, i, j, t, config.delete([i]), config.delete([j]))
+
+
+def _shared_witness(config, i, j, t, without_i, without_j):
+    """shared_witness on the given one-point deletions of config, so
+    that check_inseparable reads the cell coordinates its enumerations
+    of the same objects reduced."""
     labels = sorted(config.labels)
     idx = {l: k for k, l in enumerate(labels)}
     nv = len(labels) + 1
-    without_j = config.delete([j])
-    without_i = config.delete([i])
     on_j = {l: idx[l] for l in without_j.labels}
     on_i = {l: idx[i if l == j else l] for l in without_i.labels}  # j reads i's height
     try:
-        rows = _folding_pass(without_j, t.cells, on_j, nv, validate=True,
-                             memo=CellCoordinates(without_j))[0]
-        rows += _folding_pass(without_i, t.relabel({i: j}).cells, on_i, nv, validate=True,
-                              memo=CellCoordinates(without_i))[0]
+        rows = _folding_pass(without_j, t.cells, on_j, nv, validate=True)[0]
+        rows += _folding_pass(without_i, t.relabel({i: j}).cells, on_i, nv, validate=True)[0]
     except NotATriangulation:
         return None
     _, _, _, res = max_margin(rows, nv)
@@ -274,17 +276,19 @@ def check_inseparable(config: PointConfiguration, i: int, j: int) -> Inseparabil
     """Decide whether p_i and p_j are triangulation-inseparable: the
     regular triangulations of the two one-point deletions agree up to
     relabeling j to i, and each is induced on both deletions by one
-    common height vector."""
+    common height vector.  Each deletion is built once, so the shared
+    witnesses read the cell coordinates its enumeration reduced."""
     if i == j:
         raise ValueError("need two distinct labels")
-    r_i = enumerate_regular(config.delete([i]))
-    r_j = enumerate_regular(config.delete([j]))
+    without_i, without_j = config.delete([i]), config.delete([j])
+    r_i = enumerate_regular(without_i)
+    r_j = enumerate_regular(without_j)
     r_i_relabeled = {t.relabel({j: i}) for t in r_i}
     if r_i_relabeled != r_j:
         return InseparabilityReport(False, reason="triangulation sets differ")
     witnesses = {}
     for t in sorted(r_j, key=lambda t: sorted(sorted(c) for c in t.cells)):
-        w = shared_witness(config, i, j, t)
+        w = _shared_witness(config, i, j, t, without_i, without_j)
         if w is None:
             return InseparabilityReport(
                 False, witnesses=witnesses, reason="no shared witness"
@@ -321,11 +325,10 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     regular triangulations of a pentagon with its centre.  A budget of
     k stops the search once it holds k + 1; it must not be negative.
 
-    The walk keeps one CellCoordinates for all its is_regular calls, so
-    each (cell, point) pair is reduced once per enumeration, and it
-    remembers the flips is_regular rejected, so each distinct candidate
-    costs at most one regularity LP however many triangulations reach
-    it."""
+    Each (cell, point) pair is reduced once per configuration object
+    (config.cell_coordinates), and the walk remembers the flips
+    is_regular rejected, so each distinct candidate costs at most one
+    regularity LP however many triangulations reach it."""
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")
     start = placing_triangulation(config)
@@ -335,7 +338,6 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     found = set()
     rejected = set()
     frontier = []
-    memo = CellCoordinates(config)
 
     def add(t):
         found.add(t)
@@ -349,7 +351,7 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
         for nb in flip_neighbors(t, config):
             if nb in found or nb in rejected:
                 continue
-            if is_regular(nb, config, memo=memo).regular:
+            if is_regular(nb, config).regular:
                 add(nb)
             else:
                 rejected.add(nb)

@@ -3,8 +3,10 @@
 Point configurations over arbitrary-precision rationals, with the
 orientation predicate, brute-force facet enumeration, face lattice
 extraction, and the visibility predicates used by lifting construction.
-Every function is pure and every value immutable, so concurrent callers
-need no locking.
+Every function is pure.  Configurations are immutable, and the facts
+they cache are filled at most once per key by one thread, always with
+equal values, so concurrent callers need no locking: a race costs
+repeated work, never a different answer.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ class PointConfiguration:
 
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
-    Facts derived from the points alone, such as the circuit table and
-    the integer rows, are computed once per object and are not part of
-    equality, hashing or the JSON form.
+    Facts derived from the points alone, such as the integer rows, the
+    cell coordinates and the circuit table, are computed once per object
+    and are not part of equality, hashing or the JSON form.
     """
 
     dim: int
@@ -137,6 +139,13 @@ class PointConfiguration:
         }
 
     @cached_property
+    def cell_coordinates(self) -> CellCoordinates:
+        """The affine coordinates of points over cells, each (cell,
+        point) pair reduced once for as long as the object lives: the
+        folding rows, barycentric and the circuit table all read them."""
+        return CellCoordinates(self)
+
+    @cached_property
     def circuit_table(self) -> tuple:
         """The flips of the configuration: one (subset, side_pos,
         side_neg) per (d+2)-subset whose Radon partition has no zero
@@ -148,11 +157,11 @@ class PointConfiguration:
         table = []
         for subset in itertools.combinations(sorted(self.labels), self.dim + 2):
             *cell, last = subset
-            sol = _affine_coordinates(self, cell, [last])
-            if sol is None or 0 in sol[1][0]:
+            sol = self.cell_coordinates.reduce(frozenset(cell), [last])
+            if sol is None or 0 in sol[1][last]:
                 continue
             s = frozenset(subset)
-            ahead = frozenset(l for l, v in zip(cell, sol[1][0]) if v > 0)
+            ahead = frozenset(l for l, v in zip(cell, sol[1][last]) if v > 0)
             table.append((s, frozenset(s - {l} for l in ahead),
                           frozenset(s - {l} for l in s - ahead)))
         return tuple(table)
@@ -217,8 +226,9 @@ def _affine_coordinates(config: PointConfiguration, cell, labels):
     d+1 points of `cell` in label order, all from one reduction of the
     homogenized rows: (den, numerators), one tuple of integer numerators
     per label over the common den > 0, so a coordinate's sign is its
-    numerator's.  None if the cell is degenerate.  The folding rows,
-    barycentric and the circuit table all read it."""
+    numerator's.  None if the cell is degenerate.  Only CellCoordinates
+    calls it, so that each (cell, point) pair is reduced once per
+    configuration."""
     a = list(zip(*homogenized(config, sorted(cell))))
     points = homogenized(config, labels)
     b = [[p[r] for p in points] for r in range(len(a))]
@@ -227,6 +237,45 @@ def _affine_coordinates(config: PointConfiguration, cell, labels):
         return None
     den, x = sol
     return den, list(zip(*x))
+
+
+class CellCoordinates:
+    """The lazy memo behind PointConfiguration.cell_coordinates.  Per
+    cell it keeps the denominator of the cell's reduction and the
+    integer numerators of every label reduced so far, or None for a
+    degenerate cell.  The denominator of _rref depends only on the
+    cell's columns, and each right-hand column is reduced on its own,
+    so a later request reduces only the labels still missing, in one
+    _affine_coordinates call, and gets the integers one reduction of
+    all of them would give."""
+
+    __slots__ = ("config", "_cells")
+
+    def __init__(self, config: PointConfiguration):
+        self.config = config
+        self._cells = {}  # cell -> (den, {label: numerators}) or None
+
+    def reduce(self, cell: frozenset, labels):
+        """(den, {label: numerators}) for a cell of d+1 labels, holding
+        at least the given labels, or None if the cell is degenerate.
+        A cell of any other size is a ValueError."""
+        if len(cell) != self.config.dim + 1:
+            raise ValueError(f"cell {tuple(sorted(cell))} has {len(cell)} labels, "
+                             f"not {self.config.dim + 1}")
+        entry = self._cells.get(cell, ())
+        if entry is None:
+            return None
+        known = entry[1] if entry else {}
+        missing = [lab for lab in dict.fromkeys(labels) if lab not in known]
+        if entry and not missing:
+            return entry
+        sol = _affine_coordinates(self.config, cell, missing)
+        if sol is None:
+            self._cells[cell] = None
+            return None
+        known.update(zip(missing, sol[1]))
+        entry = self._cells[cell] = (sol[0], known)
+        return entry
 
 
 def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:

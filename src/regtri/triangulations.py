@@ -25,7 +25,6 @@ from .errors import (
 )
 from .geometry import (
     PointConfiguration,
-    _affine_coordinates,
     affine_dim,
     facets,
     format_rational,
@@ -145,12 +144,12 @@ def regular_subdivision(config: PointConfiguration, w: dict) -> Subdivision:
 def barycentric(config: PointConfiguration, cell, label: int):
     """Affine coordinates of the point `label` with respect to the d+1
     affinely independent points of `cell`; None if the cell is
-    degenerate."""
-    sol = _affine_coordinates(config, cell, [label])
+    degenerate.  A cell without d+1 labels is a ValueError."""
+    sol = config.cell_coordinates.reduce(frozenset(cell), [label])
     if sol is None:
         return None
-    den, (nums,) = sol
-    return {l: Fraction(v, den) for l, v in zip(sorted(cell), nums)}
+    den, known = sol
+    return {l: Fraction(v, den) for l, v in zip(sorted(cell), known[label])}
 
 
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
@@ -189,65 +188,43 @@ def _ridge_sides(cell: tuple, sign: int):
     ]
 
 
-class CellCoordinates:
-    """A memo of affine coordinates over the cells of one configuration,
-    so that each (cell, point) pair is reduced once.  Per cell it keeps
-    the denominator of the cell's reduction and the integer numerators
-    of every label reduced so far, or None for a degenerate cell.  The
-    denominator of _rref depends only on the cell's columns, and each
-    right-hand column is reduced on its own, so a later request reduces
-    only the labels still missing, in one _affine_coordinates call, and
-    gets the integers one reduction of all of them would give.
+def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool):
+    """The one pass over a cell set behind is_triangulation, is_regular
+    and shared_witness: one ridge -> (cell, apex) map and, from
+    config.cell_coordinates, the affine coordinates of the points each
+    cell reads.  These are the points its folding rows lift and, when
+    validating, the first cell's vertices, whose summed coordinates
+    place that cell's barycentre.  Validating checks the conditions of
+    is_triangulation in its order, from the signs of the integer
+    numerators of the cell's reduction; without it, a cell that reads
+    no point is not reduced.
 
-    A caller makes one per configuration and passes it to the folding
-    pass: enumerate_regular one for its whole walk, every other caller
-    a fresh one per call."""
+    The rows are those of the height-separation LP on the local folding
+    conditions: each asks a lifted point to clear a cell's lifted
+    hyperplane by at least the margin, the last of the nv variables.
+    There is one row per interior ridge, for the apex of the later of
+    its two cells (in sorted order) over the earlier cell, and one per
+    point of column that no cell uses, over the first cell whose affine
+    coordinates of it are all >= 0.  Two ridges of one cell whose
+    neighbours share their apex give one row.  column maps each label
+    of config to the height variable it reads, and a cell's points are
+    visited in column's order, their coordinates from one reduction.
 
-    __slots__ = ("config", "_cells")
-
-    def __init__(self, config: PointConfiguration):
-        self.config = config
-        self._cells = {}  # cell -> (den, {label: numerators}) or None
-
-    def reduce(self, cell, labels):
-        """(den, {label: numerators}) for a cell, holding at least the
-        given labels, or None if the cell is degenerate."""
-        entry = self._cells.get(cell, ())
-        if entry is None:
-            return None
-        known = entry[1] if entry else {}
-        missing = [lab for lab in dict.fromkeys(labels) if lab not in known]
-        if entry and not missing:
-            return entry
-        sol = _affine_coordinates(self.config, cell, missing)
-        if sol is None:
-            self._cells[cell] = None
-            return None
-        known.update(zip(missing, sol[1]))
-        entry = self._cells[cell] = (sol[0], known)
-        return entry
-
-
-def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool,
-                  memo: CellCoordinates):
-    """The one pass over a cell set behind is_triangulation,
-    height_separation_rows, is_regular and shared_witness: one ridge ->
-    (cell, apex) map and, from memo, the affine coordinates of the
-    points each cell reads.  These are the points its folding rows lift
-    and, when validating, the first cell's vertices, whose summed
-    coordinates place that cell's barycentre.  Validating checks the
-    conditions of is_triangulation in its order, from the signs of the
-    integer numerators of the cell's reduction; without it, a cell that
-    reads no point is not reduced.  memo must belong to config (an equal
-    configuration will do): another configuration's is a ValueError.
+    Every row is a row of the full system, one per (cell, outside
+    point).  On a triangulation the two systems hold for the same
+    heights (De Loera, Rambau and Santos, Triangulations, 2010, the
+    secondary cone): heights that fold upward across every interior
+    ridge make the lifted cells a convex surface, so every lifted point
+    outside a cell lies strictly above that cell's hyperplane.
 
     Returns (rows, mults): each folding row as the least integer
     multiple of the rational row, which is what clear_denominators
     makes of it, and that multiple m.  A row over the cell's den whose
     integers have gcd g has m = den / g.  Raises NotATriangulation with
-    the first violation found, first a label outside column."""
-    if memo.config != config:
-        raise ValueError("cell coordinates of another configuration")
+    the first violation found, first a label outside column.  Without
+    validating it still raises on a cell without d+1 vertices, a ridge
+    in more than two cells, a point in no cell and a degenerate cell
+    that reads a point."""
     cells = make_cells(cells)
     d = config.dim
     if validate and not cells:
@@ -278,7 +255,7 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
         points = [lab for lab in column if lab in wanted]
         if len(cell) != d + 1 or not (points or validate):
             continue
-        sol = memo.reduce(cell, points + extra)
+        sol = config.cell_coordinates.reduce(cell, points + extra)
         coords[cell] = sol and sol[1]
         if sol is None:
             continue
@@ -346,7 +323,7 @@ def is_triangulation(cells, config: PointConfiguration):
     coordinate at the earlier one's apex."""
     try:
         _folding_pass(config, cells, {l: k for k, l in enumerate(config.labels)},
-                      config.n + 1, validate=True, memo=CellCoordinates(config))
+                      config.n + 1, validate=True)
     except NotATriangulation as e:
         return False, e.witness
     return True, None
@@ -355,7 +332,7 @@ def is_triangulation(cells, config: PointConfiguration):
 @dataclass(frozen=True)
 class RegularityResult:
     """Verdict of the height-separation LP over the local folding rows
-    (see height_separation_rows) and the box rows of max_margin: margin
+    (see _folding_pass) and the box rows of max_margin: margin
     is that LP's optimum, and certificate its duals, one per folding
     row and then one per box row."""
 
@@ -365,32 +342,6 @@ class RegularityResult:
     # duals proving the margin cannot exceed zero when not regular
     certificate: tuple | None = field(default=None, repr=False)
     certificate_valid: bool | None = None
-
-
-def height_separation_rows(config: PointConfiguration, cells, column, nv: int):
-    """Rows of the height-separation LP on the local folding
-    conditions: each asks a lifted point to clear a cell's lifted
-    hyperplane by at least the margin, the last of the nv variables.
-    There is one row per interior ridge, for the apex of the later of
-    its two cells (in sorted order) over the earlier cell, and one per
-    point of column that no cell uses, over the first cell whose affine
-    coordinates of it are all >= 0.  Two ridges of one cell whose
-    neighbours share their apex give one row.  column maps each label
-    of config to the height variable it reads, and a cell's points are
-    visited in column's order, their coordinates from one reduction.
-
-    Every row is a row of the full system, one per (cell, outside
-    point).  On a triangulation the two systems hold for the same
-    heights (De Loera, Rambau and Santos, Triangulations, 2010, the
-    secondary cone): heights that fold upward across every interior
-    ridge make the lifted cells a convex surface, so every lifted point
-    outside a cell lies strictly above that cell's hyperplane.  A cell
-    without d+1 vertices, a degenerate cell, a ridge in more than two
-    cells and a point in no cell raise NotATriangulation.  The rows are
-    Fractions; is_regular reads the integer rows of the same pass."""
-    rows, mults = _folding_pass(config, cells, column, nv, validate=False,
-                                memo=CellCoordinates(config))
-    return [[Fraction(v, m) for v in row] for row, m in zip(rows, mults)]
 
 
 def _check_certificate(c, a_ub, b_ub, dual, mults=()) -> bool:
@@ -415,14 +366,10 @@ def _check_certificate(c, a_ub, b_ub, dual, mults=()) -> bool:
     return sum(y * b for y, _, b in used) <= 0
 
 
-def is_regular(
-    t: Triangulation,
-    config: PointConfiguration,
-    validate: bool = False,
-    memo: CellCoordinates | None = None,
-) -> RegularityResult:
+def is_regular(t: Triangulation, config: PointConfiguration,
+               validate: bool = False) -> RegularityResult:
     """Certify regularity by exact LP: maximize the margin of the local
-    folding rows of height_separation_rows.  Returns a witness height
+    folding rows of _folding_pass.  Returns a witness height
     vector, or duals refuting any positive margin.
 
     A refutation holds for any cell set: every folding row is a row of
@@ -435,12 +382,10 @@ def is_regular(
     the same cell coordinates and with no LP, so a validated verdict
     costs one LP, the margin LP.
 
-    The coordinates come from memo, a CellCoordinates of config, fresh
-    when none is given.  A caller that asks about many cell sets of one
-    configuration, as enumerate_regular does along its flip walk, passes
-    one memo to every call: a flip changes only the cells of one
-    circuit, so the other cells' coordinates are read, not reduced
-    again.  The result is the same with or without a shared memo.
+    The coordinates come from config.cell_coordinates, so a caller that
+    asks about many cell sets of one configuration object, as
+    enumerate_regular does along its flip walk, reduces each (cell,
+    point) pair once: a flip changes only the cells of one circuit.
 
     The pass hands the LP integer rows, each the rational row times its
     multiplier m.  Those are the rows solve_lp clears the rational rows
@@ -454,9 +399,7 @@ def is_regular(
     # the heights, so max_margin's [0, 2] box on them is [-1, 1] shifted
     nv = len(labels) + 1
     rows, mults = _folding_pass(
-        config, t.cells, {l: i for i, l in enumerate(labels)}, nv, validate,
-        memo=CellCoordinates(config) if memo is None else memo,
-    )
+        config, t.cells, {l: i for i, l in enumerate(labels)}, nv, validate)
     c, a_ub, b_ub, res = max_margin(rows, nv)
     if res.value > 0:
         w = {lab: res.x[i] - 1 for i, lab in enumerate(labels)}

@@ -154,9 +154,8 @@ def test_enumerate_regular_refuses_exactly_off_general_position(case):
 
 
 def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
-    # the circuit table reads each partition off geometry's one
-    # affine-coordinate reduction; triangulations holds its own binding,
-    # so the cell reductions of is_regular are not counted here
+    # the circuit table and the folding rows read their coordinates
+    # from the configuration's one memo
     calls = []
     real = geometry._affine_coordinates
     monkeypatch.setattr(
@@ -165,11 +164,12 @@ def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
         lambda cfg, cell, labels: calls.append(cell) or real(cfg, cell, labels),
     )
     cfg = cyclic_configuration(4, range(1, 9))
+    assert len(cfg.circuit_table) == math.comb(8, 6)
+    assert len(calls) == math.comb(8, 6)
     found = enumerate_regular(cfg)
     assert len(found) == 40
-    assert len(calls) == math.comb(8, 6)
-    # the table belongs to the configuration: a second enumeration of
-    # the same object computes no circuit
+    # the table and the coordinates belong to the configuration: a
+    # second enumeration of the same object reduces nothing
     calls.clear()
     assert enumerate_regular(cfg) == found
     assert calls == []
@@ -211,9 +211,11 @@ def test_circuit_table_stays_out_of_equality_and_json():
     twin = PointConfiguration.from_json(cfg.to_json())
     assert len(cfg.circuit_table) == math.comb(6, 5)
     assert cfg.integer_rows[2] == (2, 4, 8, 1)
+    assert cfg.cell_coordinates.reduce(frozenset({1, 2, 3, 4}), [5]) is not None
     assert cfg == twin and hash(cfg) == hash(twin)
     assert cfg.to_json() == twin.to_json()
-    assert vars(twin).keys().isdisjoint({"circuit_table", "integer_rows", "_axis_scales"})
+    assert vars(twin).keys().isdisjoint(
+        {"circuit_table", "integer_rows", "_axis_scales", "cell_coordinates"})
     # each axis scaled by the lcm of its denominators: 2 and 9 here
     halves = PointConfiguration.from_rows([(F(1, 2), F(-1, 3)), (1, F(2, 9)), (0, 0)])
     assert halves.integer_rows == {1: (1, -3, 1), 2: (2, 2, 1), 3: (0, 0, 1)}
@@ -472,3 +474,23 @@ def test_cyclic_inseparable_realization_small():
     assert run.config.n == 6
     assert run.bound == 6
     assert len(enumerate_regular(run.config)) >= run.bound
+
+
+def test_check_inseparable_reduces_each_cell_and_point_once(monkeypatch):
+    # each check builds its two one-point deletions once, and their
+    # enumerations and shared witnesses read one memo per deletion: no
+    # (configuration, cell, point) is reduced twice over the whole
+    # realization
+    calls, triples = [], []
+    real = geometry._affine_coordinates
+
+    def counting(cfg, cell, labels):
+        calls.append(cell)
+        triples.extend((cfg, frozenset(cell), lab) for lab in labels)
+        return real(cfg, cell, labels)
+
+    monkeypatch.setattr(geometry, "_affine_coordinates", counting)
+    run = cyclic_inseparable_realization(3, 8)
+    assert run.halvings == (0, 0, 0, 0)
+    assert len(calls) == 326
+    assert len(triples) == len(set(triples)) == 638

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import linprog, triangulations
+from regtri import geometry, linprog, triangulations
 from regtri.enumeration import (
     enumerate_all_oracle,
     enumerate_regular,
@@ -24,10 +24,9 @@ from regtri.geometry import (
 )
 from regtri.linprog import max_margin
 from regtri.triangulations import (
-    CellCoordinates,
     Triangulation,
     _check_certificate,
-    height_separation_rows,
+    _folding_pass,
     is_regular,
     placing_triangulation,
     regular_subdivision,
@@ -78,6 +77,13 @@ def triangulated_configurations(draw):
     return cfg, t
 
 
+def folding_rows(cfg, cells, column, nv):
+    """The folding rows of _folding_pass as Fractions: each integer row
+    over its multiplier."""
+    rows, mults = _folding_pass(cfg, cells, column, nv, validate=False)
+    return [[F(v, m) for v in row] for row, m in zip(rows, mults)]
+
+
 def full_rows(points, cells, column, nv):
     rows = height_separation_rows_reference(points, cells, column, nv)
     assert rows is not None
@@ -98,7 +104,7 @@ def test_folding_rows_decide_as_the_full_rows(case):
     column = {l: i for i, l in enumerate(labels)}
     nv = len(labels) + 1
     full = full_rows({l: cfg.point(l) for l in labels}, t.cells, column, nv)
-    folded = height_separation_rows(cfg, t.cells, column, nv)
+    folded = folding_rows(cfg, t.cells, column, nv)
     assert {tuple(r) for r in folded} <= {tuple(r) for r in full}
     c, a_ub, b_ub, ref = max_margin(full, nv)
     res = is_regular(t, cfg)
@@ -123,12 +129,12 @@ def test_folding_rows_decide_as_the_full_rows(case):
 @example(twisted_nested_triangles())
 def test_is_regular_equals_the_fraction_simplex_on_the_rational_rows(case):
     """is_regular runs its LP on integer rows and scales the duals back;
-    the Fraction simplex on the rational rows of height_separation_rows
-    must give the same witness, margin and certificate."""
+    the Fraction simplex on the rational folding rows must give the
+    same witness, margin and certificate."""
     cfg, t = case
     labels = sorted(cfg.labels)
     nv = len(labels) + 1
-    rows = height_separation_rows(cfg, t.cells, {l: i for i, l in enumerate(labels)}, nv)
+    rows = folding_rows(cfg, t.cells, {l: i for i, l in enumerate(labels)}, nv)
     status, x, value, dual = fraction_simplex(*max_margin(rows, nv)[:3], nonneg=True)
     res = is_regular(t, cfg, validate=True)
     assert status == "optimal" and res.margin == value
@@ -197,24 +203,25 @@ def test_is_regular_hands_solve_lp_one_row_per_interior_ridge_and_unused_point(
 
 
 def test_a_shared_memo_gives_the_results_of_fresh_ones():
-    """One CellCoordinates over every triangulation of a configuration,
-    validating and not, in turn: each call reads what earlier calls
-    reduced and must return what a fresh memo returns, witness, margin,
-    certificate and its check alike.  The nested triangles have two
-    non-regular triangulations among their 18."""
+    """One configuration object over every triangulation of it,
+    validating and not, in turn: each call reads the cell coordinates
+    earlier calls reduced and must return what a fresh equal
+    configuration returns, witness, margin, certificate and its check
+    alike.  The nested triangles have two non-regular triangulations
+    among their 18."""
     cases = [
         (cyclic_configuration(4, range(1, 9)), 0),
         (cyclic_configuration(3, range(1, 8)), 0),
         (PointConfiguration.from_rows(NESTED), 2),
     ]
     for cfg, non_regular in cases:
-        memo = CellCoordinates(cfg)
         every = sorted(enumerate_all_oracle(cfg), key=lambda t: sorted(map(sorted, t.cells)))
         refuted = 0
         for k, t in enumerate(every):
             validate = k % 2 == 1
-            shared = is_regular(t, cfg, validate=validate, memo=memo)
-            assert shared == is_regular(t, cfg, validate=validate)
+            shared = is_regular(t, cfg, validate=validate)
+            fresh = PointConfiguration.from_json(cfg.to_json())
+            assert shared == is_regular(t, fresh, validate=validate)
             assert shared.certificate_valid in (None, True)
             refuted += not shared.regular
         assert refuted == non_regular
@@ -223,12 +230,13 @@ def test_a_shared_memo_gives_the_results_of_fresh_ones():
 def test_memo_reduces_only_missing_labels_to_the_integers_of_one_reduction(monkeypatch):
     cfg = cyclic_configuration(3, range(1, 8))
     calls = []
-    real = triangulations._affine_coordinates
+    real = geometry._affine_coordinates
     monkeypatch.setattr(
-        triangulations, "_affine_coordinates",
+        geometry, "_affine_coordinates",
         lambda c, cell, labels: calls.append(list(labels)) or real(c, cell, labels),
     )
-    memo = CellCoordinates(cfg)
+    memo = cfg.cell_coordinates
+    assert cfg.cell_coordinates is memo
     cell = frozenset({1, 2, 3, 4})
     den, nums = memo.reduce(cell, [5, 6])
     assert memo.reduce(cell, [6, 7, 7, 5]) == (den, nums)
@@ -237,33 +245,35 @@ def test_memo_reduces_only_missing_labels_to_the_integers_of_one_reduction(monke
     assert (den, [nums[l] for l in (5, 6, 7)]) == real(cfg, cell, [5, 6, 7])
     # a degenerate cell is remembered as None
     flat = PointConfiguration.from_rows([[0, 0], [1, 0], [2, 0], [0, 1]])
-    flat_memo = CellCoordinates(flat)
     calls.clear()
-    assert flat_memo.reduce(frozenset({1, 2, 3}), [4]) is None
-    assert flat_memo.reduce(frozenset({1, 2, 3}), [1]) is None
+    assert flat.cell_coordinates.reduce(frozenset({1, 2, 3}), [4]) is None
+    assert flat.cell_coordinates.reduce(frozenset({1, 2, 3}), [1]) is None
     assert len(calls) == 1
+
+
+def test_a_cell_without_d_plus_one_labels_is_refused():
+    """A cell of the wrong size would reduce to numbers that are no
+    affine coordinates, and the memo would keep them."""
+    cfg = PointConfiguration.from_rows([[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]])
+    for cell in ({1, 2, 3, 4}, {1, 2}):
+        message = rf"cell \({', '.join(map(str, sorted(cell)))}\) has {len(cell)} labels"
+        with pytest.raises(ValueError, match=message):
+            cfg.cell_coordinates.reduce(frozenset(cell), [5])
+        with pytest.raises(ValueError, match=message):
+            triangulations.barycentric(cfg, cell, 5)
+    assert cfg.cell_coordinates._cells == {}  # nothing kept
+    assert triangulations.barycentric(cfg, {1, 2, 3}, 5) == {1: 0, 2: F(1, 2), 3: F(1, 2)}
 
 
 def test_one_enumeration_reduces_each_cell_and_point_once(monkeypatch):
     pairs = []
-    real = triangulations._affine_coordinates
+    real = geometry._affine_coordinates
 
     def counting(cfg, cell, labels):
         pairs.extend((cell, lab) for lab in labels)
         return real(cfg, cell, labels)
 
-    monkeypatch.setattr(triangulations, "_affine_coordinates", counting)
+    monkeypatch.setattr(geometry, "_affine_coordinates", counting)
     cfg = cyclic_configuration(4, range(1, 9))
     assert len(enumerate_regular(cfg)) == 40
     assert pairs and len(pairs) == len(set(pairs))
-
-
-def test_a_memo_of_another_configuration_is_refused():
-    cfg, t = twisted_nested_triangles()
-    other = PointConfiguration.from_rows(NESTED[:5] + [[1, 3]])
-    for memo in (CellCoordinates(other), CellCoordinates(cfg.relabel({6: 7}))):
-        with pytest.raises(ValueError, match="another configuration"):
-            is_regular(t, cfg, memo=memo)
-    # an equal configuration holds the same coordinates
-    twin = PointConfiguration.from_json(cfg.to_json())
-    assert is_regular(t, cfg, memo=CellCoordinates(twin)) == is_regular(t, cfg)

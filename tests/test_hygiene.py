@@ -271,11 +271,17 @@ def test_only_pivot_writes_the_fraction_free_step():
     assert found == {"linalg.py": ["pivot", "pivot"]}
 
 
-def test_folding_pass_reduces_cells_only_through_the_memo():
-    """_folding_pass reads affine coordinates from its CellCoordinates,
-    which reduces each (cell, point) pair once; barycentric is the one
-    other caller of _affine_coordinates in triangulations."""
-    source = (ROOT / "src" / "regtri" / "triangulations.py").read_text()
-    assert callers_of(source, "_affine_coordinates") == [
-        "CellCoordinates.reduce", "barycentric"]
-    assert callers_of(source, "reduce") == ["_folding_pass"]
+def test_cell_coordinates_are_reduced_only_through_the_configuration():
+    """Every affine-coordinate reduction goes through the one memo a
+    configuration owns, which reduces each (cell, point) pair once."""
+    found = {path.name: calls for path in PACKAGE
+             if (calls := callers_of(path.read_text(), "_affine_coordinates"))}
+    assert found == {"geometry.py": ["CellCoordinates.reduce"]}
+
+
+def test_cell_coordinates_are_built_only_by_the_configuration():
+    """No caller makes a memo of its own: the one CellCoordinates of a
+    configuration is its cached cell_coordinates."""
+    found = {path.name: calls for path in PACKAGE
+             if (calls := callers_of(path.read_text(), "CellCoordinates"))}
+    assert found == {"geometry.py": ["PointConfiguration.cell_coordinates"]}

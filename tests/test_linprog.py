@@ -14,7 +14,7 @@ from regtri.geometry import (
     cyclic_configuration,
 )
 from regtri.linprog import lp_feasible, max_margin, solve_lp
-from regtri.triangulations import Triangulation, height_separation_rows
+from regtri.triangulations import Triangulation, _folding_pass
 
 from oracles import fraction_simplex
 
@@ -221,8 +221,9 @@ def test_solve_lp_fixed_cases_equal_fraction_simplex(pivots):
 def regularity_lp(cfg, t):
     labels = sorted(cfg.labels)
     nv = len(labels) + 1
-    rows = height_separation_rows(cfg, t.cells, {l: i for i, l in enumerate(labels)}, nv)
-    return max_margin(rows, nv)
+    rows, mults = _folding_pass(cfg, t.cells, {l: i for i, l in enumerate(labels)}, nv,
+                                validate=False)
+    return max_margin([[F(v, m) for v in row] for row, m in zip(rows, mults)], nv)
 
 
 def nested_triangles_with_seventh_point():

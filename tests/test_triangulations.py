@@ -26,12 +26,12 @@ from regtri.geometry import (
 )
 from regtri.triangulations import (
     Triangulation,
+    _folding_pass,
     barycentric,
     f_vector,
     h_vector,
     heights_from_json,
     heights_to_json,
-    height_separation_rows,
     is_regular,
     is_triangulation,
     make_cells,
@@ -221,11 +221,15 @@ def test_one_reduction_per_cell(monkeypatch):
     t = placing_triangulation(cfg)
     assert len(t.cells) == 10
     assert is_triangulation(t.cells, cfg)[0]  # warms the facets memo
-    for check in (lambda: is_regular(t, cfg, validate=True).regular,
-                  lambda: is_triangulation(t.cells, cfg)[0]):
+    # a fresh equal configuration reduces each cell once, and a second
+    # check of the same object reads the coordinates the first reduced
+    fresh = PointConfiguration.from_json(cfg.to_json())
+    for reductions, check in ((10, lambda: is_regular(t, fresh, validate=True).regular),
+                              (0, lambda: is_triangulation(t.cells, fresh)[0]),
+                              (0, lambda: is_regular(t, fresh, validate=True).regular)):
         calls.update(solve_integral=0, det_sign=0)
         assert check()
-        assert calls == {"solve_integral": 10, "det_sign": 0}
+        assert calls == {"solve_integral": reductions, "det_sign": 0}
 
 
 @st.composite
@@ -535,8 +539,8 @@ def test_folding_rows_reject_non_triangulations():
         (square(), [{1, 2, 3}]),  # point 4 in no cell
     ):
         with pytest.raises(NotATriangulation):
-            height_separation_rows(cfg, make_cells(cells),
-                                   {l: l - 1 for l in cfg.labels}, cfg.n + 1)
+            _folding_pass(cfg, make_cells(cells), {l: l - 1 for l in cfg.labels},
+                          cfg.n + 1, validate=False)
 
 
 def test_a_label_outside_the_configuration_is_refused():
