@@ -367,6 +367,13 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     produced exactly once.  Independent of the flip enumerator by
     design, so the two can cross-check each other.  The budget is read
     as in enumerate_regular.
+
+    An apex is a candidate when it lies strictly on the other side of
+    the ridge from the owning cell's apex, and when the new cell meets
+    every cell placed so far properly.  Both tests read orientation
+    signs from config.chirotope, each determinant taken once per
+    configuration object; simplices_properly_intersect solves an exact
+    LP only for the pairs its sign test cannot settle.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")

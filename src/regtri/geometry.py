@@ -45,8 +45,9 @@ class PointConfiguration:
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
     Facts derived from the points alone, such as the integer rows, the
-    cell coordinates and the circuit table, are computed once per object
-    and are not part of equality, hashing or the JSON form.
+    orientation signs, the cell coordinates and the circuit table, are
+    computed once per object and are not part of equality, hashing or
+    the JSON form.
     """
 
     dim: int
@@ -144,6 +145,15 @@ class PointConfiguration:
         point) pair reduced once for as long as the object lives: the
         folding rows, barycentric and the circuit table all read them."""
         return CellCoordinates(self)
+
+    @cached_property
+    def chirotope(self) -> Chirotope:
+        """The orientation signs of (d+1)-tuples of labels, each sorted
+        subset's determinant taken once for as long as the object
+        lives: orientation, and through it the placing sweep, the
+        oracle's apex and intersection tests and the general-position
+        check, read them."""
+        return Chirotope(self)
 
     @cached_property
     def circuit_table(self) -> tuple:
@@ -278,15 +288,44 @@ class CellCoordinates:
         return entry
 
 
+class Chirotope:
+    """The lazy memo behind PointConfiguration.chirotope (the chirotope
+    of the oriented matroid of the points: Björner, Las Vergnas,
+    Sturmfels, White and Ziegler, Oriented Matroids, 1999, ch. 7).  It
+    keeps one determinant sign per sorted (d+1)-subset of labels asked
+    for; a tuple in any other order reads its subset's sign times the
+    parity of the sort."""
+
+    __slots__ = ("config", "_signs")
+
+    def __init__(self, config: PointConfiguration):
+        self.config = config
+        self._signs = {}  # sorted labels -> sign of their homogenized rows
+
+    def sign(self, labels: tuple) -> int:
+        """The sign of the determinant of the homogenized rows of the
+        distinct labels, in the given order.  An unknown label is a
+        ValueError and is not remembered."""
+        key = tuple(sorted(labels))
+        s = self._signs.get(key)
+        if s is None:
+            s = self._signs[key] = linalg.det_sign(homogenized(self.config, key))
+        inversions = sum(a > b for a, b in itertools.combinations(labels, 2))
+        return -s if inversions & 1 else s
+
+
 def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
     """Sign of the determinant of the homogenized (d+1)-tuple, in the
-    given label order; 0 iff affinely dependent."""
+    given label order; 0 iff affinely dependent, and so for a repeated
+    label.  Read from config.chirotope, so each subset's determinant is
+    taken once per configuration object.  A wrong number of labels or
+    an unknown one is a ValueError."""
     labels = tuple(labels)
     if len(labels) != config.dim + 1:
         raise ValueError(f"need {config.dim + 1} labels, got {len(labels)}")
     if len(set(labels)) != len(labels):
         return 0
-    return linalg.det_sign(homogenized(config, labels))
+    return config.chirotope.sign(labels)
 
 
 def affine_dim(config: PointConfiguration) -> int:

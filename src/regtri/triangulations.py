@@ -32,6 +32,8 @@ from .geometry import (
     in_convex_position,
     orientation,
     parse_rational,
+    side_value,
+    spanned_hyperplanes,
 )
 from .linprog import max_margin, solve_lp
 
@@ -127,17 +129,33 @@ def lifted_configuration(config: PointConfiguration, w: dict) -> PointConfigurat
 
 def regular_subdivision(config: PointConfiguration, w: dict) -> Subdivision:
     """Project the lower faces of the lifted hull; cells are simplicial
-    exactly when the heights are generic for the configuration."""
+    exactly when the heights are generic for the configuration.
+
+    The lower faces are read off integer side values: a hyperplane
+    spanned by d+1 lifted points (geometry.spanned_hyperplanes) whose
+    height entry is nonzero bounds a lower face when no lifted point
+    lies on the side opposite to the one that entry points to, and the
+    face's cell is the set of points on the hyperplane, so coplanar
+    points merge into one non-simplicial cell.  Heights that are an
+    affine function of position put every lifted point on one such
+    hyperplane, and the subdivision is trivial: one cell of all labels."""
     if affine_dim(config) != config.dim:
         raise NotFullDimensional("configuration must be full-dimensional")
     lifted = lifted_configuration(config, w)
-    if affine_dim(lifted) < lifted.dim:
-        # heights are an affine function of position: trivial subdivision
-        return Subdivision(make_cells([config.labels]))
-    cells = []
-    for f in facets(lifted):
-        if f.normal[-1] < 0:
-            cells.append(f.labels)
+    up = config.dim  # the height entry of a lifted functional
+    cells = set()
+    for _, h in spanned_hyperplanes(lifted):
+        if not h[up]:
+            continue  # vertical
+        on = []
+        for lab in lifted.labels:
+            v = side_value(lifted, h, lab)
+            if not v:
+                on.append(lab)
+            elif (v > 0) != (h[up] > 0):
+                break
+        else:
+            cells.add(frozenset(on))
     return Subdivision(make_cells(cells))
 
 
@@ -152,19 +170,43 @@ def barycentric(config: PointConfiguration, cell, label: int):
     return {l: Fraction(v, den) for l, v in zip(sorted(cell), known[label])}
 
 
+def _facet_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -> bool:
+    """Whether s1 is a d-simplex with a facet F = s1 - {a} whose
+    hyperplane has a strictly on one side and every label of s2 outside
+    F strictly on the other.  Then s1 and s2 meet in conv(s2 & F), a
+    face of both, read from orientation signs alone."""
+    if len(s1) != config.dim + 1:
+        return False
+    for a in s1:
+        facet = s1 - {a}
+        ridge = tuple(facet)
+        s = orientation(config, ridge + (a,))
+        if s and all(orientation(config, ridge + (b,)) == -s for b in s2 - facet):
+            return True
+    return False
+
+
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
     """Whether two simplices meet in a common face (possibly empty).
 
-    Exact LP on weights l >= 0 on the vertices of s1 and u >= 0 on those
-    of s2, with sum l_a (a, 1) = sum u_b (b, 1) (two opposite <= rows per
-    coordinate) and sum l <= 1, maximizing the weight l puts outside the
-    shared labels.  Weights with equal positive totals scale to a common
-    point, so the simplices meet improperly iff the optimum is positive.
-    The origin is feasible and the weights are bounded, so the LP is
-    always optimal.
+    First a sign test, from config.chirotope: if either simplex is a
+    d-simplex with a facet whose hyperplane strictly separates its apex
+    from the other simplex's labels off that facet, the two meet in the
+    hull of the other's labels on the facet, a face of both, and the
+    answer is True with no LP.  Every other pair, and so every False,
+    is decided by an exact LP on weights l >= 0 on the vertices of s1
+    and u >= 0 on those of s2, with sum l_a (a, 1) = sum u_b (b, 1) (two
+    opposite <= rows per coordinate) and sum l <= 1, maximizing the
+    weight l puts outside the shared labels.  Weights with equal
+    positive totals scale to a common point, so the simplices meet
+    improperly iff the optimum is positive.  The origin is feasible and
+    the weights are bounded, so the LP is always optimal.
     """
+    one, two = frozenset(s1), frozenset(s2)
+    if _facet_separates(config, one, two) or _facet_separates(config, two, one):
+        return True
     s1, s2 = sorted(s1), sorted(s2)
-    shared = set(s1) & set(s2)
+    shared = one & two
     # the columns (a, 1) of s1 and -(b, 1) of s2, read row by row
     columns = [(*config.point(l), 1) for l in s1]
     columns += [(*(-x for x in config.point(l)), -1) for l in s2]

@@ -86,7 +86,9 @@ def lower_hull_cells(points, heights):
     """Cells of the regular subdivision by direct lower-hull check:
     a d-subset spans a lower facet iff the lifted hyperplane through it
     is below or through every other lifted point, with merging of
-    cospanning subsets.  Labels are 1-based indices."""
+    cospanning subsets.  When every lifted point lies on that
+    hyperplane (affine heights) its one cell is all the labels, the
+    trivial subdivision.  Labels are 1-based indices."""
     points = [tuple(Fraction(x) for x in p) for p in points]
     heights = [Fraction(h) for h in heights]
     lifted = [p + (h,) for p, h in zip(points, heights)]
@@ -109,7 +111,7 @@ def lower_hull_cells(points, heights):
         vals = [(l, val(lifted[l - 1])) for l in labels]
         sgn = 1 if up > 0 else -1
         # lower facet: every lifted point weakly above the hyperplane
-        if all(sgn * v >= 0 for _, v in vals) and any(v != 0 for _, v in vals):
+        if all(sgn * v >= 0 for _, v in vals):
             cells.add(frozenset(l for l, v in vals if v == 0))
     # drop non-maximal label sets produced by sub-spanning subsets
     return {c for c in cells if not any(c < other for other in cells)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import enumeration, geometry
+from regtri import enumeration, geometry, triangulations
 from regtri.enumeration import (
     SplitPair,
     check_inseparable,
@@ -271,6 +271,34 @@ def test_regularity_and_enumeration_invariant_under_relabeling(case):
     assert enumerate_regular(relabeled) == {
         t.relabel(mapping) for t in enumerate_regular(cfg)
     }
+
+
+@pytest.mark.parametrize(
+    "cfg, count, lps, lps_without_signs",
+    [(PointConfiguration.from_rows(NESTED_TRIANGLES), 18, 28, 254),
+     (hexagon(), 14, 0, 79),
+     (cyclic_configuration(3, range(1, 8)), 25, 30, 535),
+     (cyclic_configuration(4, range(1, 9)), 40, 80, 1677)],
+    ids=["nested triangles", "hexagon", "cyclic(3,7)", "cyclic(4,8)"],
+)
+def test_oracle_decides_most_pairs_by_signs(monkeypatch, cfg, count, lps, lps_without_signs):
+    """The facet sign test of simplices_properly_intersect answers most
+    of the oracle's pairs; with it switched off every pair takes an LP,
+    and the triangulations found are the same."""
+    calls = []
+    real = triangulations.solve_lp
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(triangulations, "solve_lp", counting)
+    found = enumerate_all_oracle(cfg)
+    assert (len(found), len(calls)) == (count, lps)
+    calls.clear()
+    monkeypatch.setattr(triangulations, "_facet_separates", lambda *args: False)
+    assert enumerate_all_oracle(PointConfiguration.from_json(cfg.to_json())) == found
+    assert len(calls) == lps_without_signs
 
 
 def test_budget_exceeded():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from regtri import linalg
 from regtri.errors import NotAFace, NotFullDimensional
 from regtri.geometry import (
     PointConfiguration,
@@ -14,6 +16,7 @@ from regtri.geometry import (
     cyclic_configuration,
     face_lattice_faces,
     facets,
+    homogenized,
     hyperplane_functional,
     is_face,
     is_general_position,
@@ -232,6 +235,78 @@ def test_orientation_is_the_sign_of_the_homogenized_determinant(rows):
     cfg = PointConfiguration.from_rows(rows)
     det = naive_det([list(p) + [1] for p in cfg.points])
     assert orientation(cfg, cfg.labels) == (det > 0) - (det < 0)
+
+
+@st.composite
+def label_orders(draw):
+    """A configuration of d + 1 to d + 3 distinct points of the grid
+    {0, 1, 2}^d, d = 1 to 4, where affinely dependent tuples come up
+    often, and tuples of d + 1 of its labels in drawn orders, some with
+    a label repeated."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d),
+                         min_size=d + 1, max_size=d + 3, unique=True))
+    labels = range(1, len(rows) + 1)
+    order = st.one_of(
+        st.permutations(labels).map(lambda p: tuple(p[: d + 1])),
+        st.lists(st.sampled_from(labels), min_size=d + 1, max_size=d + 1).map(tuple),
+    )
+    return rows, draw(st.lists(order, min_size=1, max_size=8))
+
+
+def counting_det_sign(mp):
+    """Patch linalg.det_sign to count its calls; returns the counter."""
+    calls = []
+    real = linalg.det_sign
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    mp.setattr(linalg, "det_sign", counting)
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_orders())
+@example(([(0,), (1,)], [(2, 1), (1, 1)]))
+@example(([(0, 0), (1, 1), (2, 2)], [(3, 1, 2), (1, 2, 3)]))
+@example(([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+          [(5, 4, 3, 2, 1), (2, 1, 3, 4, 5)]))
+def test_orientation_reads_one_determinant_per_subset(case):
+    rows, orders = case
+    cfg = PointConfiguration.from_rows(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_det_sign(mp)
+        got = [orientation(cfg, order) for order in orders]
+        subsets = {frozenset(o) for o in orders if len(set(o)) == len(o)}
+        assert len(calls) == len(subsets)
+        calls.clear()
+        for order in orders:
+            for perm in itertools.permutations(order):
+                orientation(cfg, perm)
+        assert calls == []
+    for order, sign in zip(orders, got):
+        assert sign == linalg.det_sign(homogenized(cfg, order))
+
+
+@settings(max_examples=50, deadline=None)
+@given(label_orders())
+def test_orientation_refuses_an_unknown_label_and_remembers_nothing(case):
+    rows, orders = case
+    cfg = PointConfiguration.from_rows(rows)
+    for order in orders:
+        orientation(cfg, order)
+    memo = dict(cfg.chirotope._signs)
+    unknown = len(rows) + 1
+    # a repeated label gives 0 before any label is looked up
+    for order in (o for o in orders if len(set(o)) == len(o)):
+        for k in range(len(order)):
+            with pytest.raises(ValueError):
+                orientation(cfg, order[:k] + (unknown,) + order[k + 1:])
+    with pytest.raises(ValueError):
+        orientation(cfg, orders[0][1:])
+    assert cfg.chirotope._signs == memo
 
 
 @given(point_lists(0))

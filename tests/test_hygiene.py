@@ -217,6 +217,14 @@ def test_solve_lp_has_two_callers():
     assert found == {"linprog.max_margin", "triangulations.simplices_properly_intersect"}
 
 
+def test_det_sign_has_one_caller():
+    """Every orientation sign is read from a configuration's chirotope,
+    which takes each subset's determinant once."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "det_sign")}
+    assert found == {"geometry.Chirotope.sign"}
+
+
 def test_in_convex_position_has_two_callers():
     """Library lifts take any base; convex position is proved where
     regtri lift reads its input, and by pulling, which needs it."""

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from regtri import linalg, linprog
@@ -20,8 +21,10 @@ from regtri.errors import (
 )
 from regtri.geometry import (
     PointConfiguration,
+    affine_dim,
     configuration_in_general_position,
     cyclic_configuration,
+    facets,
     orientation,
 )
 from regtri.triangulations import (
@@ -103,6 +106,50 @@ def test_regular_subdivision_square_against_lower_hull_oracle():
         got = regular_subdivision(cfg, w).cells
         expect = lower_hull_cells(cfg.points, [w[l] for l in cfg.labels])
         assert got == frozenset(expect)
+
+
+@st.composite
+def lifted_grids(draw):
+    """Points of a small grid in d = 1, 2 or 3 dimensions that span it,
+    and small integer heights: drawn at random, or an affine function of
+    position with some points raised by one.  Ties, coplanar lifted
+    points, non-simplicial cells and the trivial subdivision all come
+    up."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    grid = st.tuples(*[st.integers(0, 4 if d == 1 else 2)] * d)
+    rows = draw(st.lists(grid, min_size=d + 2, max_size=min(d + 4, 6), unique=True))
+    assume(affine_dim(PointConfiguration.from_rows(rows)) == d)
+    n = len(rows)
+    if draw(st.booleans()):
+        return rows, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    *slope, shift = draw(st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1))
+    raised = draw(st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n))
+    return rows, [shift + sum(map(operator.mul, slope, p)) + r for p, r in zip(rows, raised)]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(lifted_grids())
+@example(([(0,), (1,), (2,)], [0, 1, 0]))  # an interior point lifted out
+@example(([(0, 0), (1, 0), (0, 1), (1, 1)], [0, 0, 0, 0]))  # trivial
+@example(([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)], [0, 0, 0, 1, 0]))  # a flat cell of four
+@example(([(0, 0), (1, 0), (1, 1), (2, 2)], [0, 0, 0, 1]))  # a vertical facet of three
+@example(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [0, 1, 2, 3, 6]))  # affine
+def test_regular_subdivision_agrees_with_lower_hull_oracle(case):
+    rows, heights = case
+    cfg = PointConfiguration.from_rows(rows)
+    got = regular_subdivision(cfg, dict(zip(cfg.labels, heights))).cells
+    assert got == frozenset(lower_hull_cells(rows, heights))
+
+
+def test_regular_subdivision_takes_no_facets():
+    """The lower hull is read off side values, so a lifted configuration
+    used once does not enter, or keep alive in, the facets memo."""
+    cfg = hexagon()
+    before = facets.cache_info()
+    for w in ({l: l * l for l in cfg.labels}, {l: 0 for l in cfg.labels}):
+        regular_subdivision(cfg, w)
+    assert facets.cache_info() == before
 
 
 def test_regular_subdivision_flat_heights_trivial():
@@ -327,6 +374,16 @@ def grid_simplex_pairs(draw):
 @given(grid_simplex_pairs())
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 3}, {2, 3, 4}))  # a shared edge
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 4}, {1, 2, 3}))  # overlapping
+# a degenerate triangle: its zero orientations separate nothing, and
+# the point inside its segment meets it improperly
+@example(([(0, 0), (2, 0), (3, 0), (1, 0), (0, 1)], {1, 2, 3}, {4}))
+# crossing triangles, no vertex of either inside the other
+@example(([(0, 0), (3, 0), (0, 1), (1, -1), (2, -1), (1, 2)], {1, 2, 3}, {4, 5, 6}))
+# a vertex of one on an edge of the other, at a point they do not share
+@example(([(0, 0), (2, 0), (0, 2), (1, 1), (3, 1), (1, 3)], {1, 2, 3}, {4, 5, 6}))
+# fewer than d + 1 labels: an edge of a triangle, crossing diagonals
+@example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2}, {1, 2, 3}))
+@example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 4}, {2, 3}))
 def test_simplices_properly_intersect_agrees_with_reference(case):
     rows, s1, s2 = case
     cfg = PointConfiguration.from_rows(rows)
