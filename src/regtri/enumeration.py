@@ -16,7 +16,6 @@ and the flips found from one table share their cell objects.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -163,6 +162,8 @@ def t_sweep(pair: SplitPair, t: Triangulation, w: dict) -> SweepTrace:
     """
     config = pair.config
     p, pp = pair.p_label, pair.p_prime_label
+    if p == pp:
+        raise ValueError("need two distinct labels")
     d = config.dim
     missing = sorted(set(config.labels) - set(w))
     if missing:
@@ -368,12 +369,14 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     design, so the two can cross-check each other.  The budget is read
     as in enumerate_regular.
 
-    An apex is a candidate when it lies strictly on the other side of
-    the ridge from the owning cell's apex, and when the new cell meets
-    every cell placed so far properly.  Both tests read orientation
-    signs from config.chirotope, each determinant taken once per
-    configuration object; simplices_properly_intersect solves an exact
-    LP only for the pairs its sign test cannot settle.
+    The frontier maps each open ridge (in one placed cell, on no hull
+    facet) to that cell's apex; placing a cell closes its open ridges
+    and opens its others off the hull.  An apex is a candidate when it
+    lies strictly on the other side of the ridge from the ridge's apex,
+    and when the new cell meets every cell placed so far properly.  Both tests read orientation signs from
+    config.chirotope, each determinant taken once per configuration
+    object; simplices_properly_intersect solves an exact LP only for
+    the pairs its sign test cannot settle.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")
@@ -386,22 +389,19 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     boundary = {f.labels for f in hull}
     results = set()
 
-    def open_ridges(cells):
-        count = {}
-        for c in cells:
-            for r in itertools.combinations(sorted(c), d):
-                count[frozenset(r)] = count.get(frozenset(r), 0) + 1
-        out = []
-        for r, k in count.items():
-            if k == 1 and not any(r <= b for b in boundary):
-                out.append(r)
+    def place(frontier, cell):
+        out = dict(frontier)
+        for apex in cell:
+            ridge = cell - {apex}
+            if ridge in out:
+                del out[ridge]
+            elif ridge not in boundary:
+                out[ridge] = apex
         return out
 
-    def apex_candidates(cells, ridge):
-        owner = next(c for c in cells if ridge <= c)
-        other = next(iter(owner - ridge))
+    def apex_candidates(cells, ridge, apex):
         ridge_sorted = sorted(ridge)
-        sign_owner = orientation(config, ridge_sorted + [other])
+        sign_owner = orientation(config, ridge_sorted + [apex])
         out = []
         for lab in config.labels:
             if lab in ridge:
@@ -410,30 +410,25 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
             if s == 0 or s == sign_owner:
                 continue
             cand = ridge | {lab}
-            if cand in cells:
-                continue
-            if all(
-                simplices_properly_intersect(config, cand, c)
-                for c in cells
-            ):
+            if all(simplices_properly_intersect(config, cand, c) for c in cells):
                 out.append(cand)
         return out
 
-    def extend(cells):
-        ridges = open_ridges(cells)
-        if not ridges:
+    def extend(cells, frontier):
+        if not frontier:
             results.add(Triangulation(frozenset(cells)))
             if budget is not None and len(results) > budget:
                 raise BudgetExceeded(len(results), partial=results)
             return
-        ridge = min(ridges, key=sorted)
-        for cand in apex_candidates(cells, ridge):
-            extend(cells | {cand})
+        ridge = min(frontier, key=sorted)
+        for cand in apex_candidates(cells, ridge, frontier[ridge]):
+            extend(cells | {cand}, place(frontier, cand))
 
     start_facet = min(boundary, key=sorted)
     for lab in config.labels:
         if lab not in start_facet:
-            extend({start_facet | {lab}})
+            cell = start_facet | {lab}
+            extend({cell}, place({}, cell))
     return results
 
 

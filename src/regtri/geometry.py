@@ -28,9 +28,13 @@ Rational = Fraction
 
 
 def parse_rational(s) -> Fraction:
+    """A Fraction; malformed text, a zero denominator too, is a ValueError."""
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -149,7 +153,7 @@ class PointConfiguration:
     @cached_property
     def chirotope(self) -> Chirotope:
         """The orientation signs of (d+1)-tuples of labels, each sorted
-        subset's determinant taken once for as long as the object
+        tuple's determinant taken once for as long as the object
         lives: orientation, and through it the placing sweep, the
         oracle's apex and intersection tests and the general-position
         check, read them."""
@@ -292,9 +296,8 @@ class Chirotope:
     """The lazy memo behind PointConfiguration.chirotope (the chirotope
     of the oriented matroid of the points: Björner, Las Vergnas,
     Sturmfels, White and Ziegler, Oriented Matroids, 1999, ch. 7).  It
-    keeps one determinant sign per sorted (d+1)-subset of labels asked
-    for; a tuple in any other order reads its subset's sign times the
-    parity of the sort."""
+    keeps one determinant sign per sorted (d+1)-tuple of labels asked
+    for; any other order reads that sign times the parity of the sort."""
 
     __slots__ = ("config", "_signs")
 
@@ -304,8 +307,8 @@ class Chirotope:
 
     def sign(self, labels: tuple) -> int:
         """The sign of the determinant of the homogenized rows of the
-        distinct labels, in the given order.  An unknown label is a
-        ValueError and is not remembered."""
+        labels, in the given order: 0 when a label repeats.  An unknown
+        label is a ValueError and is not remembered."""
         key = tuple(sorted(labels))
         s = self._signs.get(key)
         if s is None:
@@ -319,12 +322,10 @@ def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
     given label order; 0 iff affinely dependent, and so for a repeated
     label.  Read from config.chirotope, so each subset's determinant is
     taken once per configuration object.  A wrong number of labels or
-    an unknown one is a ValueError."""
+    an unknown one, repeated labels or not, is a ValueError."""
     labels = tuple(labels)
     if len(labels) != config.dim + 1:
         raise ValueError(f"need {config.dim + 1} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        return 0
     return config.chirotope.sign(labels)
 
 

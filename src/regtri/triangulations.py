@@ -35,7 +35,7 @@ from .geometry import (
     side_value,
     spanned_hyperplanes,
 )
-from .linprog import max_margin, solve_lp
+from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 
 def make_cells(cells) -> frozenset:
     """The cells as a frozenset of frozensets.  A cell set that already
@@ -194,28 +194,26 @@ def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
     from the other simplex's labels off that facet, the two meet in the
     hull of the other's labels on the facet, a face of both, and the
     answer is True with no LP.  Every other pair, and so every False,
-    is decided by an exact LP on weights l >= 0 on the vertices of s1
-    and u >= 0 on those of s2, with sum l_a (a, 1) = sum u_b (b, 1) (two
-    opposite <= rows per coordinate) and sum l <= 1, maximizing the
-    weight l puts outside the shared labels.  Weights with equal
-    positive totals scale to a common point, so the simplices meet
-    improperly iff the optimum is positive.  The origin is feasible and
-    the weights are bounded, so the LP is always optimal.
+    is decided by one max_margin LP on weights l >= 0 on the vertices of
+    s1, u >= 0 on those of s2 and the margin.  Its homogeneous rows, on
+    the integer homogenized rows, are sum l_a (a, 1) = sum u_b (b, 1),
+    each equality as two opposite rows, and margin <= the weight l puts
+    outside the shared labels.  Weights with equal positive totals scale
+    to a common point, so the simplices meet improperly iff the optimum
+    is positive.  The rows cut out a cone, so max_margin's box only
+    scales a solution and leaves that sign as it is.
     """
     one, two = frozenset(s1), frozenset(s2)
     if _facet_separates(config, one, two) or _facet_separates(config, two, one):
         return True
-    s1, s2 = sorted(s1), sorted(s2)
-    shared = one & two
+    s1, s2 = sorted(one), sorted(two)
     # the columns (a, 1) of s1 and -(b, 1) of s2, read row by row
-    columns = [(*config.point(l), 1) for l in s1]
-    columns += [(*(-x for x in config.point(l)), -1) for l in s2]
-    a_ub = []
+    columns = homogenized(config, s1) + [[-v for v in b] for b in homogenized(config, s2)]
+    rows = []
     for row in zip(*columns):
-        a_ub += [row, [-v for v in row]]
-    a_ub.append([1] * len(s1) + [0] * len(s2))
-    c = [0 if l in shared else 1 for l in s1] + [0] * len(s2)
-    return solve_lp(c, a_ub, [0] * (len(a_ub) - 1) + [1]).value == 0
+        rows += [[*row, 0], [*(-v for v in row), 0]]
+    rows.append([0 if l in two else -1 for l in s1] + [0] * len(s2) + [1])
+    return max_margin(rows, len(columns) + 1)[3].value == 0
 
 
 def _ridge_sides(cell: tuple, sign: int):

@@ -273,11 +273,14 @@ def test_regular_on_overlapping_cells_is_a_json_error(tmp_path, rows, cells, nam
         (["triangulate", "{bad}"],
          json.dumps({"dim": 2, "points": [[[True, 1], ["0", 1]], [["4", 1], ["0", 1]],
                                           [["0", 1], ["4", 1]]]})),
+        (["lift", "{square}", "--apex", "1/0,1,1"], ""),
+        (["sweep", "{square}", "{cells}", "{bad}", "--p", "1", "--p-prime", "1"],
+         heights_to_json({1: 0, 2: 0, 3: 0, 4: 1})),
     ],
     ids=["config-without-dim", "config-integer-points", "triangulation-without-cells",
          "heights-as-list", "spec-without-epsilons", "config-string-labels",
          "config-float-label", "config-float-dim", "config-float-coordinate",
-         "config-bool-coordinate"],
+         "config-bool-coordinate", "apex-zero-denominator", "sweep-one-label-twice"],
 )
 def test_malformed_wire_format_is_a_json_error(tmp_path, command, bad_text):
     paths = {"square": tmp_path / "square.json", "cells": tmp_path / "cells.json",
@@ -290,6 +293,7 @@ def test_malformed_wire_format_is_a_json_error(tmp_path, command, bad_text):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert json.loads(result.stderr)["error"] == "ValueError"
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize(

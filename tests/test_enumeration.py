@@ -286,13 +286,13 @@ def test_oracle_decides_most_pairs_by_signs(monkeypatch, cfg, count, lps, lps_wi
     of the oracle's pairs; with it switched off every pair takes an LP,
     and the triangulations found are the same."""
     calls = []
-    real = triangulations.solve_lp
+    real = triangulations.max_margin
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(triangulations, "solve_lp", counting)
+    monkeypatch.setattr(triangulations, "max_margin", counting)
     found = enumerate_all_oracle(cfg)
     assert (len(found), len(calls)) == (count, lps)
     calls.clear()

@@ -209,12 +209,12 @@ def test_callers_of_a_name_are_found():
     assert callers_of(source, "f") == ["<module>", "C.v", "g", "g"]
 
 
-def test_solve_lp_has_two_callers():
-    """solve_lp takes only LPs feasible at the origin: the margin LP of
-    max_margin and the oracle's own LP in simplices_properly_intersect."""
+def test_solve_lp_has_one_caller():
+    """Every LP the package solves, the oracle's pair test included, is
+    the margin LP that max_margin builds."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
              for caller in callers_of(path.read_text(), "solve_lp")}
-    assert found == {"linprog.max_margin", "triangulations.simplices_properly_intersect"}
+    assert found == {"linprog.max_margin"}
 
 
 def test_det_sign_has_one_caller():
