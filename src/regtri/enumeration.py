@@ -7,8 +7,8 @@ therefore cross-checked against an independent extension-search oracle
 on every instance small enough for the oracle.
 
 Flips come from the configuration's circuit table
-(`PointConfiguration.circuit_table`), computed once per configuration
-object: every (d+2)-subset whose Radon partition has no zero
+(`PointConfiguration.circuit_table`), read once per configuration object
+off its chirotope: every (d+2)-subset whose Radon partition has no zero
 coefficient, with the two triangulations of its circuit as ready-made
 cell sets.  A flip is then set operations on a triangulation's cells,
 and the flips found from one table share their cell objects.
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .geometry import (
     PointConfiguration,
+    configuration_in_general_position,
     facets,
     is_general_position,
     is_vertex,
@@ -320,11 +321,12 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
 
     The flips are over circuits of d+2 points with no zero coefficient,
     which connect the regular triangulations only in general position,
-    so a configuration with d+1 points on a hyperplane raises
-    GenericityFailure rather than return a partial set.  Known miss:
-    flipping only circuits among the labels in use, it finds 5 of the 16
-    regular triangulations of a pentagon with its centre.  A budget of
-    k stops the search once it holds k + 1; it must not be negative.
+    so a configuration with d+1 points on a hyperplane, a zero sign in
+    config.chirotope, raises GenericityFailure rather than return a
+    partial set.  Known miss: flipping only circuits among the labels in
+    use, it finds 5 of the 16 regular triangulations of a pentagon with
+    its centre.  A budget of k stops the search once it holds k + 1; it
+    must not be negative.
 
     Each (cell, point) pair is reduced once per configuration object
     (config.cell_coordinates), and the walk remembers the flips
@@ -333,7 +335,7 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")
     start = placing_triangulation(config)
-    if len(config.circuit_table) != math.comb(config.n, config.dim + 2):
+    if not configuration_in_general_position(config):
         raise GenericityFailure("d+1 points on a hyperplane; flip search "
                                 "needs general position")
     found = set()

@@ -147,7 +147,8 @@ class PointConfiguration:
     def cell_coordinates(self) -> CellCoordinates:
         """The affine coordinates of points over cells, each (cell,
         point) pair reduced once for as long as the object lives: the
-        folding rows, barycentric and the circuit table all read them."""
+        folding rows and barycentric read them, where magnitudes are
+        needed; every sign-only question reads the chirotope."""
         return CellCoordinates(self)
 
     @cached_property
@@ -156,26 +157,28 @@ class PointConfiguration:
         tuple's determinant taken once for as long as the object
         lives: orientation, and through it the placing sweep, the
         oracle's apex and intersection tests and the general-position
-        check, read them."""
+        check, read them, and so does the circuit table."""
         return Chirotope(self)
 
     @cached_property
     def circuit_table(self) -> tuple:
         """The flips of the configuration: one (subset, side_pos,
         side_neg) per (d+2)-subset whose Radon partition has no zero
-        coefficient, in combinations(sorted(labels), d+2) order.  The
-        partition is read off the affine coordinates of the last label
-        in the first d+1: the positive ones against the rest.  The two
-        sides are the two triangulations of the subset's circuit, as
-        cell sets; a flip trades one for the other."""
+        coefficient, in combinations(sorted(labels), d+2) order.  By
+        Cramer's rule the coefficient of the i-th label of the sorted
+        subset has the sign (-1)^i times the chirotope's sign of the
+        subset without that label; the labels whose sign is opposite to
+        the last label's stand against the rest.  The two sides are the
+        two triangulations of the subset's circuit, as cell sets; a flip
+        trades one for the other."""
+        sign = self.chirotope.sign
         table = []
         for subset in itertools.combinations(sorted(self.labels), self.dim + 2):
-            *cell, last = subset
-            sol = self.cell_coordinates.reduce(frozenset(cell), [last])
-            if sol is None or 0 in sol[1][last]:
+            signs = [(-1) ** i * sign(subset[:i] + subset[i + 1 :]) for i in range(len(subset))]
+            if 0 in signs:
                 continue
             s = frozenset(subset)
-            ahead = frozenset(l for l, v in zip(cell, sol[1][last]) if v > 0)
+            ahead = frozenset(l for l, v in zip(subset, signs) if v != signs[-1])
             table.append((s, frozenset(s - {l} for l in ahead),
                           frozenset(s - {l} for l in s - ahead)))
         return tuple(table)
@@ -204,7 +207,8 @@ class PointConfiguration:
                 tuple(Fraction(int(num), int(den)) for num, den in row)
                 for row in data["points"]
             )
-            labels = tuple(data.get("labels") or range(1, len(pts) + 1))
+            labels = data.get("labels")  # a given list is used as given
+            labels = tuple(range(1, len(pts) + 1) if labels is None else labels)
             if not all(type(v) is int for v in (data["dim"],) + labels):
                 raise TypeError("dim and labels must be integers")
             return cls(dim=data["dim"], points=pts, labels=labels)
@@ -254,8 +258,9 @@ def _affine_coordinates(config: PointConfiguration, cell, labels):
 
 
 class CellCoordinates:
-    """The lazy memo behind PointConfiguration.cell_coordinates.  Per
-    cell it keeps the denominator of the cell's reduction and the
+    """The lazy memo behind PointConfiguration.cell_coordinates, read
+    only where magnitudes are needed: the folding rows and barycentric.
+    Per cell it keeps the denominator of the cell's reduction and the
     integer numerators of every label reduced so far, or None for a
     degenerate cell.  The denominator of _rref depends only on the
     cell's columns, and each right-hand column is reduced on its own,
@@ -553,11 +558,9 @@ def is_general_position(config: PointConfiguration, q) -> bool:
 
 
 def configuration_in_general_position(config: PointConfiguration) -> bool:
-    """No d+1 points on a common hyperplane."""
-    for subset in itertools.combinations(config.labels, config.dim + 1):
-        if orientation(config, subset) == 0:
-            return False
-    return True
+    """No d+1 points on a common hyperplane: no zero in the chirotope."""
+    subsets = itertools.combinations(config.labels, config.dim + 1)
+    return all(orientation(config, s) for s in subsets)
 
 
 def is_vertex(config: PointConfiguration, label: int) -> bool:

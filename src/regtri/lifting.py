@@ -57,6 +57,9 @@ class LiftSpec:
     def from_json(cls, text: str) -> "LiftSpec":
         with wire_format("lift spec"):
             data = json.loads(text)
+            # parse_rational would read a JSON number 0.5 or true
+            if not all(type(v) in (int, str) for v in data["apex"] + data["epsilons"]):
+                raise TypeError("apex and epsilons must be integers or strings")
             return cls.make(data["apex"], data["epsilons"])
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (
     DegenerateStep,
+    GenericityFailure,
     NonPureComplex,
     NotATriangulation,
     NotConvexPosition,
@@ -116,8 +117,11 @@ def heights_to_json(w: dict) -> str:
 
 def heights_from_json(text: str) -> dict:
     with wire_format("heights"):
-        data = json.loads(text)
-        return {int(l): parse_rational(v) for l, v in data["heights"].items()}
+        heights = json.loads(text)["heights"]
+        # keys as heights_to_json writes labels; no JSON number 0.9 or true
+        if not all(str(int(l)) == l and type(v) in (int, str) for l, v in heights.items()):
+            raise TypeError("heights must be integers or strings keyed by integer labels")
+        return {int(l): parse_rational(v) for l, v in heights.items()}
 
 
 def lifted_configuration(config: PointConfiguration, w: dict) -> PointConfiguration:
@@ -214,18 +218,6 @@ def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
         rows += [[*row, 0], [*(-v for v in row), 0]]
     rows.append([0 if l in two else -1 for l in s1] + [0] * len(s2) + [1])
     return max_margin(rows, len(columns) + 1)[3].value == 0
-
-
-def _ridge_sides(cell: tuple, sign: int):
-    """(ridge, side) for each ridge of a sorted cell whose orientation
-    is sign: side is the orientation of (ridge, apex), the side of the
-    ridge's hyperplane the apex lies on.  The k-th ridge omits the apex
-    at position d - k, and moving the apex last, past k labels, flips
-    the sign k times."""
-    return [
-        (r, sign * (-1) ** k)
-        for k, r in enumerate(itertools.combinations(cell, len(cell) - 1))
-    ]
 
 
 def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool):
@@ -459,12 +451,12 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
     strictly beyond (De Loera, Rambau and Santos, Triangulations, 2010,
     section 4.3).  A point beyond no ridge lies in the hull of the
     points before it, inside or on its boundary, and is skipped.  Each
-    boundary ridge keeps the side of its hyperplane its cell's apex lies
-    on; a new cell's sides come from the orientation that found its
-    ridge visible, by the parity rule of _ridge_sides, so each ridge
-    test is one determinant.  DegenerateStep means the first d+1 points
-    of the order do not span.  The default order is label order with the
-    first d+1 labels that span moved to the front."""
+    boundary ridge keeps orientation(ridge + (apex,)), the side of its
+    hyperplane its cell's apex lies on: the sign of its cell, which
+    config.chirotope took when the cell was found visible, so each
+    ridge test is one sign.  DegenerateStep means the first d+1 points
+    of the order do not span.  The default order is label order with
+    the first d+1 labels that span moved to the front."""
     d = config.dim
     if order is None:
         start = []
@@ -475,36 +467,33 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
     if len(order) < d + 1:
         raise NotFullDimensional("too few points to span")
     first = tuple(sorted(order[: d + 1]))
-    sign = orientation(config, first)
-    if sign == 0:
+    if orientation(config, first) == 0:
         raise DegenerateStep(order[d])
-    cells = [first]
-    boundary = dict(_ridge_sides(first, sign))  # ridge -> its apex's side
+    cells, boundary = [], {}  # boundary: ridge -> orientation(ridge + (its cell's apex,))
+
+    def place(cell):
+        cells.append(cell)
+        for apex in cell:
+            ridge = tuple(l for l in cell if l != apex)
+            if ridge in boundary:  # the ridge it covers, or one another new cell shares
+                del boundary[ridge]
+            else:
+                boundary[ridge] = orientation(config, ridge + (apex,))
+
+    place(first)
     for lab in order[d + 1 :]:
-        visible = []
-        for ridge, side in boundary.items():
-            o = orientation(config, ridge + (lab,))
-            if o == -side:
-                visible.append((ridge, o))
-        for ridge, o in visible:
-            del boundary[ridge]
-            cell = tuple(sorted(ridge + (lab,)))
-            cells.append(cell)
-            # o orients the cell with lab last; sorting moves it
-            # past the d - index labels after it
-            for r, side in _ridge_sides(cell, o * (-1) ** (d - cell.index(lab))):
-                if lab not in r:
-                    continue
-                if r in boundary:  # shared with another new cell
-                    del boundary[r]
-                else:
-                    boundary[r] = side
+        visible = [ridge for ridge, side in boundary.items()
+                   if orientation(config, ridge + (lab,)) == -side]
+        for ridge in visible:
+            place(tuple(sorted(ridge + (lab,))))
     return Triangulation(make_cells(cells))
 
 
 def pulling_triangulation(config: PointConfiguration) -> Triangulation:
     """Cone the last-labeled point over the hull facets avoiding it;
-    valid for configurations in convex and general position."""
+    valid for configurations in convex and general position.  A
+    non-simplicial facet avoiding it, as on the cube, is a
+    GenericityFailure."""
     if not in_convex_position(config):
         raise NotConvexPosition("pulling needs a configuration in convex position")
     last = config.labels[-1]
@@ -513,7 +502,7 @@ def pulling_triangulation(config: PointConfiguration) -> Triangulation:
         if last in f.labels:
             continue
         if len(f.labels) != config.dim:
-            raise NotFullDimensional("non-simplicial facet; not in general position")
+            raise GenericityFailure("non-simplicial facet; not in general position")
         cells.append(f.labels | {last})
     return Triangulation(make_cells(cells))
 

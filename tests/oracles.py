@@ -236,16 +236,15 @@ def is_general_position_fraction(points, q):
     return all(fraction_value(fn, q) != 0 for fn in _fraction_hyperplanes(points, len(q)))
 
 
-def flip_neighbors_reference(cells, points):
-    """Cell sets of the triangulations one bistellar flip away from the
-    given one, in the order the library lists them: for each (d+2)-subset
-    of the labels the cells use, in combinations order, the Radon
-    partition is read off a kernel vector of the homogenized points
-    (subsets with a zero coefficient are skipped), and whichever side of
-    the circuit lies among the cells is traded for the other.  points
-    maps each label to its coordinates."""
-    cells = frozenset(frozenset(c) for c in cells)
-    labels = sorted({l for c in cells for l in c})
+def circuit_table_reference(points):
+    """(subset, side_pos, side_neg) for each (d+2)-subset of the labels
+    of points, in combinations order of the sorted labels, whose Radon
+    partition, read off a kernel vector of the homogenized points, has
+    no zero coefficient; subsets of another nullity or with a zero
+    coefficient are skipped.  side_pos and side_neg are the cell sets
+    of the circuit's two triangulations.  points maps each label to its
+    coordinates."""
+    labels = sorted(points)
     d = len(points[labels[0]])
     out = []
     for subset in combinations(labels, d + 2):
@@ -263,13 +262,55 @@ def flip_neighbors_reference(cells, points):
         s = frozenset(subset)
         pos = [l for l, v in zip(subset, lam) if v > 0]
         neg = [l for l, v in zip(subset, lam) if v < 0]
-        side_pos = frozenset(s - {l} for l in neg)
-        side_neg = frozenset(s - {l} for l in pos)
+        out.append((s, frozenset(s - {l} for l in neg), frozenset(s - {l} for l in pos)))
+    return out
+
+
+def flip_neighbors_reference(cells, points):
+    """Cell sets of the triangulations one bistellar flip away from the
+    given one, in the order the library lists them: for each circuit of
+    circuit_table_reference over the labels the cells use, whichever
+    side of the circuit lies among the cells is traded for the other.
+    points maps each label to its coordinates."""
+    cells = frozenset(frozenset(c) for c in cells)
+    used = {l for c in cells for l in c}
+    out = []
+    for _, side_pos, side_neg in circuit_table_reference({l: points[l] for l in used}):
         if side_pos <= cells:
             out.append((cells - side_pos) | side_neg)
         elif side_neg <= cells:
             out.append((cells - side_neg) | side_pos)
     return out
+
+
+def gkz_regular_subset(points, triangulations):
+    """The regular members of a list of all triangulations of points,
+    each given as its cells' label sets (1-based labels into points), by
+    the secondary polytope (Gelfand, Kapranov and Zelevinsky, 1994; De
+    Loera, Rambau and Santos, Triangulations, 2010, ch. 5): the GKZ
+    vector of T gives each point the summed volume of the cells of T
+    that contain it, and T is regular exactly when its GKZ vector is a
+    vertex of the hull of them all, that is, no convex combination of
+    the others.  One fraction_simplex feasibility LP per triangulation;
+    the regular ones must have pairwise distinct GKZ vectors."""
+    vectors = []
+    for cells in triangulations:
+        phi = [Fraction(0)] * len(points)
+        for c in cells:
+            vol = abs(naive_det([list(points[l - 1]) + [1] for l in sorted(c)]))
+            for l in c:
+                phi[l - 1] += vol
+        vectors.append(phi)
+    regular = []
+    for k, (cells, phi) in enumerate(zip(triangulations, vectors)):
+        others = vectors[:k] + vectors[k + 1:]
+        a_eq = [[v[i] for v in others] for i in range(len(points))] + [[1] * len(others)]
+        b_eq = phi + [1]
+        if not others or fraction_simplex([0] * len(others), [], [], a_eq, b_eq,
+                                          nonneg=True)[0] == "infeasible":
+            regular.append((cells, phi))
+    assert len({tuple(phi) for _, phi in regular}) == len(regular)
+    return [cells for cells, _ in regular]
 
 
 def _fraction_pivot(tab, obj, basis, row, col):

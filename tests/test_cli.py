@@ -276,17 +276,37 @@ def test_regular_on_overlapping_cells_is_a_json_error(tmp_path, rows, cells, nam
         (["lift", "{square}", "--apex", "1/0,1,1"], ""),
         (["sweep", "{square}", "{cells}", "{bad}", "--p", "1", "--p-prime", "1"],
          heights_to_json({1: 0, 2: 0, 3: 0, 4: 1})),
+        # each case below is read, and the command exits 0, when the
+        # value is taken for the number or label it resembles
+        (["lift", "{square}", "--spec-file", "{bad}"],
+         json.dumps({"apex": [True, "1/2", "1"], "epsilons": ["1/2", "1/4", "1/8", "1/16"]})),
+        (["lift", "{square}", "--spec-file", "{bad}"],
+         json.dumps({"apex": ["1", "1/2", "1"], "epsilons": ["1/2", "1/4", "1/8", 0.0625]})),
+        (["sweep", "{square}", "{triangle}", "{bad}", "--p", "1", "--p-prime", "4"],
+         json.dumps({"heights": {"1": True, "2": "0", "3": "0", "4": "1"}})),
+        (["sweep", "{square}", "{triangle}", "{bad}", "--p", "1", "--p-prime", "4"],
+         json.dumps({"heights": {"1": "0", "2": 0.0, "3": "0", "4": "1"}})),
+        (["sweep", "{square}", "{triangle}", "{bad}", "--p", "1", "--p-prime", "4"],
+         json.dumps({"heights": {"1": "0", "2": "0", "3": "0", "0_4": "1"}})),
+        (["sweep", "{square}", "{triangle}", "{bad}", "--p", "1", "--p-prime", "4"],
+         json.dumps({"heights": {"1": "0", "2": "0", "3": "0", " 4": "1"}})),
+        (["triangulate", "{bad}"],
+         json.dumps({"dim": 2, "labels": [], "points": [[["0", 1], ["0", 1]], [["4", 1], ["0", 1]],
+                                                        [["0", 1], ["4", 1]]]})),
     ],
     ids=["config-without-dim", "config-integer-points", "triangulation-without-cells",
          "heights-as-list", "spec-without-epsilons", "config-string-labels",
          "config-float-label", "config-float-dim", "config-float-coordinate",
-         "config-bool-coordinate", "apex-zero-denominator", "sweep-one-label-twice"],
+         "config-bool-coordinate", "apex-zero-denominator", "sweep-one-label-twice",
+         "spec-bool-apex", "spec-float-epsilon", "heights-bool-value", "heights-float-value",
+         "heights-underscored-label", "heights-padded-label", "config-empty-labels"],
 )
 def test_malformed_wire_format_is_a_json_error(tmp_path, command, bad_text):
     paths = {"square": tmp_path / "square.json", "cells": tmp_path / "cells.json",
-             "bad": tmp_path / "bad.json"}
+             "triangle": tmp_path / "triangle.json", "bad": tmp_path / "bad.json"}
     write_square(paths["square"])
     paths["cells"].write_text(json.dumps({"cells": [[1, 2, 3], [2, 3, 4]]}))
+    paths["triangle"].write_text(json.dumps({"cells": [[1, 2, 3]]}))
     paths["bad"].write_text(bad_text)
     args = [a.format(**paths) for a in command]
     result = CliRunner().invoke(main, args)
@@ -580,6 +600,20 @@ def test_unwritable_output_is_a_json_error(tmp_path, monkeypatch, flags, error, 
     expected = ["square.json", "t.json.manifest.json"] + left
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
     assert (tmp_path / "t.json.manifest.json").is_dir()
+
+
+def test_pulling_the_cube_is_a_genericity_failure(tmp_path):
+    # the cube is full-dimensional; its square facets are what pulling
+    # cannot cone over
+    cube = PointConfiguration.from_rows(
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    path = tmp_path / "cube.json"
+    path.write_text(cube.to_json())
+    result = CliRunner().invoke(main, ["triangulate", str(path), "--method", "pulling"])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "GenericityFailure"
 
 
 def test_triangulate_placing_with_a_point_on_a_hull_edge(tmp_path):

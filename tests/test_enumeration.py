@@ -36,7 +36,13 @@ from regtri.triangulations import (
     regular_subdivision,
 )
 
-from oracles import catalan, flip_neighbors_reference, polygon_triangulations
+from oracles import (
+    catalan,
+    circuit_table_reference,
+    flip_neighbors_reference,
+    gkz_regular_subset,
+    polygon_triangulations,
+)
 
 
 def square():
@@ -101,8 +107,9 @@ def test_flip_neighbors_square():
 
 @st.composite
 def placing_cases(draw):
-    """A 2-D or 3-D grid configuration and a placing order; placing
-    skips interior points, so the triangulation often leaves one out."""
+    """A 2-D or 3-D grid configuration, in general position or not, and
+    a placing order; placing skips interior points, so the triangulation
+    often leaves one out."""
     d = draw(st.sampled_from((2, 3)))
     point = st.tuples(*[st.integers(0, 4)] * d)
     rows = draw(st.lists(point, min_size=d + 2, max_size=d + 4, unique=True))
@@ -112,16 +119,26 @@ def placing_cases(draw):
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
-@given(placing_cases())
-@example(([(0, 0), (4, 0), (0, 4), (4, 4), (1, 2)], [1, 2, 3, 4, 5]))
+@given(placing_cases(), st.randoms(use_true_random=False))
+@example(([(0, 0), (4, 0), (0, 4), (4, 4), (1, 2)], [1, 2, 3, 4, 5]), random.Random(0))
 @example(([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1), (1, 2, 3)],
-          [1, 2, 3, 4, 6, 5]))
-def test_table_driven_flips_equal_per_subset_reference(case):
+          [1, 2, 3, 4, 6, 5]), random.Random(0))
+@example(([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)], [1, 2, 3, 4, 5, 6]),
+         random.Random(1))  # centre on both diagonals, a point on an edge
+def test_table_driven_flips_equal_per_subset_reference(case, rng):
+    # the circuit table reads its Radon signs off the chirotope; the
+    # reference reads them off a Fraction kernel vector, so the two must
+    # skip the same subsets, off general position too, and agree on
+    # labels that are not 1..n in point order
     rows, order = case
-    cfg = PointConfiguration.from_rows(rows)
-    assume(configuration_in_general_position(cfg))
+    labels = rng.sample(range(1, 3 * len(rows)), len(rows))
+    cfg = PointConfiguration.from_rows(rows, labels)
+    try:
+        start = placing_triangulation(cfg, [labels[k - 1] for k in order])
+    except DegenerateStep:
+        assume(False)
     points = {l: cfg.point(l) for l in cfg.labels}
-    start = placing_triangulation(cfg, order)
+    assert list(cfg.circuit_table) == circuit_table_reference(points)
     for t in [start] + flip_neighbors(start, cfg):
         expected = flip_neighbors_reference(t.cells, points)
         assert [nb.cells for nb in flip_neighbors(t, cfg)] == expected
@@ -154,20 +171,24 @@ def test_enumerate_regular_refuses_exactly_off_general_position(case):
 
 
 def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
-    # the circuit table and the folding rows read their coordinates
-    # from the configuration's one memo
-    calls = []
+    # the circuit table reads only orientation signs, and the folding
+    # rows read their coordinates from the configuration's one memo
+    calls, triples = [], []
     real = geometry._affine_coordinates
-    monkeypatch.setattr(
-        geometry,
-        "_affine_coordinates",
-        lambda cfg, cell, labels: calls.append(cell) or real(cfg, cell, labels),
-    )
+
+    def counting(cfg, cell, labels):
+        calls.append(cell)
+        triples.extend((frozenset(cell), lab) for lab in labels)
+        return real(cfg, cell, labels)
+
+    monkeypatch.setattr(geometry, "_affine_coordinates", counting)
     cfg = cyclic_configuration(4, range(1, 9))
     assert len(cfg.circuit_table) == math.comb(8, 6)
-    assert len(calls) == math.comb(8, 6)
+    assert calls == []
     found = enumerate_regular(cfg)
     assert len(found) == 40
+    assert len(calls) == 88
+    assert len(triples) == len(set(triples)) == 112
     # the table and the coordinates belong to the configuration: a
     # second enumeration of the same object reduces nothing
     calls.clear()
@@ -222,11 +243,31 @@ def test_circuit_table_stays_out_of_equality_and_json():
     assert halves == PointConfiguration.from_json(halves.to_json())
 
 
+def gkz_reference(cfg, triangulations):
+    """oracles.gkz_regular_subset on triangulations of cfg, whose labels
+    are 1..n in point order."""
+    assert cfg.labels == tuple(range(1, cfg.n + 1))
+    cells = [t.cells for t in triangulations]
+    return {Triangulation(c) for c in gkz_regular_subset(list(cfg.points), cells)}
+
+
 def test_enumerate_regular_matches_oracle_regular_subset():
     for cfg in (square(), hexagon(), cyclic_configuration(3, [1, 2, 3, 5, 8, 13])):
         oracle = enumerate_all_oracle(cfg)
         regs = {t for t in oracle if is_regular(t, cfg).regular}
-        assert enumerate_regular(cfg) == regs
+        assert enumerate_regular(cfg) == regs == gkz_reference(cfg, oracle)
+
+
+def test_is_regular_equals_the_gkz_reference():
+    # the secondary polytope shares no code with is_regular; the nested
+    # triangles have 2 non-regular triangulations of 18, and the flip
+    # walk misses regular ones there, so is_regular filters the oracle
+    nested = PointConfiguration.from_rows([[4, 0], [0, 4], [0, 0], [2, 1], [1, 2], [1, 1]])
+    for cfg, regular in ((nested, 16), (cyclic_configuration(3, range(1, 8)), 25)):
+        oracle = enumerate_all_oracle(cfg)
+        regs = {t for t in oracle if is_regular(t, cfg).regular}
+        assert len(regs) == regular
+        assert gkz_reference(cfg, oracle) == regs
 
 
 def test_enumerate_regular_relabeling_invariance():
@@ -520,5 +561,5 @@ def test_check_inseparable_reduces_each_cell_and_point_once(monkeypatch):
     monkeypatch.setattr(geometry, "_affine_coordinates", counting)
     run = cyclic_inseparable_realization(3, 8)
     assert run.halvings == (0, 0, 0, 0)
-    assert len(calls) == 326
+    assert len(calls) == 303
     assert len(triples) == len(set(triples)) == 638

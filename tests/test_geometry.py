@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -38,6 +39,16 @@ def test_config_json_roundtrip():
     cfg = PointConfiguration.from_rows([[F(1, 3), F(-2, 7)], [F(0), F(5)]])
     again = PointConfiguration.from_json(cfg.to_json())
     assert again == cfg
+
+
+def test_config_json_labels_default_only_when_absent():
+    data = json.loads(square().to_json())
+    del data["labels"]
+    for absent in ({}, {"labels": None}):
+        assert PointConfiguration.from_json(json.dumps({**data, **absent})) == square()
+    for wrong in ([], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            PointConfiguration.from_json(json.dumps({**data, "labels": wrong}))
 
 
 def test_duplicate_points_rejected_above_dim_zero():

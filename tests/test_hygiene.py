@@ -293,3 +293,11 @@ def test_cell_coordinates_are_built_only_by_the_configuration():
     found = {path.name: calls for path in PACKAGE
              if (calls := callers_of(path.read_text(), "CellCoordinates"))}
     assert found == {"geometry.py": ["PointConfiguration.cell_coordinates"]}
+
+
+def test_cell_coordinates_serve_only_magnitudes():
+    """Sign-only questions read the chirotope; the memo's reductions are
+    read where magnitudes are needed: the folding rows and barycentric."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "reduce")}
+    assert found == {"triangulations._folding_pass", "triangulations.barycentric"}

@@ -94,7 +94,7 @@ def test_faces_and_restriction():
 
 
 def test_heights_json_roundtrip():
-    w = {1: F(1, 3), 2: F(-2)}
+    w = {1: F(1, 3), 2: F(-2), -3: F(0)}
     assert heights_from_json(heights_to_json(w)) == w
 
 
