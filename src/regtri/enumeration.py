@@ -375,10 +375,13 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     facet) to that cell's apex; placing a cell closes its open ridges
     and opens its others off the hull.  An apex is a candidate when it
     lies strictly on the other side of the ridge from the ridge's apex,
-    and when the new cell meets every cell placed so far properly.  Both tests read orientation signs from
-    config.chirotope, each determinant taken once per configuration
-    object; simplices_properly_intersect solves an exact LP only for
-    the pairs its sign test cannot settle.
+    and when the new cell meets every cell placed so far properly.  Both
+    tests read config.chirotope, each determinant taken once per
+    configuration object: the apex test and the pair test's facet test
+    read orientation signs, and the pair test's Radon test reads the
+    affine dependences of the minors (Chirotope.dependence).
+    simplices_properly_intersect solves an exact LP only for the pairs
+    neither sign test settles, which off general position can remain.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")

@@ -153,32 +153,32 @@ class PointConfiguration:
 
     @cached_property
     def chirotope(self) -> Chirotope:
-        """The orientation signs of (d+1)-tuples of labels, each sorted
-        tuple's determinant taken once for as long as the object
-        lives: orientation, and through it the placing sweep, the
-        oracle's apex and intersection tests and the general-position
-        check, read them, and so does the circuit table."""
+        """The determinants of (d+1)-tuples of labels, each sorted
+        tuple's taken once for as long as the object lives: orientation,
+        and through it the placing sweep, the oracle's apex test and the
+        general-position check, read their signs; the circuit table, the
+        oracle's pair test and regular_subdivision read the affine
+        dependences Cramer's rule makes of them."""
         return Chirotope(self)
 
     @cached_property
     def circuit_table(self) -> tuple:
         """The flips of the configuration: one (subset, side_pos,
         side_neg) per (d+2)-subset whose Radon partition has no zero
-        coefficient, in combinations(sorted(labels), d+2) order.  By
-        Cramer's rule the coefficient of the i-th label of the sorted
-        subset has the sign (-1)^i times the chirotope's sign of the
-        subset without that label; the labels whose sign is opposite to
-        the last label's stand against the rest.  The two sides are the
-        two triangulations of the subset's circuit, as cell sets; a flip
-        trades one for the other."""
-        sign = self.chirotope.sign
+        coefficient, in combinations(sorted(labels), d+2) order, the
+        coefficients those of chirotope.dependence.  The labels whose
+        coefficient's sign is opposite to the last label's stand against
+        the rest.  The two sides are the two triangulations of the
+        subset's circuit, as cell sets; a flip trades one for the
+        other."""
+        dependence = self.chirotope.dependence
         table = []
         for subset in itertools.combinations(sorted(self.labels), self.dim + 2):
-            signs = [(-1) ** i * sign(subset[:i] + subset[i + 1 :]) for i in range(len(subset))]
-            if 0 in signs:
+            lam = dependence(subset)
+            if 0 in lam:
                 continue
             s = frozenset(subset)
-            ahead = frozenset(l for l, v in zip(subset, signs) if v != signs[-1])
+            ahead = frozenset(l for l, v in zip(subset, lam) if (v > 0) != (lam[-1] > 0))
             table.append((s, frozenset(s - {l} for l in ahead),
                           frozenset(s - {l} for l in s - ahead)))
         return tuple(table)
@@ -301,25 +301,46 @@ class Chirotope:
     """The lazy memo behind PointConfiguration.chirotope (the chirotope
     of the oriented matroid of the points: Björner, Las Vergnas,
     Sturmfels, White and Ziegler, Oriented Matroids, 1999, ch. 7).  It
-    keeps one determinant sign per sorted (d+1)-tuple of labels asked
-    for; any other order reads that sign times the parity of the sort."""
+    keeps the integer determinant of the homogenized rows, the minor,
+    of each sorted (d+1)-tuple of labels asked for; a sign in any other
+    order is the minor's sign times the parity of the sort.  Cramer's
+    rule reads the affine dependence of a (d+2)-tuple off d+2 minors
+    (`dependence`): the circuit table, the oracle's pair test and the
+    lower hull of a lifting read it."""
 
-    __slots__ = ("config", "_signs")
+    __slots__ = ("config", "_minors")
 
     def __init__(self, config: PointConfiguration):
         self.config = config
-        self._signs = {}  # sorted labels -> sign of their homogenized rows
+        self._minors = {}  # sorted labels -> determinant of their homogenized rows
+
+    def minor(self, key: tuple) -> int:
+        """The determinant of the homogenized rows of the sorted labels:
+        0 when a label repeats.  An unknown label is a ValueError and is
+        not remembered."""
+        m = self._minors.get(key)
+        if m is None:
+            # the rows are integers, so their determinant is one
+            m = self._minors[key] = linalg.det(homogenized(self.config, key)).numerator
+        return m
 
     def sign(self, labels: tuple) -> int:
         """The sign of the determinant of the homogenized rows of the
-        labels, in the given order: 0 when a label repeats.  An unknown
-        label is a ValueError and is not remembered."""
-        key = tuple(sorted(labels))
-        s = self._signs.get(key)
-        if s is None:
-            s = self._signs[key] = linalg.det_sign(homogenized(self.config, key))
+        labels, in the given order, read off the minor of the sorted
+        labels."""
+        m = self.minor(tuple(sorted(labels)))
+        s = (m > 0) - (m < 0)
         inversions = sum(a > b for a, b in itertools.combinations(labels, 2))
         return -s if inversions & 1 else s
+
+    def dependence(self, subset: tuple) -> list:
+        """The affine dependence of a sorted (d+2)-tuple of labels by
+        Cramer's rule: lam[i] = (-1)^i times the minor of the subset
+        without its i-th label, so that sum lam[i] (p_i, 1) = 0 (expand
+        the determinant of the rows with one of their columns repeated).
+        All zero when the subset spans less than its dimension."""
+        minors = [self.minor(subset[:i] + subset[i + 1:]) for i in range(len(subset))]
+        return [-m if i & 1 else m for i, m in enumerate(minors)]
 
 
 def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:

@@ -33,8 +33,6 @@ from .geometry import (
     in_convex_position,
     orientation,
     parse_rational,
-    side_value,
-    spanned_hyperplanes,
 )
 from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 
@@ -124,42 +122,48 @@ def heights_from_json(text: str) -> dict:
         return {int(l): parse_rational(v) for l, v in heights.items()}
 
 
-def lifted_configuration(config: PointConfiguration, w: dict) -> PointConfiguration:
-    rows = []
-    for lab, p in zip(config.labels, config.points):
-        rows.append(tuple(p) + (parse_rational(w[lab]),))
-    return PointConfiguration(config.dim + 1, tuple(rows), config.labels)
-
-
 def regular_subdivision(config: PointConfiguration, w: dict) -> Subdivision:
     """Project the lower faces of the lifted hull; cells are simplicial
     exactly when the heights are generic for the configuration.
 
-    The lower faces are read off integer side values: a hyperplane
-    spanned by d+1 lifted points (geometry.spanned_hyperplanes) whose
-    height entry is nonzero bounds a lower face when no lifted point
-    lies on the side opposite to the one that entry points to, and the
-    face's cell is the set of points on the hyperplane, so coplanar
-    points merge into one non-simplicial cell.  Heights that are an
-    affine function of position put every lifted point on one such
-    hyperplane, and the subdivision is trivial: one cell of all labels."""
+    The lower faces are read off config.chirotope, with no lifted
+    configuration.  The heights are cleared of denominators once, by
+    their lcm; a positive scale keeps every sign.  By Laplace expansion
+    along the height column, the lifted determinant of a sorted
+    (d+2)-subset C is (-1)^d lam.w, lam the affine dependence of C
+    (Chirotope.dependence).  For a (d+1)-subset S = C - {q} with
+    nonzero minor, q lies strictly below the lifted hyperplane of S
+    when lam_q * (lam.w) < 0, and on it when lam.w = 0.  S bounds a
+    lower face when no point lies below it, and the face's cell is S
+    and every point on its hyperplane, so coplanar points merge into
+    one non-simplicial cell.  Heights that are an affine function of
+    position put every lifted point on one such hyperplane, and the
+    subdivision is trivial: one cell of all labels.  A label without a
+    height is a ValueError."""
     if affine_dim(config) != config.dim:
         raise NotFullDimensional("configuration must be full-dimensional")
-    lifted = lifted_configuration(config, w)
-    up = config.dim  # the height entry of a lifted functional
-    cells = set()
-    for _, h in spanned_hyperplanes(lifted):
-        if not h[up]:
-            continue  # vertical
-        on = []
-        for lab in lifted.labels:
-            v = side_value(lifted, h, lab)
+    labels = sorted(config.labels)
+    missing = [l for l in labels if l not in w]
+    if missing:
+        raise ValueError(f"heights missing for labels {missing}")
+    heights = dict(zip(labels, linalg.clear_denominators(
+        [parse_rational(w[l]) for l in labels])[1]))
+    chi = config.chirotope
+    below, on = set(), {}  # S -> the points on the lifted hyperplane of S
+    for subset in itertools.combinations(labels, config.dim + 2):
+        lam = chi.dependence(subset)
+        t = sum(v * heights[l] for v, l in zip(lam, subset))
+        for i, (q, v) in enumerate(zip(subset, lam)):
             if not v:
-                on.append(lab)
-            elif (v > 0) != (h[up] > 0):
-                break
-        else:
-            cells.add(frozenset(on))
+                continue  # subset - q spans no hyperplane; its lifted one is vertical
+            face = subset[:i] + subset[i + 1:]
+            if not t:
+                on.setdefault(face, []).append(q)
+            elif (v > 0) != (t > 0):
+                below.add(face)
+    cells = {frozenset(face).union(on.get(face, ()))
+             for face in itertools.combinations(labels, config.dim + 1)
+             if face not in below and chi.minor(face)}
     return Subdivision(make_cells(cells))
 
 
@@ -190,26 +194,56 @@ def _facet_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -
     return False
 
 
+def _radon_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -> bool:
+    """Whether s1 and s2 are d-simplices of nonzero orientation and some
+    (d+2)-subset of their labels has an affine dependence with no zero
+    coefficient (Chirotope.dependence) whose positive labels lie in one
+    simplex and negative labels in the other.  Then the two hulls of the
+    parts share a point, and the simplices do not meet in a common face:
+    if they did, that point's unique weights on each independent simplex
+    would put both parts in s1 & s2, and a circuit would lie inside a
+    simplex."""
+    chi = config.chirotope
+    d = config.dim
+    if not all(len(s) == d + 1 and chi.minor(tuple(sorted(s))) for s in (s1, s2)):
+        return False
+    for subset in itertools.combinations(sorted(s1 | s2), d + 2):
+        lam = chi.dependence(subset)
+        if 0 in lam:
+            continue
+        pos = {l for l, v in zip(subset, lam) if v > 0}
+        neg = set(subset) - pos
+        if (pos <= s1 and neg <= s2) or (pos <= s2 and neg <= s1):
+            return True
+    return False
+
+
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
     """Whether two simplices meet in a common face (possibly empty).
 
-    First a sign test, from config.chirotope: if either simplex is a
-    d-simplex with a facet whose hyperplane strictly separates its apex
-    from the other simplex's labels off that facet, the two meet in the
-    hull of the other's labels on the facet, a face of both, and the
-    answer is True with no LP.  Every other pair, and so every False,
-    is decided by one max_margin LP on weights l >= 0 on the vertices of
-    s1, u >= 0 on those of s2 and the margin.  Its homogeneous rows, on
-    the integer homogenized rows, are sum l_a (a, 1) = sum u_b (b, 1),
-    each equality as two opposite rows, and margin <= the weight l puts
-    outside the shared labels.  Weights with equal positive totals scale
-    to a common point, so the simplices meet improperly iff the optimum
-    is positive.  The rows cut out a cone, so max_margin's box only
-    scales a solution and leaves that sign as it is.
+    First two sign tests, both read from config.chirotope.  If either
+    simplex is a d-simplex with a facet whose hyperplane strictly
+    separates its apex from the other simplex's labels off that facet,
+    the two meet in the hull of the other's labels on the facet, a face
+    of both, and the answer is True.  If both are d-simplices of nonzero
+    orientation and a circuit among their labels has its positive part
+    in one and its negative part in the other (De Loera, Rambau and
+    Santos, Triangulations, 2010), the answer is False.  Every other
+    pair is decided by one max_margin LP on weights l >= 0 on the
+    vertices of s1, u >= 0 on those of s2 and the margin.  Its
+    homogeneous rows, on the integer homogenized rows, are
+    sum l_a (a, 1) = sum u_b (b, 1), each equality as two opposite
+    rows, and margin <= the weight l puts outside the shared labels.
+    Weights with equal positive totals scale to a common point, so the
+    simplices meet improperly iff the optimum is positive.  The rows cut
+    out a cone, so max_margin's box only scales a solution and leaves
+    that sign as it is.
     """
     one, two = frozenset(s1), frozenset(s2)
     if _facet_separates(config, one, two) or _facet_separates(config, two, one):
         return True
+    if _radon_separates(config, one, two):
+        return False
     s1, s2 = sorted(one), sorted(two)
     # the columns (a, 1) of s1 and -(b, 1) of s2, read row by row
     columns = homogenized(config, s1) + [[-v for v in b] for b in homogenized(config, s2)]
@@ -456,7 +490,8 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
     config.chirotope took when the cell was found visible, so each
     ridge test is one sign.  DegenerateStep means the first d+1 points
     of the order do not span.  The default order is label order with
-    the first d+1 labels that span moved to the front."""
+    the first d+1 labels that span moved to the front; a given order
+    that is not a permutation of the labels is a ValueError."""
     d = config.dim
     if order is None:
         start = []
@@ -464,6 +499,8 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
             if len(start) <= d and linalg.rank(homogenized(config, start + [lab])) > len(start):
                 start.append(lab)
         order = start + [lab for lab in config.labels if lab not in start]
+    elif sorted(order) != sorted(config.labels):
+        raise ValueError("order must be a permutation of the labels")
     if len(order) < d + 1:
         raise NotFullDimensional("too few points to span")
     first = tuple(sorted(order[: d + 1]))

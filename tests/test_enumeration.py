@@ -315,17 +315,18 @@ def test_regularity_and_enumeration_invariant_under_relabeling(case):
 
 
 @pytest.mark.parametrize(
-    "cfg, count, lps, lps_without_signs",
-    [(PointConfiguration.from_rows(NESTED_TRIANGLES), 18, 28, 254),
-     (hexagon(), 14, 0, 79),
-     (cyclic_configuration(3, range(1, 8)), 25, 30, 535),
-     (cyclic_configuration(4, range(1, 9)), 40, 80, 1677)],
+    "cfg, count, lps",
+    [(PointConfiguration.from_rows(NESTED_TRIANGLES), 18, (0, 28, 254)),
+     (hexagon(), 14, (0, 0, 79)),
+     (cyclic_configuration(3, range(1, 8)), 25, (0, 30, 535)),
+     (cyclic_configuration(4, range(1, 9)), 40, (0, 80, 1677))],
     ids=["nested triangles", "hexagon", "cyclic(3,7)", "cyclic(4,8)"],
 )
-def test_oracle_decides_most_pairs_by_signs(monkeypatch, cfg, count, lps, lps_without_signs):
-    """The facet sign test of simplices_properly_intersect answers most
-    of the oracle's pairs; with it switched off every pair takes an LP,
-    and the triangulations found are the same."""
+def test_oracle_decides_most_pairs_by_signs(monkeypatch, cfg, count, lps):
+    """The sign tests of simplices_properly_intersect decide every pair
+    the oracle asks about here.  The LP counts are taken with both sign
+    tests, with the facet test alone (the Radon test switched off), and
+    with neither; the triangulations found are the same each time."""
     calls = []
     real = triangulations.max_margin
 
@@ -335,11 +336,14 @@ def test_oracle_decides_most_pairs_by_signs(monkeypatch, cfg, count, lps, lps_wi
 
     monkeypatch.setattr(triangulations, "max_margin", counting)
     found = enumerate_all_oracle(cfg)
-    assert (len(found), len(calls)) == (count, lps)
-    calls.clear()
-    monkeypatch.setattr(triangulations, "_facet_separates", lambda *args: False)
-    assert enumerate_all_oracle(PointConfiguration.from_json(cfg.to_json())) == found
-    assert len(calls) == lps_without_signs
+    assert len(found) == count
+    counts = [len(calls)]
+    for name in ("_radon_separates", "_facet_separates"):
+        calls.clear()
+        monkeypatch.setattr(triangulations, name, lambda *args: False)
+        assert enumerate_all_oracle(PointConfiguration.from_json(cfg.to_json())) == found
+        counts.append(len(calls))
+    assert tuple(counts) == lps
 
 
 def test_budget_exceeded():

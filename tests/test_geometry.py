@@ -265,16 +265,16 @@ def label_orders(draw):
     return rows, draw(st.lists(order, min_size=1, max_size=8))
 
 
-def counting_det_sign(mp):
-    """Patch linalg.det_sign to count its calls; returns the counter."""
+def counting_det(mp):
+    """Patch linalg.det to count its calls; returns the counter."""
     calls = []
-    real = linalg.det_sign
+    real = linalg.det
 
     def counting(rows):
         calls.append(rows)
         return real(rows)
 
-    mp.setattr(linalg, "det_sign", counting)
+    mp.setattr(linalg, "det", counting)
     return calls
 
 
@@ -288,9 +288,9 @@ def test_orientation_reads_one_determinant_per_subset(case):
     rows, orders = case
     cfg = PointConfiguration.from_rows(rows)
     with pytest.MonkeyPatch.context() as mp:
-        calls = counting_det_sign(mp)
+        calls = counting_det(mp)
         got = [orientation(cfg, order) for order in orders]
-        # a repeated label is looked up too, its zero remembered like any sign
+        # a repeated label is looked up too, its zero remembered like any minor
         assert len(calls) == len({tuple(sorted(o)) for o in orders})
         calls.clear()
         for order in orders:
@@ -299,6 +299,10 @@ def test_orientation_reads_one_determinant_per_subset(case):
         assert calls == []
     for order, sign in zip(orders, got):
         assert sign == linalg.det_sign(homogenized(cfg, order))
+    # the memo keeps each sorted tuple's determinant, not only its sign
+    assert cfg.chirotope._minors == {
+        key: naive_det([list(p) + [1] for p in map(cfg.point, key)])
+        for key in {tuple(sorted(o)) for o in orders}}
 
 
 @settings(max_examples=50, deadline=None)
@@ -308,7 +312,7 @@ def test_orientation_refuses_an_unknown_label_and_remembers_nothing(case):
     cfg = PointConfiguration.from_rows(rows)
     for order in orders:
         orientation(cfg, order)
-    memo = dict(cfg.chirotope._signs)
+    memo = dict(cfg.chirotope._minors)
     unknown = len(rows) + 1
     for order in orders:
         for k in range(len(order)):
@@ -316,7 +320,23 @@ def test_orientation_refuses_an_unknown_label_and_remembers_nothing(case):
                 orientation(cfg, order[:k] + (unknown,) + order[k + 1:])
     with pytest.raises(ValueError):
         orientation(cfg, orders[0][1:])
-    assert cfg.chirotope._signs == memo
+    assert cfg.chirotope._minors == memo
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_orders())
+@example(([(0, 0), (1, 1), (2, 2), (0, 1)], []))
+def test_dependence_is_the_affine_dependence_by_cramers_rule(case):
+    """sum lam_i (p_i, 1) = 0 over each sorted (d+2)-subset, and lam is
+    zero only where the subset spans less than its dimension."""
+    rows, _ = case
+    cfg = PointConfiguration.from_rows(rows)
+    for subset in itertools.combinations(cfg.labels, cfg.dim + 2):
+        lam = cfg.chirotope.dependence(subset)
+        points = homogenized(cfg, subset)
+        assert all(sum(v * p[j] for v, p in zip(lam, points)) == 0
+                   for j in range(cfg.dim + 1))
+        assert any(lam) == (linalg.rank(points) == cfg.dim + 1)
 
 
 @given(point_lists(0))

@@ -217,12 +217,35 @@ def test_solve_lp_has_one_caller():
     assert found == {"linprog.max_margin"}
 
 
-def test_det_sign_has_one_caller():
-    """Every orientation sign is read from a configuration's chirotope,
-    which takes each subset's determinant once."""
+def test_det_has_one_caller():
+    """Every orientation sign and affine dependence is read from a
+    configuration's chirotope, which takes each subset's determinant
+    once, and no other code takes a determinant."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
-             for caller in callers_of(path.read_text(), "det_sign")}
-    assert found == {"geometry.Chirotope.sign"}
+             for name in ("det", "det_sign")
+             for caller in callers_of(path.read_text(), name)}
+    assert found == {"geometry.Chirotope.minor"}
+
+
+def test_cramers_rule_lives_in_one_helper():
+    """The affine dependence of a (d+2)-subset is Chirotope.dependence,
+    read by the circuit table, the oracle's pair test and the lower
+    hull; no other code writes the alternating signs of its minors."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "dependence")}
+    assert found == {"geometry.PointConfiguration.circuit_table",
+                     "triangulations._radon_separates",
+                     "triangulations.regular_subdivision"}
+
+
+def test_regular_subdivision_reads_no_hyperplanes():
+    """The lower hull is read off the base's minors: no lifted
+    configuration, no hyperplane kernel and no side value."""
+    source = (ROOT / "src" / "regtri" / "triangulations.py").read_text()
+    found = {name: callers for name in ("spanned_hyperplanes", "side_value",
+                                        "hyperplane_functional", "PointConfiguration")
+             if (callers := callers_of(source, name))}
+    assert found == {}
 
 
 def test_in_convex_position_has_two_callers():

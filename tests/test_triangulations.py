@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import linalg, linprog
+from regtri import linalg, linprog, triangulations
 from regtri.enumeration import flip_neighbors
 from regtri.errors import (
     DegenerateStep,
@@ -111,17 +111,21 @@ def test_regular_subdivision_square_against_lower_hull_oracle():
 @st.composite
 def lifted_grids(draw):
     """Points of a small grid in d = 1, 2 or 3 dimensions that span it,
-    and small integer heights: drawn at random, or an affine function of
-    position with some points raised by one.  Ties, coplanar lifted
-    points, non-simplicial cells and the trivial subdivision all come
-    up."""
+    and heights: small integers drawn at random, fractions with large
+    pairwise distinct denominators, or an affine function of position
+    with some points raised by one.  Ties, coplanar lifted points,
+    non-simplicial cells and the trivial subdivision all come up."""
     d = draw(st.sampled_from((1, 2, 3)))
     grid = st.tuples(*[st.integers(0, 4 if d == 1 else 2)] * d)
     rows = draw(st.lists(grid, min_size=d + 2, max_size=min(d + 4, 6), unique=True))
     assume(affine_dim(PointConfiguration.from_rows(rows)) == d)
     n = len(rows)
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(("small", "fine", "affine")))
+    if how == "small":
         return rows, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    if how == "fine":  # large, pairwise distinct denominators
+        dens = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True))
+        return rows, [F(draw(st.integers(-10**6, 10**6)), den) for den in dens]
     *slope, shift = draw(st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1))
     raised = draw(st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n))
     return rows, [shift + sum(map(operator.mul, slope, p)) + r for p, r in zip(rows, raised)]
@@ -135,11 +139,19 @@ def lifted_grids(draw):
 @example(([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)], [0, 0, 0, 1, 0]))  # a flat cell of four
 @example(([(0, 0), (1, 0), (1, 1), (2, 2)], [0, 0, 0, 1]))  # a vertical facet of three
 @example(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [0, 1, 2, 3, 6]))  # affine
+@example(([(t, t**2, t**3, t**4) for t in range(1, 9)],  # cyclic(4,8), fine heights
+          [F((-1) ** t * t**3, 10**6 - 7 * t) for t in range(1, 9)]))
 def test_regular_subdivision_agrees_with_lower_hull_oracle(case):
     rows, heights = case
     cfg = PointConfiguration.from_rows(rows)
     got = regular_subdivision(cfg, dict(zip(cfg.labels, heights))).cells
     assert got == frozenset(lower_hull_cells(rows, heights))
+
+
+def test_regular_subdivision_names_missing_heights():
+    cfg = hexagon()
+    with pytest.raises(ValueError, match=r"heights missing for labels \[2, 5\]"):
+        regular_subdivision(cfg, {1: 0, 3: 1, 4: 0, 6: F(1, 2)})
 
 
 def test_regular_subdivision_takes_no_facets():
@@ -370,6 +382,13 @@ def grid_simplex_pairs(draw):
     return rows, s1, s2
 
 
+# tetrahedron 1-4 and one whose edge 5-6 crosses its face 1, 2, 3
+PIERCED_TETRAHEDRON = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3),
+                       (1, 1, -1), (1, 1, 3), (5, 5, 5), (5, 0, 5)]
+# the flat triangle 1, 2, 3 on the x-axis, crossed by the edge 4-5
+DEGENERATE_CROSSING = [(0, 0), (2, 0), (4, 0), (1, -1), (1, 1), (5, 5)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(grid_simplex_pairs())
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 3}, {2, 3, 4}))  # a shared edge
@@ -384,11 +403,43 @@ def grid_simplex_pairs(draw):
 # fewer than d + 1 labels: an edge of a triangle, crossing diagonals
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2}, {1, 2, 3}))
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 4}, {2, 3}))
+@example((PIERCED_TETRAHEDRON, {1, 2, 3, 4}, {5, 6, 7, 8}))  # a Radon partition refutes
+@example((DEGENERATE_CROSSING, {1, 2, 3}, {4, 5, 6}))  # a degenerate s1 goes to the LP
 def test_simplices_properly_intersect_agrees_with_reference(case):
     rows, s1, s2 = case
     cfg = PointConfiguration.from_rows(rows)
     assert (simplices_properly_intersect(cfg, s1, s2)
             == simplices_properly_intersect_reference(rows, s1, s2))
+
+
+def test_radon_partitions_refute_without_an_lp(monkeypatch):
+    """Segment 5-6 pierces the triangle 1, 2, 3: the circuit of those
+    five points has its positive part in one tetrahedron and its
+    negative part in the other, so no LP is solved.  In the degenerate
+    crossing the same kind of circuit exists, but s1 is flat, so the
+    sign test stands aside and the LP decides."""
+    calls = []
+    real = triangulations.max_margin
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(triangulations, "max_margin", counting)
+    cfg = PointConfiguration.from_rows(PIERCED_TETRAHEDRON)
+    assert not simplices_properly_intersect(cfg, {1, 2, 3, 4}, {5, 6, 7, 8})
+    assert not simplices_properly_intersect(cfg, {5, 6, 7, 8}, {1, 2, 3, 4})
+    assert calls == []
+    cfg = PointConfiguration.from_rows(DEGENERATE_CROSSING)
+    assert not simplices_properly_intersect(cfg, {1, 2, 3}, {4, 5, 6})
+    assert len(calls) == 1
+
+
+def test_placing_refuses_an_order_that_is_not_a_permutation():
+    cfg = PointConfiguration.from_rows([(0, 0), (2, 0), (0, 2), (2, 2)])
+    for order in ([1, 2, 3], [1, 2, 3, 3, 4]):
+        with pytest.raises(ValueError, match="order must be a permutation of the labels"):
+            placing_triangulation(cfg, order)
 
 
 def test_placing_triangulation_square_orders():
