@@ -237,7 +237,7 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     Decided by one LP over shifted heights in [0, 2] with a maximized
     strict margin shared by both systems of folding rows.  The pass
     that builds the rows also validates both cell sets, from the same
-    reductions, as the folding lemma needs: None if either fails.  In
+    coordinates, as the folding lemma needs: None if either fails.  In
     the second system p_j takes p_i's place and reads p_i's height, so
     the returned heights give p_j that height too: read per label, they
     induce both triangulations, as t_sweep reads them.
@@ -247,8 +247,7 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
 
 def _shared_witness(config, i, j, t, without_i, without_j):
     """shared_witness on the given one-point deletions of config, so
-    that check_inseparable reads the cell coordinates its enumerations
-    of the same objects reduced."""
+    that check_inseparable reads the chirotopes its enumerations filled."""
     labels = sorted(config.labels)
     idx = {l: k for k, l in enumerate(labels)}
     nv = len(labels) + 1
@@ -279,7 +278,7 @@ def check_inseparable(config: PointConfiguration, i: int, j: int) -> Inseparabil
     regular triangulations of the two one-point deletions agree up to
     relabeling j to i, and each is induced on both deletions by one
     common height vector.  Each deletion is built once, so the shared
-    witnesses read the cell coordinates its enumeration reduced."""
+    witnesses read the chirotope its enumeration filled."""
     if i == j:
         raise ValueError("need two distinct labels")
     without_i, without_j = config.delete([i]), config.delete([j])
@@ -328,8 +327,8 @@ def enumerate_regular(config: PointConfiguration, budget=None) -> set:
     its centre.  A budget of k stops the search once it holds k + 1; it
     must not be negative.
 
-    Each (cell, point) pair is reduced once per configuration object
-    (config.cell_coordinates), and the walk remembers the flips
+    Each minor and dependence is taken once per configuration object
+    (config.chirotope), and the walk remembers the flips
     is_regular rejected, so each distinct candidate costs at most one
     regularity LP however many triangulations reach it."""
     if budget is not None and budget < 0:
@@ -377,9 +376,9 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     lies strictly on the other side of the ridge from the ridge's apex,
     and when the new cell meets every cell placed so far properly.  Both
     tests read config.chirotope, each determinant taken once per
-    configuration object: the apex test and the pair test's facet test
-    read orientation signs, and the pair test's Radon test reads the
-    affine dependences of the minors (Chirotope.dependence).
+    configuration object: the apex test reads orientation signs, and
+    the pair test's facet and Radon tests read the affine dependences
+    of the minors (Chirotope.dependence).
     simplices_properly_intersect solves an exact LP only for the pairs
     neither sign test settles, which off general position can remain.
     """

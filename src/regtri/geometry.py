@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -49,9 +50,8 @@ class PointConfiguration:
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
     Facts derived from the points alone, such as the integer rows, the
-    orientation signs, the cell coordinates and the circuit table, are
-    computed once per object and are not part of equality, hashing or
-    the JSON form.
+    chirotope and the circuit table, are computed once per object and
+    are not part of equality, hashing or the JSON form.
     """
 
     dim: int
@@ -144,21 +144,13 @@ class PointConfiguration:
         }
 
     @cached_property
-    def cell_coordinates(self) -> CellCoordinates:
-        """The affine coordinates of points over cells, each (cell,
-        point) pair reduced once for as long as the object lives: the
-        folding rows and barycentric read them, where magnitudes are
-        needed; every sign-only question reads the chirotope."""
-        return CellCoordinates(self)
-
-    @cached_property
     def chirotope(self) -> Chirotope:
         """The determinants of (d+1)-tuples of labels, each sorted
         tuple's taken once for as long as the object lives: orientation,
         and through it the placing sweep, the oracle's apex test and the
         general-position check, read their signs; the circuit table, the
-        oracle's pair test and regular_subdivision read the affine
-        dependences Cramer's rule makes of them."""
+        oracle's pair tests, regular_subdivision, the folding rows and
+        barycentric read what Cramer's rule makes of them."""
         return Chirotope(self)
 
     @cached_property
@@ -230,71 +222,13 @@ class FaceRecord:
 
 def homogenized(config: PointConfiguration, labels: Iterable[int]) -> list:
     """The row [p, 1] of each labeled point, in the given order, as the
-    tuple of ints config.integer_rows caches: every determinant, rank,
-    kernel and affine-coordinate reduction of the points reads them."""
+    tuple of ints config.integer_rows caches: every determinant, rank
+    and kernel of the points reads them."""
     rows = config.integer_rows
     try:
         return [rows[l] for l in labels]
     except KeyError as e:
         raise ValueError(f"label {e.args[0]} not in configuration") from None
-
-
-def _affine_coordinates(config: PointConfiguration, cell, labels):
-    """Affine coordinates of each point of `labels` with respect to the
-    d+1 points of `cell` in label order, all from one reduction of the
-    homogenized rows: (den, numerators), one tuple of integer numerators
-    per label over the common den > 0, so a coordinate's sign is its
-    numerator's.  None if the cell is degenerate.  Only CellCoordinates
-    calls it, so that each (cell, point) pair is reduced once per
-    configuration."""
-    a = list(zip(*homogenized(config, sorted(cell))))
-    points = homogenized(config, labels)
-    b = [[p[r] for p in points] for r in range(len(a))]
-    sol = linalg.solve_integral(a, b)
-    if sol is None:
-        return None
-    den, x = sol
-    return den, list(zip(*x))
-
-
-class CellCoordinates:
-    """The lazy memo behind PointConfiguration.cell_coordinates, read
-    only where magnitudes are needed: the folding rows and barycentric.
-    Per cell it keeps the denominator of the cell's reduction and the
-    integer numerators of every label reduced so far, or None for a
-    degenerate cell.  The denominator of _rref depends only on the
-    cell's columns, and each right-hand column is reduced on its own,
-    so a later request reduces only the labels still missing, in one
-    _affine_coordinates call, and gets the integers one reduction of
-    all of them would give."""
-
-    __slots__ = ("config", "_cells")
-
-    def __init__(self, config: PointConfiguration):
-        self.config = config
-        self._cells = {}  # cell -> (den, {label: numerators}) or None
-
-    def reduce(self, cell: frozenset, labels):
-        """(den, {label: numerators}) for a cell of d+1 labels, holding
-        at least the given labels, or None if the cell is degenerate.
-        A cell of any other size is a ValueError."""
-        if len(cell) != self.config.dim + 1:
-            raise ValueError(f"cell {tuple(sorted(cell))} has {len(cell)} labels, "
-                             f"not {self.config.dim + 1}")
-        entry = self._cells.get(cell, ())
-        if entry is None:
-            return None
-        known = entry[1] if entry else {}
-        missing = [lab for lab in dict.fromkeys(labels) if lab not in known]
-        if entry and not missing:
-            return entry
-        sol = _affine_coordinates(self.config, cell, missing)
-        if sol is None:
-            self._cells[cell] = None
-            return None
-        known.update(zip(missing, sol[1]))
-        entry = self._cells[cell] = (sol[0], known)
-        return entry
 
 
 class Chirotope:
@@ -304,15 +238,16 @@ class Chirotope:
     keeps the integer determinant of the homogenized rows, the minor,
     of each sorted (d+1)-tuple of labels asked for; a sign in any other
     order is the minor's sign times the parity of the sort.  Cramer's
-    rule reads the affine dependence of a (d+2)-tuple off d+2 minors
-    (`dependence`): the circuit table, the oracle's pair test and the
-    lower hull of a lifting read it."""
+    rule reads off d+2 minors the affine dependence of a sorted
+    (d+2)-tuple (`dependence`, also kept) and so a point's affine
+    coordinates over a cell (`coordinates`)."""
 
-    __slots__ = ("config", "_minors")
+    __slots__ = ("config", "_minors", "_dependences")
 
     def __init__(self, config: PointConfiguration):
         self.config = config
         self._minors = {}  # sorted labels -> determinant of their homogenized rows
+        self._dependences = {}  # sorted (d+2)-tuple -> its affine dependence
 
     def minor(self, key: tuple) -> int:
         """The determinant of the homogenized rows of the sorted labels:
@@ -333,14 +268,45 @@ class Chirotope:
         inversions = sum(a > b for a, b in itertools.combinations(labels, 2))
         return -s if inversions & 1 else s
 
-    def dependence(self, subset: tuple) -> list:
+    def dependence(self, subset: tuple) -> tuple:
         """The affine dependence of a sorted (d+2)-tuple of labels by
         Cramer's rule: lam[i] = (-1)^i times the minor of the subset
         without its i-th label, so that sum lam[i] (p_i, 1) = 0 (expand
         the determinant of the rows with one of their columns repeated).
         All zero when the subset spans less than its dimension."""
-        minors = [self.minor(subset[:i] + subset[i + 1:]) for i in range(len(subset))]
-        return [-m if i & 1 else m for i, m in enumerate(minors)]
+        lam = self._dependences.get(subset)
+        if lam is None:
+            lam = self._dependences[subset] = tuple(
+                (-1) ** i * self.minor(subset[:i] + subset[i + 1:]) for i in range(len(subset)))
+        return lam
+
+    def coordinates(self, cell, labels):
+        """(den, {label: numerators}): each label's affine coordinates
+        over the cell's d+1 points, in sorted order, as integers over
+        den = |M(cell)| > 0; None if the cell is degenerate.  Off the
+        cell, lam = dependence(cell + q) has lam_q = +-M(cell), and q's
+        coordinate at v is -lam_v / lam_q.  A cell without d+1 labels,
+        or an unknown label, is a ValueError, and nothing is kept."""
+        vertices = tuple(sorted(cell))
+        if len(vertices) != self.config.dim + 1:
+            raise ValueError(f"cell {vertices} has {len(vertices)} labels, "
+                             f"not {self.config.dim + 1}")
+        homogenized(self.config, labels)  # refuses an unknown label
+        m = self.minor(vertices)
+        if not m:
+            return None
+        den = abs(m)
+        zeros = (0,) * len(vertices)
+        out = {}
+        for q in labels:
+            i = bisect_left(vertices, q)
+            if q in cell:
+                out[q] = zeros[:i] + (den,) + zeros[i + 1:]
+                continue
+            lam = self.dependence(vertices[:i] + (q,) + vertices[i:])
+            nums = lam[:i] + lam[i + 1:]  # the numerators are -sgn(lam_q) lam_v
+            out[q] = nums if lam[i] < 0 else tuple(map(neg, nums))
+        return den, out
 
 
 def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:

@@ -169,29 +169,31 @@ def regular_subdivision(config: PointConfiguration, w: dict) -> Subdivision:
 
 def barycentric(config: PointConfiguration, cell, label: int):
     """Affine coordinates of the point `label` with respect to the d+1
-    affinely independent points of `cell`; None if the cell is
-    degenerate.  A cell without d+1 labels is a ValueError."""
-    sol = config.cell_coordinates.reduce(frozenset(cell), [label])
-    if sol is None:
-        return None
-    den, known = sol
-    return {l: Fraction(v, den) for l, v in zip(sorted(cell), known[label])}
+    points of `cell` (Chirotope.coordinates); None if the cell is
+    degenerate.  A cell without d+1 labels, or an unknown label, is a
+    ValueError."""
+    sol = config.chirotope.coordinates(frozenset(cell), [label])
+    return sol and {l: Fraction(v, sol[0]) for l, v in zip(sorted(cell), sol[1][label])}
 
 
 def _facet_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -> bool:
     """Whether s1 is a d-simplex with a facet F = s1 - {a} whose
     hyperplane has a strictly on one side and every label of s2 outside
-    F strictly on the other.  Then s1 and s2 meet in conv(s2 & F), a
-    face of both, read from orientation signs alone."""
-    if len(s1) != config.dim + 1:
+    F strictly on the other; then s1 and s2 meet in conv(s2 & F), a face
+    of both.  With M(s1) != 0, b off s1 lies across F from a exactly
+    when lam_a and lam_b of lam = dependence(s1 + b) share a sign
+    (lam_b = +-M(s1) != 0), so each such b prunes the apexes off s2."""
+    chi = config.chirotope
+    if len(s1) != config.dim + 1 or not chi.minor(tuple(sorted(s1))):
         return False
-    for a in s1:
-        facet = s1 - {a}
-        ridge = tuple(facet)
-        s = orientation(config, ridge + (a,))
-        if s and all(orientation(config, ridge + (b,)) == -s for b in s2 - facet):
-            return True
-    return False
+    apexes = s1 - s2
+    for b in s2 - s1:
+        if not apexes:
+            break
+        subset = tuple(sorted(s1 | {b}))
+        lam = dict(zip(subset, chi.dependence(subset)))
+        apexes = {a for a in apexes if lam[a] and (lam[a] > 0) == (lam[b] > 0)}
+    return bool(apexes)
 
 
 def _radon_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -> bool:
@@ -257,13 +259,12 @@ def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
 def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool):
     """The one pass over a cell set behind is_triangulation, is_regular
     and shared_witness: one ridge -> (cell, apex) map and, from
-    config.cell_coordinates, the affine coordinates of the points each
+    Chirotope.coordinates, the affine coordinates of the points each
     cell reads.  These are the points its folding rows lift and, when
     validating, the first cell's vertices, whose summed coordinates
     place that cell's barycentre.  Validating checks the conditions of
     is_triangulation in its order, from the signs of the integer
-    numerators of the cell's reduction; without it, a cell that reads
-    no point is not reduced.
+    numerators; without it, a cell that reads no point is skipped.
 
     The rows are those of the height-separation LP on the local folding
     conditions: each asks a lifted point to clear a cell's lifted
@@ -274,7 +275,7 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
     coordinates of it are all >= 0.  Two ridges of one cell whose
     neighbours share their apex give one row.  column maps each label
     of config to the height variable it reads, and a cell's points are
-    visited in column's order, their coordinates from one reduction.
+    visited in column's order, their coordinates over one den.
 
     Every row is a row of the full system, one per (cell, outside
     point).  On a triangulation the two systems hold for the same
@@ -321,7 +322,7 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
         points = [lab for lab in column if lab in wanted]
         if len(cell) != d + 1 or not (points or validate):
             continue
-        sol = config.cell_coordinates.reduce(cell, points + extra)
+        sol = config.chirotope.coordinates(cell, points + extra)
         coords[cell] = sol and sol[1]
         if sol is None:
             continue
@@ -384,9 +385,9 @@ def is_triangulation(cells, config: PointConfiguration):
     neighbourhood of it is covered once, so that number is 1.  A
     violation of either condition is reported as an improper pair: two
     cells that do not meet in a common face.  Each check reads affine
-    coordinates from one reduction per cell: two cells lie on opposite
-    sides of their ridge when the later one's apex has a negative
-    coordinate at the earlier one's apex."""
+    coordinates off the chirotope: two cells lie on opposite sides of
+    their ridge when the later one's apex has a negative coordinate at
+    the earlier one's apex."""
     try:
         _folding_pass(config, cells, {l: k for k, l in enumerate(config.labels)},
                       config.n + 1, validate=True)
@@ -448,10 +449,10 @@ def is_regular(t: Triangulation, config: PointConfiguration,
     the same cell coordinates and with no LP, so a validated verdict
     costs one LP, the margin LP.
 
-    The coordinates come from config.cell_coordinates, so a caller that
-    asks about many cell sets of one configuration object, as
-    enumerate_regular does along its flip walk, reduces each (cell,
-    point) pair once: a flip changes only the cells of one circuit.
+    The coordinates come from config.chirotope, so a caller that asks
+    about many cell sets of one configuration object, as
+    enumerate_regular does along its flip walk, takes each minor once:
+    a flip changes only the cells of one circuit.
 
     The pass hands the LP integer rows, each the rational row times its
     multiplier m.  Those are the rows solve_lp clears the rational rows

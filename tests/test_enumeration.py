@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import enumeration, geometry, triangulations
+from regtri import enumeration, linalg, triangulations
 from regtri.enumeration import (
     SplitPair,
     check_inseparable,
@@ -171,29 +171,24 @@ def test_enumerate_regular_refuses_exactly_off_general_position(case):
 
 
 def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
-    # the circuit table reads only orientation signs, and the folding
-    # rows read their coordinates from the configuration's one memo
-    calls, triples = [], []
-    real = geometry._affine_coordinates
-
-    def counting(cfg, cell, labels):
-        calls.append(cell)
-        triples.extend((frozenset(cell), lab) for lab in labels)
-        return real(cfg, cell, labels)
-
-    monkeypatch.setattr(geometry, "_affine_coordinates", counting)
+    # the circuit table takes every minor once, and the folding rows
+    # read their coordinates off the same chirotope by Cramer's rule
+    dets, solves = [], []
+    real_det, real_solve = linalg.det, linalg.solve_integral
+    monkeypatch.setattr(linalg, "det", lambda rows: dets.append(rows) or real_det(rows))
+    monkeypatch.setattr(linalg, "solve_integral",
+                        lambda a, b: solves.append(a) or real_solve(a, b))
     cfg = cyclic_configuration(4, range(1, 9))
     assert len(cfg.circuit_table) == math.comb(8, 6)
-    assert calls == []
+    assert len(dets) == len(cfg.chirotope._minors) == math.comb(8, 5)
+    dets.clear()
     found = enumerate_regular(cfg)
     assert len(found) == 40
-    assert len(calls) == 88
-    assert len(triples) == len(set(triples)) == 112
-    # the table and the coordinates belong to the configuration: a
-    # second enumeration of the same object reduces nothing
-    calls.clear()
+    assert dets == solves == []
+    # the table and the minors belong to the configuration: a second
+    # enumeration of the same object takes no determinant either
     assert enumerate_regular(cfg) == found
-    assert calls == []
+    assert dets == solves == []
 
 
 def test_enumerate_regular_solves_each_rejected_flip_once(monkeypatch):
@@ -232,11 +227,11 @@ def test_circuit_table_stays_out_of_equality_and_json():
     twin = PointConfiguration.from_json(cfg.to_json())
     assert len(cfg.circuit_table) == math.comb(6, 5)
     assert cfg.integer_rows[2] == (2, 4, 8, 1)
-    assert cfg.cell_coordinates.reduce(frozenset({1, 2, 3, 4}), [5]) is not None
+    assert cfg.chirotope.coordinates(frozenset({1, 2, 3, 4}), [5]) is not None
     assert cfg == twin and hash(cfg) == hash(twin)
     assert cfg.to_json() == twin.to_json()
     assert vars(twin).keys().isdisjoint(
-        {"circuit_table", "integer_rows", "_axis_scales", "cell_coordinates"})
+        {"circuit_table", "integer_rows", "_axis_scales", "chirotope"})
     # each axis scaled by the lcm of its denominators: 2 and 9 here
     halves = PointConfiguration.from_rows([(F(1, 2), F(-1, 3)), (1, F(2, 9)), (0, 0)])
     assert halves.integer_rows == {1: (1, -3, 1), 2: (2, 2, 1), 3: (0, 0, 1)}
@@ -551,19 +546,17 @@ def test_cyclic_inseparable_realization_small():
 
 def test_check_inseparable_reduces_each_cell_and_point_once(monkeypatch):
     # each check builds its two one-point deletions once, and their
-    # enumerations and shared witnesses read one memo per deletion: no
-    # (configuration, cell, point) is reduced twice over the whole
-    # realization
-    calls, triples = [], []
-    real = geometry._affine_coordinates
-
-    def counting(cfg, cell, labels):
-        calls.append(cell)
-        triples.extend((cfg, frozenset(cell), lab) for lab in labels)
-        return real(cfg, cell, labels)
-
-    monkeypatch.setattr(geometry, "_affine_coordinates", counting)
+    # enumerations and shared witnesses read one chirotope per deletion:
+    # each deletion's minors are taken once over the whole realization,
+    # and the configurations checked take none
+    dets, deletions = [], []
+    real_det, real_enumerate = linalg.det, enumeration.enumerate_regular
+    monkeypatch.setattr(linalg, "det", lambda rows: dets.append(rows) or real_det(rows))
+    monkeypatch.setattr(enumeration, "enumerate_regular",
+                        lambda cfg, **kw: deletions.append(cfg) or real_enumerate(cfg, **kw))
     run = cyclic_inseparable_realization(3, 8)
     assert run.halvings == (0, 0, 0, 0)
-    assert len(calls) == 303
-    assert len(triples) == len(set(triples)) == 638
+    # stages of 5 to 8 points, each deleting one of two: every 4-subset
+    # of 4, 5, 6 and 7 points, twice
+    assert [len(cfg.chirotope._minors) for cfg in deletions] == [1, 1, 5, 5, 15, 15, 35, 35]
+    assert len(dets) == 112

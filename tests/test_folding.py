@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import geometry, linprog, triangulations
+from regtri import linalg, linprog, triangulations
 from regtri.enumeration import (
     enumerate_all_oracle,
     enumerate_regular,
@@ -20,6 +20,7 @@ from regtri.geometry import (
     PointConfiguration,
     configuration_in_general_position,
     cyclic_configuration,
+    homogenized,
     is_vertex,
 )
 from regtri.linprog import max_margin
@@ -227,53 +228,76 @@ def test_a_shared_memo_gives_the_results_of_fresh_ones():
         assert refuted == non_regular
 
 
+def counting_det(monkeypatch):
+    """Patch linalg.det to record the rows of each call; returns the list."""
+    dets = []
+    real = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda rows: dets.append(rows) or real(rows))
+    return dets
+
+
 def test_memo_reduces_only_missing_labels_to_the_integers_of_one_reduction(monkeypatch):
+    """Cramer's rule on the chirotope gives the integers of one
+    fraction-free reduction of the cell's rows (linalg.solve_integral),
+    den included, and a later request takes only the minors its labels
+    still miss."""
     cfg = cyclic_configuration(3, range(1, 8))
-    calls = []
-    real = geometry._affine_coordinates
-    monkeypatch.setattr(
-        geometry, "_affine_coordinates",
-        lambda c, cell, labels: calls.append(list(labels)) or real(c, cell, labels),
-    )
-    memo = cfg.cell_coordinates
-    assert cfg.cell_coordinates is memo
+    dets = counting_det(monkeypatch)
+    chi = cfg.chirotope
     cell = frozenset({1, 2, 3, 4})
-    den, nums = memo.reduce(cell, [5, 6])
-    assert memo.reduce(cell, [6, 7, 7, 5]) == (den, nums)
-    assert memo.reduce(cell, [7]) == (den, nums)
-    assert calls == [[5, 6], [7]]
-    assert (den, [nums[l] for l in (5, 6, 7)]) == real(cfg, cell, [5, 6, 7])
-    # a degenerate cell is remembered as None
+    den, nums = chi.coordinates(cell, [5, 6])
+    assert len(dets) == 1 + 4 + 4  # the cell's minor, then 4 new ones per point
+    again, more = chi.coordinates(cell, [6, 7, 7, 5])
+    assert again == den and {l: more[l] for l in (5, 6)} == nums
+    assert len(dets) == 9 + 4
+    assert chi.coordinates(cell, [7, 2]) == (den, {7: more[7], 2: (0, den, 0, 0)})
+    assert len(dets) == 13
+    columns = list(zip(*homogenized(cfg, sorted(cell))))
+    rhs = list(zip(*homogenized(cfg, [5, 6, 7])))
+    one_den, x = linalg.solve_integral(columns, rhs)
+    assert (den, [more[l] for l in (5, 6, 7)]) == (one_den, list(zip(*x)))
+    # a degenerate cell reads its one minor
     flat = PointConfiguration.from_rows([[0, 0], [1, 0], [2, 0], [0, 1]])
-    calls.clear()
-    assert flat.cell_coordinates.reduce(frozenset({1, 2, 3}), [4]) is None
-    assert flat.cell_coordinates.reduce(frozenset({1, 2, 3}), [1]) is None
-    assert len(calls) == 1
+    dets.clear()
+    assert flat.chirotope.coordinates(frozenset({1, 2, 3}), [4]) is None
+    assert flat.chirotope.coordinates(frozenset({1, 2, 3}), [1]) is None
+    assert len(dets) == 1
 
 
 def test_a_cell_without_d_plus_one_labels_is_refused():
-    """A cell of the wrong size would reduce to numbers that are no
-    affine coordinates, and the memo would keep them."""
+    """A cell of the wrong size has no affine coordinates: its numbers
+    would be no coordinates, and the memo would keep minors for them."""
     cfg = PointConfiguration.from_rows([[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]])
     for cell in ({1, 2, 3, 4}, {1, 2}):
         message = rf"cell \({', '.join(map(str, sorted(cell)))}\) has {len(cell)} labels"
         with pytest.raises(ValueError, match=message):
-            cfg.cell_coordinates.reduce(frozenset(cell), [5])
+            cfg.chirotope.coordinates(frozenset(cell), [5])
         with pytest.raises(ValueError, match=message):
             triangulations.barycentric(cfg, cell, 5)
-    assert cfg.cell_coordinates._cells == {}  # nothing kept
+    assert cfg.chirotope._minors == cfg.chirotope._dependences == {}  # nothing kept
     assert triangulations.barycentric(cfg, {1, 2, 3}, 5) == {1: 0, 2: F(1, 2), 3: F(1, 2)}
 
 
+def test_an_unknown_label_is_refused_whatever_was_asked_before():
+    """A cell already read as degenerate still refuses a label outside
+    the configuration, and the refusal leaves the chirotope as it was."""
+    flat = PointConfiguration.from_rows([[0, 0], [1, 0], [2, 0], [0, 1]])
+    chi = flat.chirotope
+    with pytest.raises(ValueError, match="label 9 not in configuration"):
+        triangulations.barycentric(flat, {1, 2, 3}, 9)
+    assert chi._minors == chi._dependences == {}
+    assert triangulations.barycentric(flat, {1, 2, 3}, 4) is None
+    memo = dict(chi._minors), dict(chi._dependences)
+    with pytest.raises(ValueError, match="label 9 not in configuration"):
+        triangulations.barycentric(flat, {1, 2, 3}, 9)
+    assert (chi._minors, chi._dependences) == memo
+
+
 def test_one_enumeration_reduces_each_cell_and_point_once(monkeypatch):
-    pairs = []
-    real = geometry._affine_coordinates
-
-    def counting(cfg, cell, labels):
-        pairs.extend((cell, lab) for lab in labels)
-        return real(cfg, cell, labels)
-
-    monkeypatch.setattr(geometry, "_affine_coordinates", counting)
+    """The enumeration takes each minor of its chirotope once, the
+    circuit table's and the folding rows' alike, and no reduction."""
+    dets = counting_det(monkeypatch)
     cfg = cyclic_configuration(4, range(1, 9))
     assert len(enumerate_regular(cfg)) == 40
-    assert pairs and len(pairs) == len(set(pairs))
+    keys = [tuple(map(tuple, rows)) for rows in dets]
+    assert len(keys) == len(set(keys)) == len(cfg.chirotope._minors) == 56

@@ -229,11 +229,14 @@ def test_det_has_one_caller():
 
 def test_cramers_rule_lives_in_one_helper():
     """The affine dependence of a (d+2)-subset is Chirotope.dependence,
-    read by the circuit table, the oracle's pair test and the lower
-    hull; no other code writes the alternating signs of its minors."""
+    read by the circuit table, the affine coordinates of a point over a
+    cell, the oracle's two pair tests and the lower hull; no other code
+    writes the alternating signs of its minors."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
              for caller in callers_of(path.read_text(), "dependence")}
-    assert found == {"geometry.PointConfiguration.circuit_table",
+    assert found == {"geometry.Chirotope.coordinates",
+                     "geometry.PointConfiguration.circuit_table",
+                     "triangulations._facet_separates",
                      "triangulations._radon_separates",
                      "triangulations.regular_subdivision"}
 
@@ -302,25 +305,23 @@ def test_only_pivot_writes_the_fraction_free_step():
     assert found == {"linalg.py": ["pivot", "pivot"]}
 
 
-def test_cell_coordinates_are_reduced_only_through_the_configuration():
-    """Every affine-coordinate reduction goes through the one memo a
-    configuration owns, which reduces each (cell, point) pair once."""
-    found = {path.name: calls for path in PACKAGE
-             if (calls := callers_of(path.read_text(), "_affine_coordinates"))}
-    assert found == {"geometry.py": ["CellCoordinates.reduce"]}
-
-
-def test_cell_coordinates_are_built_only_by_the_configuration():
-    """No caller makes a memo of its own: the one CellCoordinates of a
-    configuration is its cached cell_coordinates."""
-    found = {path.name: calls for path in PACKAGE
-             if (calls := callers_of(path.read_text(), "CellCoordinates"))}
-    assert found == {"geometry.py": ["PointConfiguration.cell_coordinates"]}
-
-
-def test_cell_coordinates_serve_only_magnitudes():
-    """Sign-only questions read the chirotope; the memo's reductions are
-    read where magnitudes are needed: the folding rows and barycentric."""
+def test_solve_integral_has_one_caller():
+    """Affine coordinates are read off the chirotope by Cramer's rule;
+    the one linear solve left is linalg.solve's."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
-             for caller in callers_of(path.read_text(), "reduce")}
-    assert found == {"triangulations._folding_pass", "triangulations.barycentric"}
+             for caller in callers_of(path.read_text(), "solve_integral")}
+    assert found == {"linalg.solve"}
+
+
+def test_no_second_coordinate_memo_is_left():
+    """A configuration keeps one memo of its linear algebra, the
+    chirotope: no name of the per-cell reduction memo it replaced."""
+    gone = {"CellCoordinates", "cell_coordinates", "_affine_coordinates"}
+    found = {}
+    for path in PACKAGE:
+        # names read or bound, attributes, definitions and imported names
+        names = {getattr(node, attr, None) for node in ast.walk(ast.parse(path.read_text()))
+                 for attr in ("id", "attr", "name")}
+        if names & gone:
+            found[path.name] = sorted(names & gone)
+    assert found == {}

@@ -51,6 +51,7 @@ from oracles import (
     height_separation_rows_reference,
     is_triangulation_reference,
     lower_hull_cells,
+    naive_det,
     simplices_properly_intersect_reference,
 )
 
@@ -267,7 +268,7 @@ def test_is_triangulation_solves_no_lp(monkeypatch):
 
 
 def test_one_reduction_per_cell(monkeypatch):
-    calls = {"solve_integral": 0, "det_sign": 0}
+    calls = {"det": 0, "solve_integral": 0, "det_sign": 0}
     for name in calls:
         real = getattr(linalg, name)
 
@@ -280,15 +281,17 @@ def test_one_reduction_per_cell(monkeypatch):
     t = placing_triangulation(cfg)
     assert len(t.cells) == 10
     assert is_triangulation(t.cells, cfg)[0]  # warms the facets memo
-    # a fresh equal configuration reduces each cell once, and a second
-    # check of the same object reads the coordinates the first reduced
+    # a fresh equal configuration takes each minor its cells' coordinates
+    # read once, by Cramer's rule with no reduction, and a second check
+    # of the same object reads the minors the first took
     fresh = PointConfiguration.from_json(cfg.to_json())
-    for reductions, check in ((10, lambda: is_regular(t, fresh, validate=True).regular),
-                              (0, lambda: is_triangulation(t.cells, fresh)[0]),
-                              (0, lambda: is_regular(t, fresh, validate=True).regular)):
-        calls.update(solve_integral=0, det_sign=0)
+    for minors, check in ((48, lambda: is_regular(t, fresh, validate=True).regular),
+                          (0, lambda: is_triangulation(t.cells, fresh)[0]),
+                          (0, lambda: is_regular(t, fresh, validate=True).regular)):
+        calls.update(det=0, solve_integral=0, det_sign=0)
         assert check()
-        assert calls == {"solve_integral": reductions, "det_sign": 0}
+        assert calls == {"det": minors, "solve_integral": 0, "det_sign": 0}
+    assert len(fresh.chirotope._minors) == 48
 
 
 @st.composite
@@ -410,6 +413,34 @@ def test_simplices_properly_intersect_agrees_with_reference(case):
     cfg = PointConfiguration.from_rows(rows)
     assert (simplices_properly_intersect(cfg, s1, s2)
             == simplices_properly_intersect_reference(rows, s1, s2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_simplex_pairs())
+@example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 3}, {2, 3}))  # s2 on a facet of s1
+@example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 3}, {1, 2, 3}))  # every apex in s2
+@example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 3}, {2, 3, 4}))  # across edge 2-3
+@example(([(0, 0), (2, 0), (4, 0), (0, 2)], {1, 2, 3}, {4}))  # flat s1
+def test_facet_test_reads_the_sides_of_each_facet(case):
+    """_facet_separates, read off the affine dependences, against its
+    definition on determinants of the points: some apex a of a
+    d-simplex s1 off its facet F = s1 - {a} has every label of s2 off F
+    strictly on the other side of F's hyperplane."""
+    rows, s1, s2 = case
+    cfg = PointConfiguration.from_rows(rows)
+
+    def side(facet, label):
+        det = naive_det([list(rows[l - 1]) + [1] for l in facet + (label,)])
+        return (det > 0) - (det < 0)
+
+    def reference(one, two):
+        return len(one) == cfg.dim + 1 and any(
+            side(facet, a) and all(side(facet, b) == -side(facet, a) for b in two - set(facet))
+            for a in one for facet in [tuple(sorted(one - {a}))])
+
+    one, two = frozenset(s1), frozenset(s2)
+    assert triangulations._facet_separates(cfg, one, two) == reference(one, two)
+    assert triangulations._facet_separates(cfg, two, one) == reference(two, one)
 
 
 def test_radon_partitions_refute_without_an_lp(monkeypatch):
