@@ -325,3 +325,12 @@ def test_no_second_coordinate_memo_is_left():
         if names & gone:
             found[path.name] = sorted(names & gone)
     assert found == {}
+
+
+def test_cell_coordinates_serve_only_magnitudes():
+    """Sign-only questions read the chirotope's signs; the affine
+    coordinates of a point over a cell (Chirotope.coordinates) are read
+    where magnitudes are needed: the folding rows and barycentric."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "coordinates")}
+    assert found == {"triangulations._folding_pass", "triangulations.barycentric"}
