@@ -14,11 +14,23 @@ simplex.
 
 The tableau is compact, the dictionary form of lrs (Avis, 2000): a row
 keeps only the nonbasic columns and the right-hand side, since a basic
-column is den times a unit vector.  An exchange (`_exchange`) runs
-`pivot` on the compact rows, then rewrites only column k, which passes
-from the entering variable to the leaving one, and the two labels; so
-a pivot rewrites one entry per nonbasic variable in each row, not one
-per variable.
+column is den times a unit vector.  Each row is one int, its entries
+packed by `linalg.Packing`, so an exchange (`_exchange`) is `pivot`'s
+three big-integer operations per row and two adds on the pivot row,
+which hand column k from the entering variable to the leaving one.
+The simplex decodes only what it reads: the signs of the reduced costs
+(Bland's rule), the entering column and the right-hand sides of the
+rows it may leave on (the ratio test), and at the end the solution and
+the duals.
+
+The packed fields are as wide as linalg's rule makes them for the rows
+of [A b; -c 0], cleared of denominators: every entry of the tableau of
+[A I b; -c 0 0] is a minor of that matrix (Sylvester's identity), and a
+minor through the slack columns, unit columns, expands along them to a
+minor of [A b; -c 0].  So each entry is bounded as in linalg's
+docstring, with K = min(rows, variables) + 1.  Column k of the compact
+tableau holds entries of that full tableau too: the leaving variable's
+column after the step.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import clear_denominators, pivot
+from .linalg import Packing, clear_denominators, pivot
 
 Z = Fraction(0)
 
@@ -44,50 +56,54 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _exchange(tab, cols, basis, r, k, den) -> int:
+def _exchange(tab, packing, cols, basis, r, k, col, den) -> int:
     """One exchange on the compact tableau: the nonbasic variable
     cols[k] enters on row r, the basic variable basis[r] leaves and
-    takes over compact column k.  Returns the new den.
+    takes over compact column k; col holds each row's entry in column
+    k.  Returns the new den.
 
-    `linalg.pivot` makes the fraction-free step on every column, which
-    leaves the entering variable's column, the new den times a unit
-    vector, in column k.  Column k then becomes the leaving variable's
-    dense column after the step: den in row r and -f in the others, f a
-    row's old entry in column k.  The ratio test pivots only on positive
-    entries, so no sign is needed."""
-    col = [row[k] for row in tab]
-    new_den = pivot(tab, r, k, den)
-    for i, f in enumerate(col):
-        tab[i][k] = den if i == r else -f
+    Before the step, column k holds the sum of the entering variable's
+    column (col) and the leaving one's (den times the unit vector at
+    r): one add on row r.  `linalg.pivot` is linear in each column, so
+    the step takes that sum to the sum of the two new columns: new_den
+    times the unit vector at r for the entering variable and, for the
+    leaving one, den in row r and -f in every other row, f that row's
+    entry in col.  A second add on row r takes the entering variable's
+    column back out.  The ratio test pivots only on positive entries,
+    so no sign is needed."""
+    unit = packing.unit(k)
+    tab[r] += den * unit
+    new_den = pivot(tab, r, col, den)
+    tab[r] -= new_den * unit
     cols[k], basis[r] = basis[r], cols[k]
     return new_den
 
 
-def _run_simplex(tab, cols, basis, nrows, den):
+def _run_simplex(tab, packing, cols, basis, nrows, den):
     """Maximize with Bland's rule: the entering variable is the smallest
     one with a negative reduced cost.  The last row of tab holds the
     reduced costs z_j - c_j of the variables in cols and, in its last
-    slot, minus the objective value, all over den.  Returns the status
+    column, minus the objective value, all over den.  Returns the status
     and the final denominator."""
+    rhs = len(cols)
     while True:
-        obj = tab[-1]
-        negative = [(v, k) for k, v in enumerate(cols) if obj[k] < 0]
+        negative = [(cols[k], k) for k in packing.negative(tab[-1]) if k < rhs]
         if not negative:
             return "optimal", den
         enter = min(negative)[1]
+        col = packing.column(tab, enter)
+        rows = [r for r in range(nrows) if col[r] > 0]
         leave = None
-        for r in range(nrows):
-            a = tab[r][enter]
-            if a > 0:
-                # compare ratios rhs / a by cross-multiplication
-                rhs = tab[r][-1]
-                if leave is None or rhs * best_a < best_rhs * a or (
-                    rhs * best_a == best_rhs * a and basis[r] < basis[leave]
-                ):
-                    leave, best_rhs, best_a = r, rhs, a
+        for r, b in zip(rows, packing.column([tab[r] for r in rows], rhs)):
+            a = col[r]
+            # compare ratios b / a by cross-multiplication
+            if leave is None or b * best_a < best_b * a or (
+                b * best_a == best_b * a and basis[r] < basis[leave]
+            ):
+                leave, best_b, best_a = r, b, a
         if leave is None:
             return "unbounded", den
-        den = _exchange(tab, cols, basis, leave, enter, den)
+        den = _exchange(tab, packing, cols, basis, leave, enter, col, den)
 
 
 def solve_lp(c, a_ub, b_ub) -> LPResult:
@@ -121,25 +137,28 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     # The simplex starts at the origin with every slack basic; the
     # tableau keeps only the nonbasic columns, cols[k] naming compact
     # column k's variable, then the right-hand side.  The objective,
-    # scaled by the lcm q of c's denominators, is the last row.
+    # scaled by the lcm q of c's denominators, is the last row.  Each
+    # row is one packed int (see the module docstring).
     cols = list(range(nvars))
     basis = [nvars + i for i in range(nrows)]
     q, cint = clear_denominators(c)
     tab.append([-v for v in cint] + [0])
-    status, den = _run_simplex(tab, cols, basis, nrows, 1)
+    packing = Packing(tab)
+    tab = packing.pack(tab)
+    status, den = _run_simplex(tab, packing, cols, basis, nrows, 1)
     if status == "unbounded":
         return LPResult("unbounded")
 
     x = [Z] * nvars
-    for r in range(nrows):
+    for r, rhs in enumerate(packing.column(tab[:nrows], nvars)):
         if basis[r] < nvars:
-            x[basis[r]] = Fraction(tab[r][-1], den)
+            x[basis[r]] = Fraction(rhs, den)
     value = sum((ci * xi for ci, xi in zip(c, x) if ci), Z)
 
     # The reduced cost of row i's slack is its multiplier in the scaled
     # problem; scaling back by m_i / (q * den) gives the dual.  A basic
     # slack has reduced cost zero.
-    reduced = dict(zip(cols, tab[-1]))
+    reduced = dict(zip(cols, packing.row(tab[-1])))
     dual = [Fraction(m * reduced[nvars + r], q * den) if reduced.get(nvars + r) else Z
             for r, m in enumerate(mults)]
     return LPResult("optimal", x=x, value=value, dual=dual)

@@ -261,10 +261,11 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
     and shared_witness: one ridge -> (cell, apex) map and, from
     Chirotope.coordinates, the affine coordinates of the points each
     cell reads.  These are the points its folding rows lift and, when
-    validating, the first cell's vertices, whose summed coordinates
-    place that cell's barycentre.  Validating checks the conditions of
-    is_triangulation in its order, from the signs of the integer
-    numerators; without it, a cell that reads no point is skipped.
+    validating, the first cell's vertices over every other cell, whose
+    summed coordinates place the first cell's barycentre.  Validating
+    checks the conditions of is_triangulation in its order, from the
+    signs of the integer numerators; without it, a cell that reads no
+    point is skipped.
 
     The rows are those of the height-separation LP on the local folding
     conditions: each asks a lifted point to clear a cell's lifted
@@ -314,14 +315,16 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
                 pairs.reverse()
             targets[pairs[0][0]].add(pairs[1][1])
     unplaced = set(column).difference(*cells)
-    extra = sorted(ordered[0]) if validate else []
+    first = sorted(ordered[0]) if validate else []
     coords = {}  # cell -> {label: coordinate numerators}, None if degenerate
     rows, mults = [], []
-    for cell in ordered:
+    for k, cell in enumerate(ordered):
         wanted = targets[cell] | unplaced
         points = [lab for lab in column if lab in wanted]
         if len(cell) != d + 1 or not (points or validate):
             continue
+        # the barycentre check reads the first cell's vertices over the others
+        extra = [v for v in first if v not in wanted] if k else []
         sol = config.chirotope.coordinates(cell, points + extra)
         coords[cell] = sol and sol[1]
         if sol is None:
@@ -396,7 +399,7 @@ def is_triangulation(cells, config: PointConfiguration):
     return True, None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegularityResult:
     """Verdict of the height-separation LP over the local folding rows
     (see _folding_pass) and the box rows of max_margin: margin
@@ -471,7 +474,8 @@ def is_regular(t: Triangulation, config: PointConfiguration,
     if res.value > 0:
         w = {lab: res.x[i] - 1 for i, lab in enumerate(labels)}
         return RegularityResult(True, witness=w, margin=res.value)
-    certificate = [y * m for y, m in zip(res.dual, mults)] + res.dual[len(mults):]
+    # a zero dual stays the LP's one zero, not a new Fraction per row
+    certificate = [y * m if y else y for y, m in zip(res.dual, mults)] + res.dual[len(mults):]
     return RegularityResult(
         False,
         margin=res.value,

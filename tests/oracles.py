@@ -7,6 +7,7 @@ route (contractions) that the library's label-set recovery replaced.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -49,17 +50,22 @@ def polygon_triangulations(labels):
 
 
 def naive_det(m):
-    """Cofactor-expansion determinant over Fractions."""
+    """Cofactor-expansion determinant, as a Fraction: expand along the
+    first row, then along the first row of each minor, taking each minor
+    of the trailing rows once (it is fixed by its columns), so that a
+    16 x 16 matrix takes 2^16 minors, not 16!."""
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(m[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * Fraction(m[0][j]) * naive_det(minor)
-    return total
+
+    @lru_cache(maxsize=None)
+    def minor(cols):
+        """The minor of the last len(cols) rows on these columns."""
+        if not cols:
+            return 1
+        row = m[n - len(cols)]
+        return sum((-1) ** k * row[j] * minor(cols[:k] + cols[k + 1:])
+                   for k, j in enumerate(cols) if row[j])
+
+    return Fraction(minor(tuple(range(n))))
 
 
 def brute_force_facets(points):

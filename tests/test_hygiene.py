@@ -305,6 +305,34 @@ def test_only_pivot_writes_the_fraction_free_step():
     assert found == {"linalg.py": ["pivot", "pivot"]}
 
 
+def shifts(source: str) -> list:
+    """Lines that shift an int with << or >>, or their augmented forms."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(getattr(node, "op", None), (ast.LShift, ast.RShift))
+    })
+
+
+def test_shifts_are_found():
+    source = (
+        "x = (v << b) + 1\n"
+        "'a << b in prose'\n"
+        "y = [u >> s & m for u in xs]\n"
+        "z = 2 * b\n"
+        "z <<= 3\n"
+        "w = a < b > c\n"
+    )
+    assert shifts(source) == [1, 3, 5]
+
+
+def test_only_linalg_knows_the_packed_layout():
+    """Rows packed into one int are made and read by linalg.Packing;
+    no other module shifts an int."""
+    found = {path.name: lines for path in PACKAGE if path.name != "linalg.py"
+             if (lines := shifts(path.read_text()))}
+    assert found == {}
+
+
 def test_solve_integral_has_one_caller():
     """Affine coordinates are read off the chirotope by Cramer's rule;
     the one linear solve left is linalg.solve's."""

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regtri import linalg
@@ -115,19 +115,39 @@ def test_rank_matches_largest_nonzero_minor_on_deficient_matrices():
         assert linalg.rank(m) == largest_nonzero_minor(m) <= k
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_packing_reads_back_its_rows(rows):
+    packing = linalg.Packing(rows)
+    xs = packing.pack(rows)
+    n = len(rows[0])
+    assert [packing.row(x) for x in xs] == rows
+    assert [packing.column(xs, j) for j in range(n)] == [list(col) for col in zip(*rows)]
+    assert [packing.negative(x) for x in xs] == [
+        [j for j, v in enumerate(row) if v < 0] for row in rows]
+    for j in range(n):
+        assert packing.row(packing.unit(j)) == [int(i == j) for i in range(n)]
+
+
 rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 7]))
+# numerators up to 2^80 widen the fields of the packed rows (linalg.Packing)
+wide_rationals = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
+                           st.sampled_from([1, 1, 2, 3, 4, 7]))
 
 
 @st.composite
 def rational_matrices(draw, rows=st.integers(1, 5), cols=st.integers(1, 5)):
     """Rational matrices whose trailing rows are often combinations of
-    the leading ones, so rank deficiency comes up often."""
+    the leading ones, so rank deficiency comes up often.  About half of
+    them have numerators up to 2^80."""
     nrows, ncols = draw(rows), draw(cols)
-    row = st.lists(rationals, min_size=ncols, max_size=ncols)
+    entries = draw(st.sampled_from([rationals, wide_rationals]))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
     free = draw(st.integers(1, nrows))
     m = draw(st.lists(row, min_size=free, max_size=free))
     while len(m) < nrows:
-        coeffs = draw(st.lists(rationals, min_size=free, max_size=free))
+        coeffs = draw(st.lists(entries, min_size=free, max_size=free))
         m.append([sum((a * r[j] for a, r in zip(coeffs, m)), Fraction(0))
                   for j in range(ncols)])
     return m
@@ -182,10 +202,24 @@ def test_solve_equals_fraction_rref(system):
 sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
 
 
+def sylvester(n):
+    """The Sylvester matrix of +-1 entries and order n, a power of 2:
+    its determinant n^(n/2) meets Hadamard's bound, and so the bound of
+    the packed fields (linalg.Packing)."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 5).flatmap(
     lambda n: st.lists(st.lists(sparse_rationals, min_size=n, max_size=n),
                        min_size=n, max_size=n)))
+@example(sylvester(8))
+@example(sylvester(8)[::-1])
+@example(sylvester(16))
+@example(sylvester(16)[::-1])
 def test_det_and_det_sign_equal_cofactor_expansion_on_sparse_matrices(m):
     # about half the entries zero: the elimination swaps rows, pivots on
     # negative entries and meets singular matrices

@@ -119,28 +119,32 @@ def pivots(monkeypatch):
     seen = []
     exchange = linprog._exchange
 
-    def recording_exchange(tab, cols, basis, r, k, den):
-        seen.append(tab[r][k])
-        return exchange(tab, cols, basis, r, k, den)
+    def recording_exchange(tab, packing, cols, basis, r, k, col, den):
+        seen.append(packing.row(tab[r])[k])
+        return exchange(tab, packing, cols, basis, r, k, col, den)
 
     monkeypatch.setattr(linprog, "_exchange", recording_exchange)
     return seen
 
 
 rationals = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6]))
+# numerators up to 2^80 widen the fields of the packed rows (linalg.Packing)
+wide_rationals = st.builds(F, st.integers(-2 ** 80, 2 ** 80), st.sampled_from([1, 1, 2, 3, 6]))
 
 
 @st.composite
 def small_lps(draw):
     """Small LPs with <= and = rows, right-hand sides of both signs and
-    entries over mixed denominators; sometimes an equality row gets a
-    rational multiple as a redundant copy."""
+    entries over mixed denominators, in about half of them with
+    numerators up to 2^80; sometimes an equality row gets a rational
+    multiple as a redundant copy."""
     nv = draw(st.integers(1, 3))
-    row = st.lists(rationals, min_size=nv, max_size=nv)
+    entries = draw(st.sampled_from([rationals, wide_rationals]))
+    row = st.lists(entries, min_size=nv, max_size=nv)
     a_ub = draw(st.lists(row, max_size=4))
-    b_ub = draw(st.lists(rationals, min_size=len(a_ub), max_size=len(a_ub)))
+    b_ub = draw(st.lists(entries, min_size=len(a_ub), max_size=len(a_ub)))
     a_eq = draw(st.lists(row, max_size=2))
-    b_eq = draw(st.lists(rationals, min_size=len(a_eq), max_size=len(a_eq)))
+    b_eq = draw(st.lists(entries, min_size=len(a_eq), max_size=len(a_eq)))
     if a_eq and draw(st.booleans()):
         i = draw(st.integers(0, len(a_eq) - 1))
         k = draw(st.sampled_from([F(1), F(-2), F(3, 5)]))
@@ -206,6 +210,12 @@ def test_solve_lp_fixed_cases_equal_fraction_simplex(pivots):
         "degenerate": ([1, 1], [[1, -1], [-1, 1], [1, 1]], [0, 0, F(3, 2)]),
         "rational rows": ([F(2, 3), F(-1, 5), 1], [[F(1, 2), 1, F(1, 3)], [1, F(-2, 7), 1]],
                           [F(5, 4), 2]),
+        # entries of 2^64: after x3 enters, the reduced cost of x1 is
+        # 2^129, the minor of the row [2^64, 2^64] of a_ub on x1 and x3
+        # and the objective row -c = [2^64, -2^64] there, which meets
+        # the bound of the packed fields
+        "wide entries": ([-2 ** 64, -2 ** 64, 2 ** 64], [[2 ** 64, -2 ** 64, 2 ** 64]],
+                         [2 ** 64]),
     }
     got = {}
     for name, lp in cases.items():
@@ -215,6 +225,7 @@ def test_solve_lp_fixed_cases_equal_fraction_simplex(pivots):
     assert got["unbounded"].status == "unbounded"
     assert got["degenerate"].optimal and got["degenerate"].value == F(3, 2)
     assert got["rational rows"].optimal
+    assert got["wide entries"].optimal and got["wide entries"].value == 2 ** 64
     assert pivots and all(p > 0 for p in pivots)
 
 
