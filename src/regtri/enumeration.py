@@ -377,10 +377,8 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     and when the new cell meets every cell placed so far properly.  Both
     tests read config.chirotope, each determinant taken once per
     configuration object: the apex test reads orientation signs, and
-    the pair test's facet and Radon tests read the affine dependences
-    of the minors (Chirotope.dependence).
-    simplices_properly_intersect solves an exact LP only for the pairs
-    neither sign test settles, which off general position can remain.
+    the pair test's facet and circuit tests read the affine dependences
+    of the minors (Chirotope.dependence), so the search solves no LP.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")

@@ -30,7 +30,7 @@ class LiftSpec:
     epsilons: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.apex[-1] <= 0:
+        if not self.apex or self.apex[-1] <= 0:
             raise ValueError("apex last coordinate must be positive")
         eps = self.epsilons
         if any(not (0 < e < 1) for e in eps):

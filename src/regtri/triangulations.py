@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -184,76 +185,77 @@ def _facet_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -
     when lam_a and lam_b of lam = dependence(s1 + b) share a sign
     (lam_b = +-M(s1) != 0), so each such b prunes the apexes off s2."""
     chi = config.chirotope
-    if len(s1) != config.dim + 1 or not chi.minor(tuple(sorted(s1))):
+    key = tuple(sorted(s1))
+    if len(key) != config.dim + 1 or not chi.minor(key):
         return False
     apexes = s1 - s2
     for b in s2 - s1:
         if not apexes:
             break
-        subset = tuple(sorted(s1 | {b}))
-        lam = dict(zip(subset, chi.dependence(subset)))
-        apexes = {a for a in apexes if lam[a] and (lam[a] > 0) == (lam[b] > 0)}
+        i = bisect_left(key, b)
+        subset = key[:i] + (b,) + key[i:]
+        lam = chi.dependence(subset)
+        apexes = {a for a, v in zip(subset, lam) if a in apexes and v and (v > 0) == (lam[i] > 0)}
     return bool(apexes)
 
 
-def _radon_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -> bool:
-    """Whether s1 and s2 are d-simplices of nonzero orientation and some
-    (d+2)-subset of their labels has an affine dependence with no zero
-    coefficient (Chirotope.dependence) whose positive labels lie in one
-    simplex and negative labels in the other.  Then the two hulls of the
-    parts share a point, and the simplices do not meet in a common face:
-    if they did, that point's unique weights on each independent simplex
-    would put both parts in s1 & s2, and a circuit would lie inside a
-    simplex."""
-    chi = config.chirotope
+def _affine_basis(config: PointConfiguration) -> list:
+    """The first labels, in label order, that span: each label is kept
+    when it raises the rank of those kept before it.  Fewer than d+1
+    when the configuration is not full-dimensional."""
+    basis = []
+    for lab in config.labels:
+        if len(basis) <= config.dim and linalg.rank(
+                homogenized(config, basis + [lab])) > len(basis):
+            basis.append(lab)
+    return basis
+
+
+def _circuit_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -> bool:
+    """Whether some circuit has its positive part in s1 and its negative
+    part in s2, or the other way round.  The circuits inside s1 | s2 are
+    the supports of the nonzero dependences (Chirotope.dependence) of
+    the (d+2)-subsets of any spanning pool around s1 | s2: a circuit
+    less one point extends, by points of the pool, to d+1 independent
+    points, and with that point they have one dependence up to scale.
+    s1 | s2 spans when either is a d-simplex; otherwise the pool takes
+    an affine basis of the configuration too."""
     d = config.dim
-    if not all(len(s) == d + 1 and chi.minor(tuple(sorted(s))) for s in (s1, s2)):
-        return False
-    for subset in itertools.combinations(sorted(s1 | s2), d + 2):
-        lam = chi.dependence(subset)
-        if 0 in lam:
-            continue
+    pool = s1 | s2
+    if d + 1 not in (len(s1), len(s2)):
+        basis = _affine_basis(config)
+        if len(basis) <= d:
+            raise NotFullDimensional("configuration does not span its dimension")
+        pool = pool.union(basis)
+    for subset in itertools.combinations(sorted(pool), d + 2):
+        lam = config.chirotope.dependence(subset)
         pos = {l for l, v in zip(subset, lam) if v > 0}
-        neg = set(subset) - pos
-        if (pos <= s1 and neg <= s2) or (pos <= s2 and neg <= s1):
+        neg = {l for l, v in zip(subset, lam) if v < 0}
+        if pos and ((pos <= s1 and neg <= s2) or (pos <= s2 and neg <= s1)):
             return True
     return False
 
 
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
-    """Whether two simplices meet in a common face (possibly empty).
-
-    First two sign tests, both read from config.chirotope.  If either
-    simplex is a d-simplex with a facet whose hyperplane strictly
-    separates its apex from the other simplex's labels off that facet,
-    the two meet in the hull of the other's labels on the facet, a face
-    of both, and the answer is True.  If both are d-simplices of nonzero
-    orientation and a circuit among their labels has its positive part
-    in one and its negative part in the other (De Loera, Rambau and
-    Santos, Triangulations, 2010), the answer is False.  Every other
-    pair is decided by one max_margin LP on weights l >= 0 on the
-    vertices of s1, u >= 0 on those of s2 and the margin.  Its
-    homogeneous rows, on the integer homogenized rows, are
-    sum l_a (a, 1) = sum u_b (b, 1), each equality as two opposite
-    rows, and margin <= the weight l puts outside the shared labels.
-    Weights with equal positive totals scale to a common point, so the
-    simplices meet improperly iff the optimum is positive.  The rows cut
-    out a cone, so max_margin's box only scales a solution and leaves
-    that sign as it is.
-    """
+    """Whether two simplices meet in a common face (possibly empty),
+    read from config.chirotope with no LP.  True at once when a facet of
+    one d-simplex separates it from the other (_facet_separates);
+    otherwise True iff no circuit has its positive part in one and its
+    negative part in the other (_circuit_separates; De Loera, Rambau and
+    Santos, Triangulations, 2010; Santos, Triangulations of oriented
+    matroids, 2002).  A label set that is not affinely independent (by
+    its minor, or the rank of fewer than d+1 rows) is not a simplex: a
+    ValueError."""
     one, two = frozenset(s1), frozenset(s2)
+    d = config.dim
+    for s in (one, two):
+        key = tuple(sorted(s))
+        if len(key) > d + 1 or not (config.chirotope.minor(key) if len(key) == d + 1
+                                    else linalg.rank(homogenized(config, key)) == len(key)):
+            raise ValueError(f"labels {key} are affinely dependent: not a simplex")
     if _facet_separates(config, one, two) or _facet_separates(config, two, one):
         return True
-    if _radon_separates(config, one, two):
-        return False
-    s1, s2 = sorted(one), sorted(two)
-    # the columns (a, 1) of s1 and -(b, 1) of s2, read row by row
-    columns = homogenized(config, s1) + [[-v for v in b] for b in homogenized(config, s2)]
-    rows = []
-    for row in zip(*columns):
-        rows += [[*row, 0], [*(-v for v in row), 0]]
-    rows.append([0 if l in two else -1 for l in s1] + [0] * len(s2) + [1])
-    return max_margin(rows, len(columns) + 1)[3].value == 0
+    return not _circuit_separates(config, one, two)
 
 
 def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool):
@@ -499,10 +501,7 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
     that is not a permutation of the labels is a ValueError."""
     d = config.dim
     if order is None:
-        start = []
-        for lab in config.labels:
-            if len(start) <= d and linalg.rank(homogenized(config, start + [lab])) > len(start):
-                start.append(lab)
+        start = _affine_basis(config)
         order = start + [lab for lab in config.labels if lab not in start]
     elif sorted(order) != sorted(config.labels):
         raise ValueError("order must be a permutation of the labels")

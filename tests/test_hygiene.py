@@ -210,11 +210,18 @@ def test_callers_of_a_name_are_found():
 
 
 def test_solve_lp_has_one_caller():
-    """Every LP the package solves, the oracle's pair test included, is
-    the margin LP that max_margin builds."""
+    """Every LP the package solves is the margin LP that max_margin
+    builds."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
              for caller in callers_of(path.read_text(), "solve_lp")}
     assert found == {"linprog.max_margin"}
+
+
+def test_triangulations_solves_one_lp():
+    """The regularity LP is the one LP of the triangulations module:
+    the oracle's pair test reads circuits off the chirotope."""
+    source = (ROOT / "src" / "regtri" / "triangulations.py").read_text()
+    assert callers_of(source, "max_margin") == ["is_regular"]
 
 
 def test_det_has_one_caller():
@@ -230,14 +237,14 @@ def test_det_has_one_caller():
 def test_cramers_rule_lives_in_one_helper():
     """The affine dependence of a (d+2)-subset is Chirotope.dependence,
     read by the circuit table, the affine coordinates of a point over a
-    cell, the oracle's two pair tests and the lower hull; no other code
-    writes the alternating signs of its minors."""
+    cell, the oracle's facet and circuit tests and the lower hull; no
+    other code writes the alternating signs of its minors."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
              for caller in callers_of(path.read_text(), "dependence")}
     assert found == {"geometry.Chirotope.coordinates",
                      "geometry.PointConfiguration.circuit_table",
                      "triangulations._facet_separates",
-                     "triangulations._radon_separates",
+                     "triangulations._circuit_separates",
                      "triangulations.regular_subdivision"}
 
 

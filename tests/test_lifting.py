@@ -51,6 +51,14 @@ def test_liftspec_invariants():
         LiftSpec.make(["0", "1"], ["1", "1/2"])  # outside (0,1)
 
 
+def test_liftspec_refuses_an_empty_apex():
+    """An apex with no coordinates has no last coordinate to sit above
+    the base: a ValueError, not an IndexError."""
+    for make in (lambda: LiftSpec((), ()), lambda: LiftSpec.make([], [])):
+        with pytest.raises(ValueError, match="apex last coordinate"):
+            make()
+
+
 def test_liftspec_json_roundtrip():
     spec = LiftSpec.make(["1/3", "1"], ["1/2", "1/4"])
     assert LiftSpec.from_json(spec.to_json()) == spec

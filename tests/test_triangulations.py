@@ -17,6 +17,7 @@ from regtri.errors import (
     NonPureComplex,
     NotATriangulation,
     NotConvexPosition,
+    NotFullDimensional,
     PointUnused,
 )
 from regtri.geometry import (
@@ -392,13 +393,16 @@ PIERCED_TETRAHEDRON = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3),
 DEGENERATE_CROSSING = [(0, 0), (2, 0), (4, 0), (1, -1), (1, 1), (5, 5)]
 
 
+def affinely_independent(rows, labels) -> bool:
+    """Whether the labeled points are affinely independent: their
+    homogenized rows have full rank, read off fraction_rref."""
+    return len(fraction_rref([list(rows[l - 1]) + [1] for l in labels])[1]) == len(labels)
+
+
 @settings(max_examples=300, deadline=None)
 @given(grid_simplex_pairs())
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 3}, {2, 3, 4}))  # a shared edge
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2, 4}, {1, 2, 3}))  # overlapping
-# a degenerate triangle: its zero orientations separate nothing, and
-# the point inside its segment meets it improperly
-@example(([(0, 0), (2, 0), (3, 0), (1, 0), (0, 1)], {1, 2, 3}, {4}))
 # crossing triangles, no vertex of either inside the other
 @example(([(0, 0), (3, 0), (0, 1), (1, -1), (2, -1), (1, 2)], {1, 2, 3}, {4, 5, 6}))
 # a vertex of one on an edge of the other, at a point they do not share
@@ -406,13 +410,41 @@ DEGENERATE_CROSSING = [(0, 0), (2, 0), (4, 0), (1, -1), (1, 1), (5, 5)]
 # fewer than d + 1 labels: an edge of a triangle, crossing diagonals
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2}, {1, 2, 3}))
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 4}, {2, 3}))
+# a point inside a segment, neither a d-simplex: the circuit reads an affine basis
+@example(([(0, 0), (2, 0), (1, 0), (0, 1)], {1, 2}, {3}))
 @example((PIERCED_TETRAHEDRON, {1, 2, 3, 4}, {5, 6, 7, 8}))  # a Radon partition refutes
-@example((DEGENERATE_CROSSING, {1, 2, 3}, {4, 5, 6}))  # a degenerate s1 goes to the LP
+@example(([(0, 0), (1, 1), (2, 2), (3, 3)], {1, 3}, {2}))  # on one line: no circuit is read
 def test_simplices_properly_intersect_agrees_with_reference(case):
+    """On affinely independent label sets the circuit test agrees with
+    the LP of the reference; a dependent label set is not a simplex and
+    is refused, and so is a configuration that does not span, whose
+    minors are all zero."""
     rows, s1, s2 = case
     cfg = PointConfiguration.from_rows(rows)
+    if not all(affinely_independent(rows, sorted(s)) for s in (s1, s2)):
+        with pytest.raises(ValueError, match="not a simplex"):
+            simplices_properly_intersect(cfg, s1, s2)
+        return
+    if affine_dim(cfg) < cfg.dim:
+        with pytest.raises(NotFullDimensional):
+            simplices_properly_intersect(cfg, s1, s2)
+        return
     assert (simplices_properly_intersect(cfg, s1, s2)
             == simplices_properly_intersect_reference(rows, s1, s2))
+
+
+@pytest.mark.parametrize(
+    "rows, s1, s2",
+    [([(0, 0), (2, 0), (3, 0), (1, 0), (0, 1)], {1, 2, 3}, {4}),  # a flat triangle
+     (DEGENERATE_CROSSING, {1, 2, 3}, {4, 5, 6}),  # crossed by an edge
+     ([(0, 0), (2, 0), (0, 2), (1, 1)], {1, 2, 3, 4}, {1})],  # more than d + 1 labels
+    ids=["flat triangle", "degenerate crossing", "too many labels"],
+)
+def test_a_dependent_label_set_is_not_a_simplex(rows, s1, s2):
+    cfg = PointConfiguration.from_rows(rows)
+    for pair in ((s1, s2), (s2, s1)):
+        with pytest.raises(ValueError, match="not a simplex"):
+            simplices_properly_intersect(cfg, *pair)
 
 
 @settings(max_examples=300, deadline=None)
@@ -443,27 +475,35 @@ def test_facet_test_reads_the_sides_of_each_facet(case):
     assert triangulations._facet_separates(cfg, two, one) == reference(two, one)
 
 
+def refuse_lps(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the pair test solved an LP")
+
+    monkeypatch.setattr(triangulations, "max_margin", refuse)
+
+
 def test_radon_partitions_refute_without_an_lp(monkeypatch):
     """Segment 5-6 pierces the triangle 1, 2, 3: the circuit of those
     five points has its positive part in one tetrahedron and its
-    negative part in the other, so no LP is solved.  In the degenerate
-    crossing the same kind of circuit exists, but s1 is flat, so the
-    sign test stands aside and the LP decides."""
-    calls = []
-    real = triangulations.max_margin
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(triangulations, "max_margin", counting)
+    negative part in the other, so the answer is False with no LP."""
+    refuse_lps(monkeypatch)
     cfg = PointConfiguration.from_rows(PIERCED_TETRAHEDRON)
     assert not simplices_properly_intersect(cfg, {1, 2, 3, 4}, {5, 6, 7, 8})
     assert not simplices_properly_intersect(cfg, {5, 6, 7, 8}, {1, 2, 3, 4})
-    assert calls == []
-    cfg = PointConfiguration.from_rows(DEGENERATE_CROSSING)
+
+
+def test_a_vertex_inside_an_edge_is_refuted_without_an_lp(monkeypatch):
+    """Vertex 4 of the triangle 4, 5, 6 lies inside the edge 2-3 of the
+    triangle 1, 2, 3.  Each dependence of four labels that holds the
+    circuit {2, 3, 4} has a zero coefficient, and no facet separates, so
+    only an LP decided this pair before the circuit test read the
+    supports of the dependences."""
+    refuse_lps(monkeypatch)
+    rows = [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (3, 0)]
+    cfg = PointConfiguration.from_rows(rows)
     assert not simplices_properly_intersect(cfg, {1, 2, 3}, {4, 5, 6})
-    assert len(calls) == 1
+    assert not simplices_properly_intersect(cfg, {4, 5, 6}, {1, 2, 3})
+    assert not simplices_properly_intersect_reference(rows, {1, 2, 3}, {4, 5, 6})
 
 
 def test_placing_refuses_an_order_that_is_not_a_permutation():
