@@ -8,10 +8,10 @@ on every instance small enough for the oracle.
 
 Flips come from the configuration's circuit table
 (`PointConfiguration.circuit_table`), read once per configuration object
-off its chirotope: every (d+2)-subset whose Radon partition has no zero
-coefficient, with the two triangulations of its circuit as ready-made
-cell sets.  A flip is then set operations on a triangulation's cells,
-and the flips found from one table share their cell objects.
+off its circuits: every circuit of d+2 labels, with its two
+triangulations as ready-made cell sets.  A flip is then set operations
+on a triangulation's cells, and the flips found from one table share
+their cell objects.
 """
 
 from __future__ import annotations
@@ -299,9 +299,9 @@ def check_inseparable(config: PointConfiguration, i: int, j: int) -> Inseparabil
 
 
 def flip_neighbors(t: Triangulation, config: PointConfiguration):
-    """All triangulations one bistellar flip away, over full-dimensional
-    circuits (d+2 point subsets in general position) among the labels t
-    uses, read from config's circuit table."""
+    """All triangulations one bistellar flip away, over the circuits of
+    d+2 labels among the labels t uses, read from config's circuit
+    table."""
     used = t.used_labels
     out = []
     for s, side_pos, side_neg in config.circuit_table:
@@ -375,10 +375,11 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     and opens its others off the hull.  An apex is a candidate when it
     lies strictly on the other side of the ridge from the ridge's apex,
     and when the new cell meets every cell placed so far properly.  Both
-    tests read config.chirotope, each determinant taken once per
-    configuration object: the apex test reads orientation signs, and
-    the pair test's facet and circuit tests read the affine dependences
-    of the minors (Chirotope.dependence), so the search solves no LP.
+    tests read what config keeps, each determinant taken once per
+    configuration object: the apex test reads orientation signs, the
+    pair test's facet test the affine dependences of the minors
+    (Chirotope.dependence), and its circuit test config.circuits, so
+    the search solves no LP.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")

@@ -50,8 +50,8 @@ class PointConfiguration:
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
     Facts derived from the points alone, such as the integer rows, the
-    chirotope and the circuit table, are computed once per object and
-    are not part of equality, hashing or the JSON form.
+    chirotope, the circuits and the circuit table, are computed once
+    per object and are not part of equality, hashing or the JSON form.
     """
 
     dim: int
@@ -148,31 +148,48 @@ class PointConfiguration:
         """The determinants of (d+1)-tuples of labels, each sorted
         tuple's taken once for as long as the object lives: orientation,
         and through it the placing sweep, the oracle's apex test and the
-        general-position check, read their signs; the circuit table, the
-        oracle's pair tests, regular_subdivision, the folding rows and
-        barycentric read what Cramer's rule makes of them."""
+        general-position check, read their signs; the circuits,
+        regular_subdivision, the folding rows and barycentric read what
+        Cramer's rule makes of them."""
         return Chirotope(self)
 
     @cached_property
-    def circuit_table(self) -> tuple:
-        """The flips of the configuration: one (subset, side_pos,
-        side_neg) per (d+2)-subset whose Radon partition has no zero
-        coefficient, in combinations(sorted(labels), d+2) order, the
-        coefficients those of chirotope.dependence.  The labels whose
-        coefficient's sign is opposite to the last label's stand against
-        the rest.  The two sides are the two triangulations of the
-        subset's circuit, as cell sets; a flip trades one for the
-        other."""
-        dependence = self.chirotope.dependence
-        table = []
+    def circuits(self) -> tuple:
+        """Every signed circuit of the points, of every rank: (support,
+        pos, neg), a minimal affinely dependent label set and the labels
+        of its positive and negative coefficients.  Read off
+        chirotope.dependence on the (d+2)-subsets in
+        combinations(sorted(labels), d+2) order, keeping each support's
+        first signs.  In a spanning configuration a nonzero dependence of
+        d+2 labels is unique up to scale, so its support is a circuit,
+        and every circuit C is one: C less a point extends to d+1
+        independent points (De Loera, Rambau and Santos, Triangulations,
+        2010).  A configuration that does not span is NotFullDimensional."""
+        if affine_dim(self) != self.dim:
+            raise NotFullDimensional(f"configuration does not span dimension {self.dim}")
+        found = {}
         for subset in itertools.combinations(sorted(self.labels), self.dim + 2):
-            lam = dependence(subset)
-            if 0 in lam:
-                continue
-            s = frozenset(subset)
-            ahead = frozenset(l for l, v in zip(subset, lam) if (v > 0) != (lam[-1] > 0))
-            table.append((s, frozenset(s - {l} for l in ahead),
-                          frozenset(s - {l} for l in s - ahead)))
+            lam = self.chirotope.dependence(subset)
+            pos = frozenset(l for l, v in zip(subset, lam) if v > 0)
+            if pos:  # the coefficients sum to 0, so neg is nonempty too
+                neg = frozenset(l for l, v in zip(subset, lam) if v < 0)
+                found.setdefault(pos | neg, (pos, neg))
+        return tuple((s, pos, neg) for s, (pos, neg) in found.items())
+
+    @cached_property
+    def circuit_table(self) -> tuple:
+        """The flips of the configuration: one (support, side_pos,
+        side_neg) per circuit of d+2 labels, in the order of circuits.
+        The two sides are the two triangulations of the circuit, as cell
+        sets, side_pos dropping one label of the part without the
+        largest label; a flip trades one for the other."""
+        table = []
+        for s, pos, neg in self.circuits:
+            if len(s) == self.dim + 2:
+                if max(s) in neg:
+                    pos, neg = neg, pos
+                table.append((s, frozenset(s - {l} for l in neg),
+                              frozenset(s - {l} for l in pos)))
         return tuple(table)
 
     def to_json(self) -> str:

@@ -211,51 +211,29 @@ def _affine_basis(config: PointConfiguration) -> list:
     return basis
 
 
-def _circuit_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -> bool:
-    """Whether some circuit has its positive part in s1 and its negative
-    part in s2, or the other way round.  The circuits inside s1 | s2 are
-    the supports of the nonzero dependences (Chirotope.dependence) of
-    the (d+2)-subsets of any spanning pool around s1 | s2: a circuit
-    less one point extends, by points of the pool, to d+1 independent
-    points, and with that point they have one dependence up to scale.
-    s1 | s2 spans when either is a d-simplex; otherwise the pool takes
-    an affine basis of the configuration too."""
-    d = config.dim
-    pool = s1 | s2
-    if d + 1 not in (len(s1), len(s2)):
-        basis = _affine_basis(config)
-        if len(basis) <= d:
-            raise NotFullDimensional("configuration does not span its dimension")
-        pool = pool.union(basis)
-    for subset in itertools.combinations(sorted(pool), d + 2):
-        lam = config.chirotope.dependence(subset)
-        pos = {l for l, v in zip(subset, lam) if v > 0}
-        neg = {l for l, v in zip(subset, lam) if v < 0}
-        if pos and ((pos <= s1 and neg <= s2) or (pos <= s2 and neg <= s1)):
-            return True
-    return False
-
-
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
     """Whether two simplices meet in a common face (possibly empty),
     read from config.chirotope with no LP.  True at once when a facet of
     one d-simplex separates it from the other (_facet_separates);
-    otherwise True iff no circuit has its positive part in one and its
-    negative part in the other (_circuit_separates; De Loera, Rambau and
+    otherwise True iff no circuit (config.circuits) has its positive
+    part in one and its negative part in the other (De Loera, Rambau and
     Santos, Triangulations, 2010; Santos, Triangulations of oriented
-    matroids, 2002).  A label set that is not affinely independent (by
-    its minor, or the rank of fewer than d+1 rows) is not a simplex: a
-    ValueError."""
+    matroids, 2002).  A configuration that does not span is
+    NotFullDimensional.  A label set that is not affinely independent
+    (a zero minor for d+1 labels, otherwise a circuit inside it) is not
+    a simplex: a ValueError."""
     one, two = frozenset(s1), frozenset(s2)
     d = config.dim
+    circuits = config.circuits
     for s in (one, two):
         key = tuple(sorted(s))
-        if len(key) > d + 1 or not (config.chirotope.minor(key) if len(key) == d + 1
-                                    else linalg.rank(homogenized(config, key)) == len(key)):
+        if (not config.chirotope.minor(key) if len(key) == d + 1
+                else any(c <= s for c, _, _ in circuits)):
             raise ValueError(f"labels {key} are affinely dependent: not a simplex")
     if _facet_separates(config, one, two) or _facet_separates(config, two, one):
         return True
-    return not _circuit_separates(config, one, two)
+    return not any((pos <= one and neg <= two) or (pos <= two and neg <= one)
+                   for _, pos, neg in circuits)
 
 
 def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool):
@@ -496,12 +474,15 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
     hyperplane its cell's apex lies on: the sign of its cell, which
     config.chirotope took when the cell was found visible, so each
     ridge test is one sign.  DegenerateStep means the first d+1 points
-    of the order do not span.  The default order is label order with
-    the first d+1 labels that span moved to the front; a given order
+    of a given order do not span.  The default order is label order
+    with the first d+1 labels that span moved to the front, and a
+    configuration that has none is NotFullDimensional; a given order
     that is not a permutation of the labels is a ValueError."""
     d = config.dim
     if order is None:
         start = _affine_basis(config)
+        if len(start) <= d:
+            raise NotFullDimensional("configuration does not span its dimension")
         order = start + [lab for lab in config.labels if lab not in start]
     elif sorted(order) != sorted(config.labels):
         raise ValueError("order must be a permutation of the labels")

@@ -272,6 +272,38 @@ def circuit_table_reference(points):
     return out
 
 
+def circuits_reference(points):
+    """{support: {pos, neg}} over the circuits of the labeled points:
+    the label sets that are affinely dependent, by the Fraction rank of
+    their homogenized rows, while every proper subset is independent.
+    The signs are those of the one kernel vector of the circuit's
+    columns, up to scale, so each circuit's pair of parts is unordered.
+    points maps each label to its coordinates."""
+    labels = sorted(points)
+    d = len(points[labels[0]])
+
+    def rank(subset):
+        return len(fraction_rref([list(points[l]) + [1] for l in subset])[1])
+
+    out = {}
+    for k in range(2, d + 3):
+        for subset in combinations(labels, k):
+            if rank(subset) == k or any(rank(subset[:i] + subset[i + 1:]) < k - 1
+                                         for i in range(k)):
+                continue
+            cols = [list(points[l]) + [1] for l in subset]
+            m, pivots = fraction_rref([list(row) for row in zip(*cols)])
+            free = next(c for c in range(k) if c not in pivots)
+            lam = [Fraction(0)] * k
+            lam[free] = Fraction(1)
+            for r, c in enumerate(pivots):
+                lam[c] = -m[r][free]
+            pos = frozenset(l for l, v in zip(subset, lam) if v > 0)
+            neg = frozenset(l for l, v in zip(subset, lam) if v < 0)
+            out[frozenset(subset)] = frozenset({pos, neg})
+    return out
+
+
 def flip_neighbors_reference(cells, points):
     """Cell sets of the triangulations one bistellar flip away from the
     given one, in the order the library lists them: for each circuit of

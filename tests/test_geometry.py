@@ -28,7 +28,7 @@ from regtri.geometry import (
     visibility,
 )
 
-from oracles import brute_force_facets, gale_evenness_facets, naive_det
+from oracles import brute_force_facets, circuits_reference, gale_evenness_facets, naive_det
 
 
 def square():
@@ -337,6 +337,53 @@ def test_dependence_is_the_affine_dependence_by_cramers_rule(case):
         assert all(sum(v * p[j] for v, p in zip(lam, points)) == 0
                    for j in range(cfg.dim + 1))
         assert any(lam) == (linalg.rank(points) == cfg.dim + 1)
+
+
+@st.composite
+def grid_configurations(draw):
+    """Up to d+5 distinct points of the grid {0, 1, 2}^d, d = 1 to 3,
+    with their labels in any order."""
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 2)] * d)
+    rows = draw(st.lists(point, min_size=1, max_size=d + 5, unique=True))
+    return rows, draw(st.permutations(range(1, len(rows) + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_configurations())
+def test_circuits_are_the_minimal_dependent_sets(case):
+    """Every circuit of every rank, each support once and signed by its
+    dependence, against the Fraction rank and kernel of the reference;
+    a configuration that does not span has no circuits to read."""
+    rows, labels = case
+    cfg = PointConfiguration.from_rows(rows, labels)
+    if affine_dim(cfg) < cfg.dim:
+        with pytest.raises(NotFullDimensional):
+            cfg.circuits
+        return
+    supports = [s for s, _, _ in cfg.circuits]
+    assert len(set(supports)) == len(supports)
+    assert ({s: frozenset({pos, neg}) for s, pos, neg in cfg.circuits}
+            == circuits_reference(dict(zip(labels, cfg.points))))
+
+
+def test_circuits_of_lower_rank():
+    """Three collinear points and one off their line: one circuit, of
+    rank 2.  The square with its centre: the square's four corners, and
+    each diagonal through the centre."""
+    collinear = PointConfiguration.from_rows([(0, 0), (1, 0), (2, 0), (0, 1)])
+    assert collinear.circuits == ((frozenset({1, 2, 3}), frozenset({1, 3}), frozenset({2})),)
+    assert collinear.circuit_table == ()
+    centred = PointConfiguration.from_rows([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+    assert [(s, {pos, neg}) for s, pos, neg in centred.circuits] == [
+        ({1, 2, 3, 4}, {frozenset({1, 4}), frozenset({2, 3})}),
+        ({2, 3, 5}, {frozenset({2, 3}), frozenset({5})}),
+        ({1, 4, 5}, {frozenset({1, 4}), frozenset({5})})]
+    assert [s for s, _, _ in centred.circuit_table] == [{1, 2, 3, 4}]
+    line = PointConfiguration.from_rows([(0, 0), (1, 1), (2, 2), (3, 3)])
+    for read in ("circuits", "circuit_table"):
+        with pytest.raises(NotFullDimensional):
+            getattr(line, read)
 
 
 @given(point_lists(0))

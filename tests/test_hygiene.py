@@ -236,16 +236,24 @@ def test_det_has_one_caller():
 
 def test_cramers_rule_lives_in_one_helper():
     """The affine dependence of a (d+2)-subset is Chirotope.dependence,
-    read by the circuit table, the affine coordinates of a point over a
-    cell, the oracle's facet and circuit tests and the lower hull; no
-    other code writes the alternating signs of its minors."""
+    read by the circuits of a configuration (which the circuit table and
+    the oracle's pair test read), the affine coordinates of a point over
+    a cell, the oracle's facet test and the lower hull; no other code
+    writes the alternating signs of its minors."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
              for caller in callers_of(path.read_text(), "dependence")}
     assert found == {"geometry.Chirotope.coordinates",
-                     "geometry.PointConfiguration.circuit_table",
+                     "geometry.PointConfiguration.circuits",
                      "triangulations._facet_separates",
-                     "triangulations._circuit_separates",
                      "triangulations.regular_subdivision"}
+
+
+def test_triangulations_takes_a_rank_only_for_placing():
+    """The pair test reads affine independence off the chirotope's minor
+    and the configuration's circuits; the one rank the triangulations
+    module takes is _affine_basis's, behind placing's default order."""
+    source = (ROOT / "src" / "regtri" / "triangulations.py").read_text()
+    assert callers_of(source, "rank") == ["_affine_basis"]
 
 
 def test_regular_subdivision_reads_no_hyperplanes():

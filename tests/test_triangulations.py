@@ -410,23 +410,24 @@ def affinely_independent(rows, labels) -> bool:
 # fewer than d + 1 labels: an edge of a triangle, crossing diagonals
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 2}, {1, 2, 3}))
 @example(([(0, 0), (2, 0), (0, 2), (2, 2)], {1, 4}, {2, 3}))
-# a point inside a segment, neither a d-simplex: the circuit reads an affine basis
+# a point inside a segment, neither a d-simplex: a circuit of rank 1
 @example(([(0, 0), (2, 0), (1, 0), (0, 1)], {1, 2}, {3}))
 @example((PIERCED_TETRAHEDRON, {1, 2, 3, 4}, {5, 6, 7, 8}))  # a Radon partition refutes
 @example(([(0, 0), (1, 1), (2, 2), (3, 3)], {1, 3}, {2}))  # on one line: no circuit is read
+@example(([(0, 0), (1, 1), (2, 2), (3, 3)], {1, 2, 3}, {4}))  # and dependent too
 def test_simplices_properly_intersect_agrees_with_reference(case):
-    """On affinely independent label sets the circuit test agrees with
-    the LP of the reference; a dependent label set is not a simplex and
-    is refused, and so is a configuration that does not span, whose
-    minors are all zero."""
+    """A configuration that does not span, whose minors are all zero,
+    is refused first; then a dependent label set, which is not a
+    simplex; on affinely independent label sets the circuit test agrees
+    with the LP of the reference."""
     rows, s1, s2 = case
     cfg = PointConfiguration.from_rows(rows)
-    if not all(affinely_independent(rows, sorted(s)) for s in (s1, s2)):
-        with pytest.raises(ValueError, match="not a simplex"):
-            simplices_properly_intersect(cfg, s1, s2)
-        return
     if affine_dim(cfg) < cfg.dim:
         with pytest.raises(NotFullDimensional):
+            simplices_properly_intersect(cfg, s1, s2)
+        return
+    if not all(affinely_independent(rows, sorted(s)) for s in (s1, s2)):
+        with pytest.raises(ValueError, match="not a simplex"):
             simplices_properly_intersect(cfg, s1, s2)
         return
     assert (simplices_properly_intersect(cfg, s1, s2)
@@ -529,6 +530,14 @@ def test_placing_degenerate_start():
         placing_triangulation(cfg, order=[1, 2, 3, 4])
     # the default order starts from 1, 2, 4, the first labels that span
     assert placing_triangulation(cfg).cells == {frozenset({1, 2, 4}), frozenset({2, 3, 4})}
+
+
+def test_placing_refuses_a_configuration_that_does_not_span():
+    """The default order is placing's own choice, so when no d+1 labels
+    span, the configuration is at fault, not a step of the order."""
+    cfg = PointConfiguration.from_rows([(0, 0), (1, 1), (2, 2), (3, 3)])
+    with pytest.raises(NotFullDimensional):
+        placing_triangulation(cfg)
 
 
 def test_placing_cones_over_ridges_not_hull_facets():
