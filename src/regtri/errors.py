@@ -27,11 +27,11 @@ class ValidationFailed(RegtriError):
     """A lexicographic lifting violated the same-side condition.
 
     Carries the label of the offending point and the labels spanning the
-    violated hyperplane; the usual remedy is to shrink the epsilon chain
-    from that index on and retry.  apex_hyperplane, when not None, names
-    lifted points whose hyperplane passes through the apex: their base
-    points share a hyperplane, so every chain under which they span one
-    fails the same way, and no retry can help.
+    violated hyperplane.  apex_hyperplane, when not None, names lifted
+    points whose hyperplane passes through the apex: their d+1 base
+    points have a zero minor (they share a hyperplane), so every chain
+    under which their lifts span one fails the same way, and no retry
+    can help.
     """
 
     def __init__(self, label, hyperplane_labels, apex_hyperplane=None):

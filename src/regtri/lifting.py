@@ -3,20 +3,22 @@ perturbations."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import NotAVertex, RegtriError, ValidationFailed, wire_format
 from .geometry import (
     PointConfiguration,
+    _colex,
     _strictly_separable,
     format_rational,
+    homogenized,
     is_general_position,
     parse_rational,
-    side_value,
-    spanned_hyperplanes,
 )
 from .linprog import solve_lp  # noqa: F401  (perfbench traces this import site)
 
@@ -71,75 +73,98 @@ class LiftedConfiguration:
     spec: LiftSpec
 
 
-def _validate_same_side(lifted: PointConfiguration, apex_label: int):
-    """Check the same-side condition: every point from position d+2 on
-    must be strictly on the apex side of each hyperplane spanned by
-    earlier lifted points.  Each hyperplane is computed once and checked
-    against the later points; the violation reported is the first in
-    point order, then in combinations order of the hyperplane's labels.
+def _validate_same_side(base: PointConfiguration, spec: LiftSpec):
+    """Check the same-side condition of lex_lift(base, spec) on the
+    base's chirotope, with no lifted configuration: every point from
+    position d+2 on must lie strictly on the apex side of each
+    hyperplane spanned by earlier lifted points.  The violation
+    reported is the first in point order, then in combinations order of
+    the hyperplane's labels; apex_hyperplane is the first hyperplane
+    through the apex, in colex order, spanned by points before it.
 
-    A hyperplane through the apex fails at the next point whatever the
-    chain: the lifted points are apex + eps_i ((p_i, 0) - apex), so the
-    apex lies on their hyperplane exactly when their base points share
-    one.  The first such hyperplane the scan meets is reported as the
-    error's apex_hyperplane, so that a caller stops shrinking."""
-    labels = [l for l in lifted.labels if l != apex_label]
-    position = {l: i for i, l in enumerate(labels)}
-    first = (len(labels), [])  # (point, subset) positions of the first violation
-    through_apex = None
-    for subset, h in spanned_hyperplanes(lifted, labels[:-1]):
-        last = position[subset[-1]]
-        if last >= first[0]:
-            break  # hyperplanes come by last label: none finds an earlier one
-        side = side_value(lifted, h, apex_label)
-        if side == 0 and through_apex is None:
-            through_apex = subset
-        for i in range(last + 1, min(first[0] + 1, len(labels))):
-            if side * side_value(lifted, h, labels[i]) <= 0:
-                first = min(first, (i, [position[l] for l in subset]))
-                break
-    i, subset = first
-    if i < len(labels):
-        raise ValidationFailed(labels[i], [labels[k] for k in subset], through_apex)
+    The rule.  A lex lift is the regular lifting of the base with
+    heights w_j = 1/eps_j - 1, cleared of denominators once (a positive
+    scale keeps every sign).  Homogenized, each lifted row is
+    (1 - eps_j) A + eps_j P_j, with A = (apex, 1) and P_j = (p_j, 0, 1).
+    In the multilinear expansion of the determinant of d+2 such rows,
+    the terms with two A rows vanish and the term with none has a zero
+    height column; Laplace along that column leaves
+    a_{d+1} (prod eps) (-1)^d lam.w, lam = Chirotope.dependence of the
+    sorted labels and a_{d+1} > 0 the apex height.  So for a
+    (d+1)-subset S of earlier points and T = S + {i}, as in
+    regular_subdivision: when lam_i = +-M(S) is not 0, point i is
+    strictly on the apex side (above the lifted hyperplane of S)
+    exactly when lam_i (lam.w) > 0.  When M(S) = 0 the apex lies on
+    the affine span of the lifts of S, a hyperplane exactly when those
+    lifts are independent: an affine dependence mu of the lifts gives
+    the base dependence nu_j = mu_j eps_j with nu.w = 0, and back.  So
+    S fails every later point when the base points of S have a single
+    affine dependence nu with nu.w != 0, and is skipped otherwise.
+
+    Termination.  Under auto_lift's chains, eps_j = beta^j for the j-th
+    point, for every S with lam_i != 0 the term lam_i w_i dominates
+    lam.w as beta shrinks, since i is the latest point of T, so the
+    check passes; a dependence nu != 0 of a rank-d set has nu.w != 0
+    for small beta, so that base is refused through apex_hyperplane;
+    sets of lower rank are always skipped."""
+    labels, d, chi = base.labels, base.dim, base.chirotope
+    heights = linalg.clear_denominators([1 / e - 1 for e in spec.epsilons])[1]
+    w = dict(zip(labels, heights))
+
+    def through_apex(subset):
+        if chi.minor(tuple(sorted(subset))):
+            return False
+        nu = linalg.kernel_integral(homogenized(base, subset))
+        return nu is not None and sum(v * w[l] for v, l in zip(nu[1], subset)) != 0
+
+    for i in range(d + 1, len(labels)):
+        q = labels[i]
+        for subset in itertools.combinations(labels[:i], d + 1):
+            t = tuple(sorted(subset + (q,)))
+            lam = chi.dependence(t)
+            lam_q = lam[t.index(q)]
+            if lam_q * sum(v * w[l] for v, l in zip(lam, t)) > 0:
+                continue
+            if not lam_q and not through_apex(subset):
+                continue
+            on_apex = next(filter(through_apex, _colex(labels[:i], d + 1)), None)
+            raise ValidationFailed(q, subset, on_apex)
 
 
 def lex_lift(base: PointConfiguration, spec: LiftSpec) -> LiftedConfiguration:
     """Positive lexicographic lifting; raises ValidationFailed when the
-    epsilon chain is not steep enough (callers should shrink and retry).
+    epsilon chain is not steep enough (auto_lift halves it and retries).
 
     Any base is accepted, hull-interior points included (the collinear
     intermediate of the sewing pipeline has them); the same-side
-    validation is the only check.
+    validation, on the base's chirotope, is the only check, and the
+    lifted coordinates are built once it passes.
     """
     if len(spec.epsilons) != base.n:
         raise ValueError("need one epsilon per base point")
     if len(spec.apex) != base.dim + 1:
         raise ValueError("apex must live one dimension up")
+    _validate_same_side(base, spec)
     apex = spec.apex
-    rows = []
-    for p, eps in zip(base.points, spec.epsilons):
-        lifted_pt = tuple(
-            (1 - eps) * a + eps * x for a, x in zip(apex, tuple(p) + (Fraction(0),))
-        )
-        rows.append(lifted_pt)
-    apex_label = max(base.labels) + 1
-    lifted = PointConfiguration(
-        base.dim + 1,
-        tuple(rows) + (apex,),
-        base.labels + (apex_label,),
+    rows = tuple(
+        tuple((1 - eps) * a + eps * x for a, x in zip(apex, tuple(p) + (Fraction(0),)))
+        for p, eps in zip(base.points, spec.epsilons)
     )
-    _validate_same_side(lifted, apex_label)
+    apex_label = max(base.labels) + 1
+    lifted = PointConfiguration(base.dim + 1, rows + (apex,), base.labels + (apex_label,))
     return LiftedConfiguration(base, lifted, apex_label, spec)
 
 
 def auto_lift(base: PointConfiguration, apex) -> LiftedConfiguration:
     """Lift with a validating epsilon chain found by geometric back-off:
-    eps_i = beta^i, halving beta until the lift validates, at most 64
-    times.  A failure against a hyperplane through the apex ends the
-    search at once: no chain moves the apex off it."""
+    eps_i = beta^i, halving beta until the lift validates.  The search
+    ends: a small enough beta passes every check but those against a
+    hyperplane through the apex, and a failure against one ends it at
+    once, since it is a zero base minor that no chain moves the apex
+    off (see _validate_same_side)."""
     apex = tuple(parse_rational(x) for x in apex)
     beta = Fraction(1, 2)
-    for _ in range(64):
+    while True:
         eps = tuple(beta ** (i + 1) for i in range(base.n))
         try:
             return lex_lift(base, LiftSpec(apex, eps))
@@ -151,7 +176,6 @@ def auto_lift(base: PointConfiguration, apex) -> LiftedConfiguration:
                     "hyperplane; no smaller epsilon chain moves it off"
                 ) from e
             beta /= 2
-    raise RegtriError("no validating epsilon chain found; base may be degenerate")
 
 
 def auto_epsilons(base: PointConfiguration, apex) -> LiftSpec:

@@ -173,6 +173,23 @@ def same_side_reference(labels, points, apex):
     return None
 
 
+def apex_hyperplane_reference(labels, points, apex, label):
+    """The first d-subset, in colexicographic order, of the labels
+    before `label` whose points span a hyperplane (homogenized rows of
+    rank d) through the apex (zero determinant with the apex row), as a
+    frozenset; None when there is none."""
+    d = len(apex)
+    rows = {l: [Fraction(x) for x in p] + [Fraction(1)] for l, p in zip(labels, points)}
+    apex_row = [Fraction(x) for x in apex] + [Fraction(1)]
+    before = labels[:labels.index(label)]
+    # colex order: by the largest position, then the next largest, ...
+    for subset in sorted(combinations(before, d), key=lambda s: [before.index(l) for l in s][::-1]):
+        hyper = [rows[l] for l in subset]
+        if len(fraction_rref(hyper)[1]) == d and naive_det([apex_row] + hyper) == 0:
+            return frozenset(subset)
+    return None
+
+
 def fraction_functional(points):
     """The affine functional through d points in dimension d, over
     Fractions, normalized as the library's hyperplane_functional:

@@ -21,7 +21,7 @@ from regtri.census import (
     sew,
     single_lift,
 )
-from regtri.errors import NonUniqueIndex, TooFewPoints
+from regtri.errors import NonUniqueIndex, RegtriError, TooFewPoints
 from regtri.geometry import (
     PointConfiguration,
     centroid,
@@ -312,6 +312,62 @@ def test_fingerprint_commutes_with_relabeling(sigma, rng):
     relabeled = sorted(sorted(pi[l] for l in f) for f in facet_sets)
     expected = FacetFingerprint(json.dumps(relabeled, separators=(",", ":")).encode())
     assert fingerprint(lifted.relabel(pi)) == expected
+
+
+# census._spec_digest of the two LiftSpecs that double_lift finds for
+# the orders random.Random(seed).sample of SEW_62_BASE's labels: a
+# same-side check or a search that picks another chain changes them
+SPEC_DIGESTS = {
+    0: "a4c39849cfe0ddc1b0717b2d44ce1190c15ab4b2011c0aa273be451b041718aa",
+    1: "7f6f9343275e757c534583ddf63e13970f31044301955648c7cc3a4518fdfb62",
+    2: "b1a84bfb52e2fdfb0905dc288a058bccbe8222765df93c16df48703bf102d128",
+    3: "b658db1f2a64b9fa16202c05f7ac60537e57bf01af74977eb11cdbcce6ce357d",
+    4: "b6efd076c0d2b533ec4a99fcbd0697bbd50147c9824b5e26ba4f6f55727bb723",
+    5: "b28a77b888a3e4ce8948b2f59213d83389cec7e24514b7c1d9bcaf95c19cf02a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPEC_DIGESTS))
+def test_double_lift_finds_the_pinned_epsilon_chains(seed):
+    sigma = random.Random(seed).sample(sorted(SEW_62_BASE.labels), 6)
+    specs = []
+    double_lift(SEW_62_BASE, sigma, verify=False, specs=specs)
+    assert census_module._spec_digest(specs) == SPEC_DIGESTS[seed]
+
+
+def test_a_two_stage_lift_needs_more_than_64_halvings():
+    # the first lift of the second stage validates only at beta = 2^-101
+    mid = double_lift(SEW_62_BASE, (6, 5, 4, 1, 2, 3))
+    out = double_lift(mid, (4, 5, 1, 3, 2, 8, 7, 6), verify=False)
+    assert (out.dim, out.n) == (6, 10)
+    assert is_k_neighborly(out, 3)
+
+
+def double_lift_or_zero_minor(base, sigma):
+    """double_lift(base, sigma, verify=False), or None after checking
+    that its refusal names d+1 points of the refused lift's base whose
+    minor is 0."""
+    try:
+        return double_lift(base, sigma, verify=False)
+    except RegtriError as exc:
+        named = sorted(exc.__cause__.apex_hyperplane)
+        stage = base if len(named) == base.dim + 1 else single_lift(base, sigma)[0]
+        assert len(named) == stage.dim + 1
+        assert stage.chirotope.minor(tuple(named)) == 0
+        return None
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([sew(5, 2).stage_configs[-1], SEW_62_BASE]).flatmap(
+    lambda base: st.tuples(st.just(base), st.permutations(base.labels),
+                           st.permutations(range(1, base.n + 3)))))
+def test_two_stage_lifts_of_sewing_bases_validate_or_name_a_zero_minor(case):
+    # the second stage lifts a base that was itself lifted in a random
+    # order, whose coordinates need far steeper chains than a sewing's
+    base, sigma1, sigma2 = case
+    mid = double_lift_or_zero_minor(base, sigma1)
+    if mid is not None:
+        double_lift_or_zero_minor(mid, sigma2)
 
 
 def test_census_counts_only_its_own_fingerprints(tmp_path):

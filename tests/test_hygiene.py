@@ -238,12 +238,14 @@ def test_cramers_rule_lives_in_one_helper():
     """The affine dependence of a (d+2)-subset is Chirotope.dependence,
     read by the circuits of a configuration (which the circuit table and
     the oracle's pair test read), the affine coordinates of a point over
-    a cell, the oracle's facet test and the lower hull; no other code
-    writes the alternating signs of its minors."""
+    a cell, the oracle's facet test, the lower hull and a lift's
+    same-side check; no other code writes the alternating signs of its
+    minors."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
              for caller in callers_of(path.read_text(), "dependence")}
     assert found == {"geometry.Chirotope.coordinates",
                      "geometry.PointConfiguration.circuits",
+                     "lifting._validate_same_side",
                      "triangulations._facet_separates",
                      "triangulations.regular_subdivision"}
 
@@ -264,6 +266,17 @@ def test_regular_subdivision_reads_no_hyperplanes():
                                         "hyperplane_functional", "PointConfiguration")
              if (callers := callers_of(source, name))}
     assert found == {}
+
+
+def test_lift_validation_reads_no_hyperplanes():
+    """A lift's same-side check is read off the base's minors: lifting
+    calls no hyperplane kernel or side value, and the check builds no
+    lifted configuration."""
+    source = (ROOT / "src" / "regtri" / "lifting.py").read_text()
+    found = {name: callers for name in ("spanned_hyperplanes", "side_value")
+             if (callers := callers_of(source, name))}
+    assert found == {}
+    assert "_validate_same_side" not in callers_of(source, "PointConfiguration")
 
 
 def test_in_convex_position_has_two_callers():

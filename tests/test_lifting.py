@@ -28,7 +28,7 @@ from regtri.lifting import (
     perturb_general,
 )
 
-from oracles import same_side_reference
+from oracles import apex_hyperplane_reference, same_side_reference
 
 
 def pentagon():
@@ -304,6 +304,10 @@ def lift_cases(draw):
 # the third lifted point lies on the line through the first two
 @example((PointConfiguration.from_rows([[0], [1], [3]]),
           LiftSpec.make((0, 1), ["1/2", "1/4", "1/8"])))
+# point 5 first fails against points 1, 2, 4, and points 2, 3, 4 lie on
+# one line, so their lifts span a hyperplane through the apex
+@example((PointConfiguration.from_rows([[3, 0], [-2, -1], [2, -1], [-3, -1], [-3, 3]]),
+          LiftSpec.make((0, 2, 1), ["209/256", "35/64", "125/256", "19/64", "47/256"])))
 def test_same_side_check_equals_determinant_reference(case):
     base, spec = case
     lifted = [
@@ -315,28 +319,33 @@ def test_same_side_check_equals_determinant_reference(case):
         lex_lift(base, spec)
     except ValidationFailed as exc:
         assert (exc.label, exc.hyperplane_labels) == expect
+        assert exc.apex_hyperplane == apex_hyperplane_reference(
+            base.labels, lifted, spec.apex, exc.label)
     else:
         assert expect is None
 
 
-def test_validating_lift_computes_each_hyperplane_once(monkeypatch):
-    # n base points lift to dimension d+1; every (d+1)-subset of the
-    # first n-1 lifted points spans a hyperplane checked against the
-    # later ones, so a validating lift makes C(n-1, d+1) integer kernel
-    # reductions where one per (point, earlier subset) pair would make
-    # C(n, d+2)
+def test_validating_lift_reads_each_base_minor_once(monkeypatch):
+    # the same-side check reads the dependences of the base's
+    # (d+2)-subsets off its chirotope, so a validating lift takes at most
+    # one determinant per (d+1)-subset of the base, C(n, d+1), all on
+    # base rows, and no kernel reduction; a second lift of the same base
+    # object takes none
     base = cyclic_configuration(3, range(1, 8))
-    spec = auto_epsilons(base, apex_over(base))
-    calls = []
-    real = linalg.kernel_integral
-
-    def counting(columns):
-        calls.append(columns)
-        return real(columns)
-
-    monkeypatch.setattr(linalg, "kernel_integral", counting)
+    spec = auto_epsilons(cyclic_configuration(3, range(1, 8)), apex_over(base))
+    base_rows = set(geometry.homogenized(base, base.labels))
+    dets, kernels = [], []
+    real_det, real_kernel = linalg.det, linalg.kernel_integral
+    monkeypatch.setattr(linalg, "det", lambda rows: dets.append(rows) or real_det(rows))
+    monkeypatch.setattr(linalg, "kernel_integral",
+                        lambda columns: kernels.append(columns) or real_kernel(columns))
     lc = lex_lift(base, spec)
-    assert len(calls) == comb(6, 4) == 15 < comb(7, 5)
+    assert 0 < len(dets) <= comb(7, 4) == 35
+    assert all(set(rows) <= base_rows for rows in dets)
+    assert kernels == []
+    dets.clear()
+    assert lex_lift(base, spec) == lc
+    assert dets == kernels == []
     lifted = [lc.lifted.point(l) for l in base.labels]
     assert same_side_reference(base.labels, lifted, spec.apex) is None
 
