@@ -59,13 +59,10 @@ def _lift_apex(base: PointConfiguration):
 def single_lift(base: PointConfiguration, order):
     """One positive lexicographic lift processing the points in the
     given label order; labels are preserved and the apex gets the next
-    free label.  Returns (lifted configuration, spec used)."""
-    order = tuple(order)
-    if sorted(order) != sorted(base.labels):
-        raise ValueError("order must be a permutation of the labels")
-    reordered = PointConfiguration(
-        base.dim, tuple(base.point(l) for l in order), order
-    )
+    free label.  Returns (lifted configuration, spec used).  The
+    reordered base shares base's chirotope, so the lifts of one base in
+    many orders take each of its minors once."""
+    reordered = base.reordered(order)
     lifted = auto_lift(reordered, _lift_apex(reordered))
     return lifted.lifted, lifted.spec
 

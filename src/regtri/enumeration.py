@@ -46,11 +46,11 @@ from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this 
 from .triangulations import (
     Triangulation,
     _folding_pass,
+    _properly_intersect,
     barycentric,
     is_regular,
     placing_triangulation,
     regular_subdivision,
-    simplices_properly_intersect,
 )
 
 
@@ -379,7 +379,10 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     configuration object: the apex test reads orientation signs, the
     pair test's facet test the affine dependences of the minors
     (Chirotope.dependence), and its circuit test config.circuits, so
-    the search solves no LP.
+    the search solves no LP.  Every cell is a d-simplex, a hull facet
+    or an open ridge joined to a point off its hyperplane, so the pair
+    test runs without simplices_properly_intersect's refusal of
+    dependent label sets.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")
@@ -413,7 +416,7 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
             if s == 0 or s == sign_owner:
                 continue
             cand = ridge | {lab}
-            if all(simplices_properly_intersect(config, cand, c) for c in cells):
+            if all(_properly_intersect(config, cand, c) for c in cells):
                 out.append(cand)
         return out
 

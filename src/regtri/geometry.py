@@ -103,6 +103,20 @@ class PointConfiguration:
             self.dim, tuple(p for p, _ in kept), tuple(l for _, l in kept)
         )
 
+    def reordered(self, order) -> "PointConfiguration":
+        """The same labeled points in the given label order.  Facts of
+        the labeled points that do not depend on their order, the
+        integer rows (the axis scales are lcms over the same points) and
+        the chirotope (keyed by sorted labels), are this object's own,
+        so what either configuration computes of them the other reads."""
+        order = tuple(order)
+        if sorted(order) != sorted(self.labels):
+            raise ValueError("order must be a permutation of the labels")
+        out = PointConfiguration(self.dim, tuple(self.point(l) for l in order), order)
+        for name in ("_axis_scales", "integer_rows", "chirotope"):
+            out.__dict__[name] = getattr(self, name)
+        return out
+
     def relabel(self, mapping: dict[int, int]) -> "PointConfiguration":
         return PointConfiguration(
             self.dim,

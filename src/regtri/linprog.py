@@ -21,7 +21,8 @@ which hand column k from the entering variable to the leaving one.
 The simplex decodes only what it reads: the signs of the reduced costs
 (Bland's rule), the entering column and the right-hand sides of the
 rows it may leave on (the ratio test), and at the end the solution and
-the duals.
+the duals, which `LPResult` keeps as integers over den until a caller
+reads them as Fractions.
 
 The packed fields are as wide as linalg's rule makes them for the rows
 of [A b; -c 0], cleared of denominators: every entry of the tableau of
@@ -31,12 +32,36 @@ minor of [A b; -c 0].  So each entry is bounded as in linalg's
 docstring, with K = min(rows, variables) + 1.  Column k of the compact
 tableau holds entries of that full tableau too: the leaving variable's
 column after the step.
+
+Bound rows (Dantzig's bounded-variable method, Econometrica, 1955).  A
+row with one nonzero entry, a > 0 in column j, cleared to integers a
+and u, is the bound a x_j + s = u on x_j, s its slack.  While s is
+basic the row stays out of the packed tableau, since the basis
+determines it.  The fraction-free tableau of a basis B is
+|det B| B^-1 [A I b], whatever exchanges led to B: each entry is the
+minor named above, and den is |det B|.  B's column for s is the unit
+vector of s's row, so det B, expanded along it, is the determinant of
+the other rows and columns, and neither den nor any other row depends
+on the bound row.  Its own row is den times the dictionary row of s,
+the bound with the basic variables eliminated.  If x_j is nonbasic that
+is a x_j + s = u: den a in x_j's compact column, 0 in the others, den u
+on the right.  If x_j is basic on row r, den x_j = rhs_r - T_r . N over
+the nonbasic variables N, so s - (a / den) T_r . N = u - a rhs_r / den,
+and times den the row is -a T_r with right-hand side den u - a rhs_r.
+The ratio test reads those entries in the entering column and breaks
+ties by s's index, so it picks the row the full tableau would.  A bound
+row that wins is built from the same formula and packed, and pivoted on
+like any other; from then on it is an ordinary row.  Its entries are
+entries of the full tableau, which is why the width comes from every
+row, bound rows too.  So every exchange, den, solution and dual equals
+the full tableau's, with fewer rows to step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import Packing, clear_denominators, pivot
 
@@ -45,15 +70,32 @@ Z = Fraction(0)
 
 @dataclass
 class LPResult:
+    """The solution x = x_num / den and, one multiplier per a_ub row and
+    >= 0 at an optimum, the duals dual_num / dual_den, as integers; x
+    and dual are their Fractions, built when first read."""
+
     status: str  # "optimal" | "unbounded"
-    x: list[Fraction] | None = None
     value: Fraction | None = None
-    # One multiplier per a_ub row, >= 0 at an optimum.
-    dual: list[Fraction] | None = None
+    den: int | None = None
+    x_num: list[int] | None = None
+    dual_num: list[int] | None = None
+    dual_den: int | None = None
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+    @cached_property
+    def x(self) -> list[Fraction] | None:
+        return _fractions(self.x_num, self.den)
+
+    @cached_property
+    def dual(self) -> list[Fraction] | None:
+        return _fractions(self.dual_num, self.dual_den)
+
+
+def _fractions(nums, den):
+    return None if nums is None else [Fraction(v, den) if v else Z for v in nums]
 
 
 def _exchange(tab, packing, cols, basis, r, k, col, den) -> int:
@@ -79,12 +121,15 @@ def _exchange(tab, packing, cols, basis, r, k, col, den) -> int:
     return new_den
 
 
-def _run_simplex(tab, packing, cols, basis, nrows, den):
+def _run_simplex(tab, packing, cols, basis, den, bounded):
     """Maximize with Bland's rule: the entering variable is the smallest
     one with a negative reduced cost.  The last row of tab holds the
     reduced costs z_j - c_j of the variables in cols and, in its last
-    column, minus the objective value, all over den.  Returns the status
-    and the final denominator."""
+    column, the objective value, all over den; row r of the others is
+    basis[r]'s.  bounded maps a variable j to the bound rows on it that
+    are still out of tab, each as (slack, a, u); a bound row that wins
+    the ratio test is packed and appended to the rows.  Returns the
+    status and the final denominator."""
     rhs = len(cols)
     while True:
         negative = [(cols[k], k) for k in packing.negative(tab[-1]) if k < rhs]
@@ -92,76 +137,110 @@ def _run_simplex(tab, packing, cols, basis, nrows, den):
             return "optimal", den
         enter = min(negative)[1]
         col = packing.column(tab, enter)
-        rows = [r for r in range(nrows) if col[r] > 0]
-        leave = None
-        for r, b in zip(rows, packing.column([tab[r] for r in rows], rhs)):
-            a = col[r]
+        nrows = len(basis)
+        # a row with a positive entry, or a negative one on a variable
+        # whose bound row then has a positive entry -a col[r]
+        read = [r for r in range(nrows) if col[r] > 0 or col[r] and basis[r] in bounded]
+        # (right-hand side, entry, leaving variable, row, bound or None)
+        cands = []
+        for r, b in zip(read, packing.column([tab[r] for r in read], rhs)):
+            f = col[r]
+            if f > 0:
+                cands.append((b, f, basis[r], r, None))
+            else:
+                cands += [(den * u - a * b, -a * f, s, r, (a, u)) for s, a, u in bounded[basis[r]]]
+        # a bound on the entering variable: den u over den a
+        cands += [(u, a, s, None, (a, u)) for s, a, u in bounded.get(cols[enter], ())]
+        v = None
+        for b, a, s, row, bnd in cands:
             # compare ratios b / a by cross-multiplication
-            if leave is None or b * best_a < best_b * a or (
-                b * best_a == best_b * a and basis[r] < basis[leave]
+            if v is None or b * best_a < best_b * a or (
+                b * best_a == best_b * a and s < v
             ):
-                leave, best_b, best_a = r, b, a
-        if leave is None:
+                v, r, bound, best_b, best_a = s, row, bnd, b, a
+        if v is None:
             return "unbounded", den
-        den = _exchange(tab, packing, cols, basis, leave, enter, col, den)
+        if bound:
+            j = cols[enter] if r is None else basis[r]
+            a, u = bound
+            bounded[j].remove((v, a, u))
+            if not bounded[j]:
+                del bounded[j]
+            if r is None:
+                row, entry = den * a * packing.unit(enter), den * a
+            else:
+                row, entry = -a * tab[r], -a * col[r]
+            tab.insert(nrows, row + den * u * packing.unit(rhs))
+            col.insert(nrows, entry)
+            basis.append(v)
+            r = nrows
+        den = _exchange(tab, packing, cols, basis, r, enter, col, den)
 
 
 def solve_lp(c, a_ub, b_ub) -> LPResult:
     """Maximize c.x subject to a_ub x <= b_ub and x >= 0, where every
     entry of b_ub is >= 0 (ValueError otherwise), so that the origin is
-    feasible and the LP is optimal or unbounded.
+    feasible and the LP is optimal or unbounded.  A row with one
+    nonzero entry, positive, is a bound row (see the module docstring).
 
     Every model is stated over nonnegative variables; a free variable
     is the difference of two of them.
     """
-    c = [Fraction(v) for v in c]
     nvars = len(c)
     # Row i is multiplied by m_i, the lcm of its denominators.  Its
     # slack keeps coefficient 1, so it stands for m_i times the rational
     # slack.
-    tab = []
+    rows = []
     mults = []
-    for coeffs, rhs in zip(a_ub, b_ub):
+    # Variables: structural | one slack per row, row i's slack nvars + i.
+    # The simplex starts at the origin with every slack basic: basis
+    # names the slacks of the rows in the tableau, bounded those of the
+    # bound rows, j -> [(slack, a, u)] for the bound rows on x_j.
+    basis = []
+    bounded = {}
+    for i, (coeffs, rhs) in enumerate(zip(a_ub, b_ub)):
         if rhs < 0:
             raise ValueError(f"right-hand side {rhs} < 0: the origin is not feasible")
         m, ints = clear_denominators(list(coeffs) + [rhs])
-        tab.append(ints)
+        rows.append(ints)
         mults.append(m)
-    nrows = len(tab)
-    if nrows == 0:
+        if ints[:nvars].count(0) == nvars - 1:
+            j = next(j for j, v in enumerate(ints) if v)
+            if ints[j] > 0:
+                bounded.setdefault(j, []).append((nvars + i, ints[j], ints[nvars]))
+                continue
+        basis.append(nvars + i)
+    if not rows:
         if all(v <= 0 for v in c):
-            return LPResult("optimal", x=[Z] * nvars, value=Z, dual=[])
+            return LPResult("optimal", Z, 1, [0] * nvars, [], 1)
         return LPResult("unbounded")
 
-    # Variables: structural | one slack per row, row i's slack nvars + i.
-    # The simplex starts at the origin with every slack basic; the
-    # tableau keeps only the nonbasic columns, cols[k] naming compact
-    # column k's variable, then the right-hand side.  The objective,
-    # scaled by the lcm q of c's denominators, is the last row.  Each
-    # row is one packed int (see the module docstring).
+    # The tableau keeps only the nonbasic columns, cols[k] naming
+    # compact column k's variable, then the right-hand side.  The
+    # objective, scaled by the lcm q of c's denominators, is the last
+    # row.  Each row is one packed int (see the module docstring), the
+    # fields as wide as every row, bound rows too, needs.
     cols = list(range(nvars))
-    basis = [nvars + i for i in range(nrows)]
-    q, cint = clear_denominators(c)
-    tab.append([-v for v in cint] + [0])
-    packing = Packing(tab)
-    tab = packing.pack(tab)
-    status, den = _run_simplex(tab, packing, cols, basis, nrows, 1)
+    q, cint = clear_denominators(list(c))
+    rows.append([-v for v in cint] + [0])
+    packing = Packing(rows)
+    tab = packing.pack([rows[v - nvars] for v in basis] + rows[-1:])
+    status, den = _run_simplex(tab, packing, cols, basis, 1, bounded)
     if status == "unbounded":
         return LPResult("unbounded")
 
-    x = [Z] * nvars
-    for r, rhs in enumerate(packing.column(tab[:nrows], nvars)):
-        if basis[r] < nvars:
-            x[basis[r]] = Fraction(rhs, den)
-    value = sum((ci * xi for ci, xi in zip(c, x) if ci), Z)
-
+    x_num = [0] * nvars
+    for v, rhs in zip(basis, packing.column(tab[:-1], nvars)):
+        if v < nvars:
+            x_num[v] = rhs
     # The reduced cost of row i's slack is its multiplier in the scaled
     # problem; scaling back by m_i / (q * den) gives the dual.  A basic
     # slack has reduced cost zero.
-    reduced = dict(zip(cols, packing.row(tab[-1])))
-    dual = [Fraction(m * reduced[nvars + r], q * den) if reduced.get(nvars + r) else Z
-            for r, m in enumerate(mults)]
-    return LPResult("optimal", x=x, value=value, dual=dual)
+    objective = packing.row(tab[-1])
+    reduced = dict(zip(cols, objective))
+    dual_num = [m * reduced.get(nvars + i, 0) for i, m in enumerate(mults)]
+    return LPResult("optimal", Fraction(objective[nvars], q * den), den, x_num,
+                    dual_num, q * den)
 
 
 def max_margin(rows, nv: int):

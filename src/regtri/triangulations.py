@@ -230,10 +230,18 @@ def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
         if (not config.chirotope.minor(key) if len(key) == d + 1
                 else any(c <= s for c, _, _ in circuits)):
             raise ValueError(f"labels {key} are affinely dependent: not a simplex")
+    return _properly_intersect(config, one, two)
+
+
+def _properly_intersect(config: PointConfiguration, one, two) -> bool:
+    """simplices_properly_intersect on two frozensets its caller knows
+    to be simplices, with no check that they are: the oracle's cells,
+    d-simplices by its nonzero orientation test, ask it once per placed
+    cell."""
     if _facet_separates(config, one, two) or _facet_separates(config, two, one):
         return True
     return not any((pos <= one and neg <= two) or (pos <= two and neg <= one)
-                   for _, pos, neg in circuits)
+                   for _, pos, neg in config.circuits)
 
 
 def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: bool):
@@ -452,10 +460,13 @@ def is_regular(t: Triangulation, config: PointConfiguration,
         config, t.cells, {l: i for i, l in enumerate(labels)}, nv, validate)
     c, a_ub, b_ub, res = max_margin(rows, nv)
     if res.value > 0:
-        w = {lab: res.x[i] - 1 for i, lab in enumerate(labels)}
+        den, nums = res.den, res.x_num
+        w = {lab: Fraction(nums[i] - den, den) for i, lab in enumerate(labels)}
         return RegularityResult(True, witness=w, margin=res.value)
-    # a zero dual stays the LP's one zero, not a new Fraction per row
-    certificate = [y * m if y else y for y, m in zip(res.dual, mults)] + res.dual[len(mults):]
+    # a zero dual stays one shared zero, not a new Fraction per row
+    zero, den = Fraction(0), res.dual_den
+    ms = itertools.chain(mults, itertools.repeat(1))  # the box rows are ints
+    certificate = [Fraction(y * m, den) if y else zero for y, m in zip(res.dual_num, ms)]
     return RegularityResult(
         False,
         margin=res.value,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtri import geometry, lifting, linprog
+from regtri import geometry, lifting, linalg, linprog
 from regtri.census import (
     FacetFingerprint,
     FingerprintStore,
@@ -333,6 +333,29 @@ def test_double_lift_finds_the_pinned_epsilon_chains(seed):
     specs = []
     double_lift(SEW_62_BASE, sigma, verify=False, specs=specs)
     assert census_module._spec_digest(specs) == SPEC_DIGESTS[seed]
+
+
+def test_a_second_order_of_a_filled_base_takes_only_the_second_lifts_minors(monkeypatch):
+    """single_lift's reordered base shares the base's chirotope, so
+    once one order has read the base's minors, a lift in another order
+    takes none of them again: a double lift then takes only the
+    determinants of its second lift, on the fresh first-stage
+    configuration."""
+    base = PointConfiguration.from_json(SEW_62_BASE.to_json())
+    labels = sorted(base.labels)
+    double_lift(base, labels, verify=False)
+    sigma = random.Random(1).sample(labels, len(labels))
+    dets = []
+    real_det = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda rows: dets.append(rows) or real_det(rows))
+    mid, _ = single_lift(base, sigma)
+    assert dets == []
+    single_lift(mid, mid.labels)
+    second = len(dets)
+    dets.clear()
+    double_lift(base, sigma, verify=False)
+    assert second and len(dets) == second
+    assert all(len(rows) == base.dim + 2 for rows in dets)
 
 
 def test_a_two_stage_lift_needs_more_than_64_halvings():

@@ -136,13 +136,21 @@ wide_rationals = st.builds(F, st.integers(-2 ** 80, 2 ** 80), st.sampled_from([1
 def small_lps(draw):
     """Small LPs with <= and = rows, right-hand sides of both signs and
     entries over mixed denominators, in about half of them with
-    numerators up to 2^80; sometimes an equality row gets a rational
-    multiple as a redundant copy."""
+    numerators up to 2^80; up to two <= rows with one entry that may be
+    nonzero (bound rows of solve_lp when it is positive) at random
+    positions; sometimes an equality row gets a rational multiple as a
+    redundant copy."""
     nv = draw(st.integers(1, 3))
     entries = draw(st.sampled_from([rationals, wide_rationals]))
     row = st.lists(entries, min_size=nv, max_size=nv)
     a_ub = draw(st.lists(row, max_size=4))
     b_ub = draw(st.lists(entries, min_size=len(a_ub), max_size=len(a_ub)))
+    for _ in range(draw(st.integers(0, 2))):
+        single = [F(0)] * nv
+        single[draw(st.integers(0, nv - 1))] = draw(entries)
+        at = draw(st.integers(0, len(a_ub)))
+        a_ub.insert(at, single)
+        b_ub.insert(at, draw(entries))
     a_eq = draw(st.lists(row, max_size=2))
     b_eq = draw(st.lists(entries, min_size=len(a_eq), max_size=len(a_eq)))
     if a_eq and draw(st.booleans()):
@@ -227,6 +235,36 @@ def test_solve_lp_fixed_cases_equal_fraction_simplex(pivots):
     assert got["rational rows"].optimal
     assert got["wide entries"].optimal and got["wide entries"].value == 2 ** 64
     assert pivots and all(p > 0 for p in pivots)
+
+
+def test_bound_rows_equal_fraction_simplex_with_the_full_tableaus_pivots(pivots):
+    """Rows with one positive entry stay out of the tableau until one
+    leaves (linprog's bound rows); each case runs the pivots, in order,
+    that the simplex on every row ran, and ends as the dense simplex
+    does."""
+    cases = {
+        # x1 enters and its own bound, 3 < 10, binds first
+        "own bound": ([1, 1], [[1, 2], [1, 0], [0, 1]], [10, 3, 4], [1, 2]),
+        # x2 enters while x1 is basic on row 0 and grows with it: x1's
+        # bound row is -2 times row 0, right-hand side 6 - 2 * 1 = 4, so
+        # its ratio 2 beats x2's own bound 5/2 (6 / 2 = 3 would not)
+        "bound on a basic variable": ([1, 1], [[1, -1], [2, 0], [0, F(1, 3)]],
+                                      [1, 6, F(5, 6)], [1, 2, 4]),
+        # 5/2 x1 <= 5 binds before x1 <= 3, which stays out to the end
+        "two bounds on one variable": ([1, 1], [[1, -1], [1, 0], [0, 1], [F(5, 2), 0]],
+                                       [1, 3, 9, 5], [1, 5, 5]),
+        # a single negative entry and an all-zero row stay in the tableau
+        "explicit single entries": ([1, 1], [[-1, 0], [0, 0], [1, 1], [0, -3]],
+                                    [2, 1, 4, 0], [1]),
+        # x1's bound ties with row 1 at ratio 2; its slack is the smaller
+        # variable, so Bland's rule packs it and x1 enters there
+        "bound first, tied": ([1, 1], [[1, 0], [1, 1], [0, 1]], [2, 2, 5], [1, 1]),
+    }
+    for name, (c, a_ub, b_ub, expected) in cases.items():
+        pivots.clear()
+        res = solve_lp(c, a_ub, b_ub)
+        assert fields(res) == fraction_simplex(c, a_ub, b_ub, nonneg=True), name
+        assert pivots == expected, name
 
 
 def regularity_lp(cfg, t):
