@@ -60,8 +60,9 @@ def single_lift(base: PointConfiguration, order):
     """One positive lexicographic lift processing the points in the
     given label order; labels are preserved and the apex gets the next
     free label.  Returns (lifted configuration, spec used).  The
-    reordered base shares base's chirotope, so the lifts of one base in
-    many orders take each of its minors once."""
+    reordered base keeps base's integer rows and reads and fills base's
+    memo of minors (PointConfiguration.reordered), so the lifts of one
+    base in many orders take each of its minors once."""
     reordered = base.reordered(order)
     lifted = auto_lift(reordered, _lift_apex(reordered))
     return lifted.lifted, lifted.spec

@@ -240,17 +240,13 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     coordinates, as the folding lemma needs: None if either fails.  In
     the second system p_j takes p_i's place and reads p_i's height, so
     the returned heights give p_j that height too: read per label, they
-    induce both triangulations, as t_sweep reads them.
+    induce both triangulations, as t_sweep reads them.  Both deletions
+    read config's memo of minors (PointConfiguration.delete).
     """
-    return _shared_witness(config, i, j, t, config.delete([i]), config.delete([j]))
-
-
-def _shared_witness(config, i, j, t, without_i, without_j):
-    """shared_witness on the given one-point deletions of config, so
-    that check_inseparable reads the chirotopes its enumerations filled."""
     labels = sorted(config.labels)
     idx = {l: k for k, l in enumerate(labels)}
     nv = len(labels) + 1
+    without_i, without_j = config.delete([i]), config.delete([j])
     on_j = {l: idx[l] for l in without_j.labels}
     on_i = {l: idx[i if l == j else l] for l in without_i.labels}  # j reads i's height
     try:
@@ -277,19 +273,18 @@ def check_inseparable(config: PointConfiguration, i: int, j: int) -> Inseparabil
     """Decide whether p_i and p_j are triangulation-inseparable: the
     regular triangulations of the two one-point deletions agree up to
     relabeling j to i, and each is induced on both deletions by one
-    common height vector.  Each deletion is built once, so the shared
-    witnesses read the chirotope its enumeration filled."""
+    common height vector.  Every deletion of config reads config's memo
+    of minors, so the enumerations and the shared witnesses take each
+    minor once."""
     if i == j:
         raise ValueError("need two distinct labels")
-    without_i, without_j = config.delete([i]), config.delete([j])
-    r_i = enumerate_regular(without_i)
-    r_j = enumerate_regular(without_j)
-    r_i_relabeled = {t.relabel({j: i}) for t in r_i}
-    if r_i_relabeled != r_j:
+    r_i = enumerate_regular(config.delete([i]))
+    r_j = enumerate_regular(config.delete([j]))
+    if {t.relabel({j: i}) for t in r_i} != r_j:
         return InseparabilityReport(False, reason="triangulation sets differ")
     witnesses = {}
     for t in sorted(r_j, key=lambda t: sorted(sorted(c) for c in t.cells)):
-        w = _shared_witness(config, i, j, t, without_i, without_j)
+        w = shared_witness(config, i, j, t)
         if w is None:
             return InseparabilityReport(
                 False, witnesses=witnesses, reason="no shared witness"

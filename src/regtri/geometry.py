@@ -6,7 +6,10 @@ extraction, and the visibility predicates used by lifting construction.
 Every function is pure.  Configurations are immutable, and the facts
 they cache are filled at most once per key by one thread, always with
 equal values, so concurrent callers need no locking: a race costs
-repeated work, never a different answer.
+repeated work, never a different answer.  A configuration derived by
+delete, restrict or reordered keeps its parent's integer rows and shares
+its parent's memo of minors, so one point set takes each determinant
+once however many of its subsets and orders are asked about.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ class PointConfiguration:
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
     Facts derived from the points alone, such as the integer rows, the
-    chirotope, the circuits and the circuit table, are computed once
-    per object and are not part of equality, hashing or the JSON form.
+    chirotope, the affine basis, the circuits and the circuit table,
+    are computed once per object and are not part of equality, hashing
+    or the JSON form.
     """
 
     dim: int
@@ -92,29 +96,35 @@ class PointConfiguration:
 
     def delete(self, labels: Iterable[int]) -> "PointConfiguration":
         drop = set(labels)
-        for lab in drop:
-            self.index(lab)
-        return self.restrict(l for l in self.labels if l not in drop)
+        return self._derived(drop, tuple(l for l in self.labels if l not in drop))
 
     def restrict(self, labels: Iterable[int]) -> "PointConfiguration":
+        """The points of the given labels, in this configuration's order;
+        an unknown label is a ValueError, as in delete."""
         keep = set(labels)
-        kept = [(p, l) for p, l in zip(self.points, self.labels) if l in keep]
-        return PointConfiguration(
-            self.dim, tuple(p for p, _ in kept), tuple(l for _, l in kept)
-        )
+        return self._derived(keep, tuple(l for l in self.labels if l in keep))
 
     def reordered(self, order) -> "PointConfiguration":
-        """The same labeled points in the given label order.  Facts of
-        the labeled points that do not depend on their order, the
-        integer rows (the axis scales are lcms over the same points) and
-        the chirotope (keyed by sorted labels), are this object's own,
-        so what either configuration computes of them the other reads."""
+        """The same labeled points in the given label order."""
         order = tuple(order)
         if sorted(order) != sorted(self.labels):
             raise ValueError("order must be a permutation of the labels")
-        out = PointConfiguration(self.dim, tuple(self.point(l) for l in order), order)
-        for name in ("_axis_scales", "integer_rows", "chirotope"):
-            out.__dict__[name] = getattr(self, name)
+        return self._derived(order, order)
+
+    def _derived(self, asked, order: tuple) -> "PointConfiguration":
+        """The labeled points of order, in that order, for delete,
+        restrict and reordered; a label in asked that is not this
+        configuration's is a ValueError.  The result keeps this
+        configuration's axis scales, so its integer rows are these rows
+        and its minors these minors, the restriction of a chirotope being
+        the chirotope of the restriction (Björner, Las Vergnas, Sturmfels,
+        White and Ziegler, Oriented Matroids, 1999, ch. 7): it reads and
+        fills this configuration's memo of them (Chirotope)."""
+        homogenized(self, asked)  # refuses an unknown label
+        out = PointConfiguration(self.dim, tuple(map(self.point, order)), order)
+        out.__dict__.update(_axis_scales=self._axis_scales,
+                            integer_rows=dict(zip(order, homogenized(self, order))),
+                            chirotope=Chirotope(out, self.chirotope))
         return out
 
     def relabel(self, mapping: dict[int, int]) -> "PointConfiguration":
@@ -142,7 +152,8 @@ class PointConfiguration:
     @cached_property
     def _axis_scales(self) -> tuple:
         """The lcm of each axis's denominators, by which integer_rows
-        scales the axis and hyperplane_functional scales back."""
+        scales the axis and hyperplane_functional scales back; a derived
+        configuration keeps its parent's (_derived)."""
         return tuple(lcm(*(p[a].denominator for p in self.points)) for a in range(self.dim))
 
     @cached_property
@@ -150,7 +161,9 @@ class PointConfiguration:
         """label -> the homogenized row [p, 1] of its point, each axis
         scaled by _axis_scales, as ints: the one point matrix, read
         through homogenized.  The scaling is a positive diagonal map, so
-        ranks, orientation signs and affine coordinates are the points'."""
+        ranks, orientation signs and affine coordinates are the points'.
+        A derived configuration keeps its parent's scales, under which
+        its rows are still integral, and so its parent's rows."""
         scales = self._axis_scales
         return {
             lab: tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales)) + (1,)
@@ -166,6 +179,14 @@ class PointConfiguration:
         regular_subdivision, the folding rows and barycentric read what
         Cramer's rule makes of them."""
         return Chirotope(self)
+
+    @cached_property
+    def affine_basis(self) -> tuple:
+        """The first labels, in label order, that span: the pivot
+        columns of the homogenized rows taken as columns, so one
+        reduction.  Fewer than d+1 when the points do not span."""
+        columns = zip(*homogenized(self, self.labels))
+        return tuple(self.labels[j] for j in linalg.pivot_columns(columns))
 
     @cached_property
     def circuits(self) -> tuple:
@@ -271,14 +292,22 @@ class Chirotope:
     order is the minor's sign times the parity of the sort.  Cramer's
     rule reads off d+2 minors the affine dependence of a sorted
     (d+2)-tuple (`dependence`, also kept) and so a point's affine
-    coordinates over a cell (`coordinates`)."""
+    coordinates over a cell (`coordinates`).  The chirotope of a
+    configuration derived from a parent's (PointConfiguration._derived)
+    keeps its minors and dependences in the parent's dicts, whose keys
+    may hold labels the derived one dropped: those it refuses."""
 
-    __slots__ = ("config", "_minors", "_dependences")
+    __slots__ = ("config", "_minors", "_dependences", "_dropped")
 
-    def __init__(self, config: PointConfiguration):
+    def __init__(self, config: PointConfiguration, parent: Chirotope | None = None):
         self.config = config
-        self._minors = {}  # sorted labels -> determinant of their homogenized rows
-        self._dependences = {}  # sorted (d+2)-tuple -> its affine dependence
+        # sorted labels -> determinant of their homogenized rows
+        self._minors = parent._minors if parent else {}
+        # sorted (d+2)-tuple -> its affine dependence
+        self._dependences = parent._dependences if parent else {}
+        # labels the keys may hold that config does not
+        self._dropped = (parent._dropped.union(parent.config.labels).difference(config.labels)
+                         if parent else frozenset())
 
     def minor(self, key: tuple) -> int:
         """The determinant of the homogenized rows of the sorted labels:
@@ -288,6 +317,8 @@ class Chirotope:
         if m is None:
             # the rows are integers, so their determinant is one
             m = self._minors[key] = linalg.det(homogenized(self.config, key)).numerator
+        elif self._dropped and not self._dropped.isdisjoint(key):
+            homogenized(self.config, key)  # refuses the dropped label
         return m
 
     def sign(self, labels: tuple) -> int:
@@ -309,6 +340,8 @@ class Chirotope:
         if lam is None:
             lam = self._dependences[subset] = tuple(
                 (-1) ** i * self.minor(subset[:i] + subset[i + 1:]) for i in range(len(subset)))
+        elif self._dropped and not self._dropped.isdisjoint(subset):
+            homogenized(self.config, subset)  # refuses the dropped label
         return lam
 
     def coordinates(self, cell, labels):
@@ -353,7 +386,7 @@ def orientation(config: PointConfiguration, labels: Sequence[int]) -> int:
 
 
 def affine_dim(config: PointConfiguration) -> int:
-    return linalg.rank(homogenized(config, config.labels)) - 1
+    return len(config.affine_basis) - 1
 
 
 def _integer_functional(config: PointConfiguration, labels) -> list | None:
@@ -481,11 +514,7 @@ def face_lattice_faces(config: PointConfiguration, k: int) -> set[frozenset]:
     """Vertex-label sets of the k-dimensional faces of the hull."""
     if not 0 <= k <= config.dim - 1:
         raise ValueError(f"k={k} outside [0, {config.dim - 1}]")
-    out = set()
-    for s in proper_faces(config):
-        if affine_dim(config.restrict(s)) == k:
-            out.add(s)
-    return out
+    return {s for s in proper_faces(config) if affine_dim(config.restrict(s)) == k}
 
 
 def is_facet_meet(facet_sets, labels: Iterable[int]) -> bool:

@@ -1,8 +1,9 @@
 """Small exact linear algebra helpers over the rationals.
 
 Elimination runs on integers, each row cleared of denominators once
-(`clear_denominators`).  `det`, `det_sign`, `solve_integral`, `rank`
-and `kernel_integral` share one Gauss-Jordan reduction, `_rref`, built
+(`clear_denominators`).  `det`, `det_sign`, `solve_integral`,
+`pivot_columns` (and `rank`, their number) and `kernel_integral` share
+one Gauss-Jordan reduction, `_rref`, built
 on `pivot`, the fraction-free step; `solve` and `kernel_vector` are the
 `Fraction` views of `solve_integral` and `kernel_integral`.  Fractions
 appear only in results.  `pivot` is also the step of the simplex
@@ -220,8 +221,14 @@ def solve(a, b):
     return x if matrix else [row[0] for row in x]
 
 
+def pivot_columns(rows) -> list:
+    """The pivot columns of the rows' reduced echelon form, in order:
+    the first columns that are independent of those before them."""
+    return _rref(rows)[3]
+
+
 def rank(rows) -> int:
-    return len(_rref(rows)[3])
+    return len(pivot_columns(rows))
 
 
 def kernel_integral(columns):

@@ -30,7 +30,6 @@ from .geometry import (
     affine_dim,
     facets,
     format_rational,
-    homogenized,
     in_convex_position,
     orientation,
     parse_rational,
@@ -197,18 +196,6 @@ def _facet_separates(config: PointConfiguration, s1: frozenset, s2: frozenset) -
         lam = chi.dependence(subset)
         apexes = {a for a, v in zip(subset, lam) if a in apexes and v and (v > 0) == (lam[i] > 0)}
     return bool(apexes)
-
-
-def _affine_basis(config: PointConfiguration) -> list:
-    """The first labels, in label order, that span: each label is kept
-    when it raises the rank of those kept before it.  Fewer than d+1
-    when the configuration is not full-dimensional."""
-    basis = []
-    for lab in config.labels:
-        if len(basis) <= config.dim and linalg.rank(
-                homogenized(config, basis + [lab])) > len(basis):
-            basis.append(lab)
-    return basis
 
 
 def simplices_properly_intersect(config: PointConfiguration, s1, s2) -> bool:
@@ -491,7 +478,7 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
     that is not a permutation of the labels is a ValueError."""
     d = config.dim
     if order is None:
-        start = _affine_basis(config)
+        start = list(config.affine_basis)
         if len(start) <= d:
             raise NotFullDimensional("configuration does not span its dimension")
         order = start + [lab for lab in config.labels if lab not in start]

@@ -552,10 +552,10 @@ def test_cyclic_inseparable_realization_small():
 
 
 def test_check_inseparable_reduces_each_cell_and_point_once(monkeypatch):
-    # each check builds its two one-point deletions once, and their
-    # enumerations and shared witnesses read one chirotope per deletion:
-    # each deletion's minors are taken once over the whole realization,
-    # and the configurations checked take none
+    # both one-point deletions of a checked configuration, in their
+    # enumerations and shared witnesses alike, read and fill the checked
+    # configuration's one memo of minors: each 4-subset that misses i or
+    # q is taken once, and none holding both, which neither deletion has
     dets, deletions = [], []
     real_det, real_enumerate = linalg.det, enumeration.enumerate_regular
     monkeypatch.setattr(linalg, "det", lambda rows: dets.append(rows) or real_det(rows))
@@ -563,7 +563,9 @@ def test_check_inseparable_reduces_each_cell_and_point_once(monkeypatch):
                         lambda cfg, **kw: deletions.append(cfg) or real_enumerate(cfg, **kw))
     run = cyclic_inseparable_realization(3, 8)
     assert run.halvings == (0, 0, 0, 0)
-    # stages of 5 to 8 points, each deleting one of two: every 4-subset
-    # of 4, 5, 6 and 7 points, twice
-    assert [len(cfg.chirotope._minors) for cfg in deletions] == [1, 1, 5, 5, 15, 15, 35, 35]
-    assert len(dets) == 112
+    # stages of m = 5 to 8 points, each deleting one of two
+    memos = [cfg.chirotope._minors for cfg in deletions]
+    assert all(a is b for a, b in zip(memos[::2], memos[1::2]))
+    counts = [math.comb(m, 4) - math.comb(m - 2, 2) for m in range(5, 9)]
+    assert [len(memo) for memo in memos] == [c for c in counts for _ in range(2)]
+    assert len(dets) == sum(counts) == 91

@@ -67,6 +67,13 @@ def test_delete_restrict_relabel():
         cfg.delete([7])
 
 
+def test_restrict_refuses_an_unknown_label_as_delete_does():
+    cfg = square()
+    for derive in (cfg.restrict, cfg.delete):
+        with pytest.raises(ValueError, match="label 99 not in configuration"):
+            derive([2, 99])
+
+
 def test_orientation_triangle():
     tri = PointConfiguration.from_rows([[0, 0], [1, 0], [0, 1]])
     assert orientation(tri, (1, 2, 3)) == 1

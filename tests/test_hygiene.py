@@ -250,12 +250,14 @@ def test_cramers_rule_lives_in_one_helper():
                      "triangulations.regular_subdivision"}
 
 
-def test_triangulations_takes_a_rank_only_for_placing():
+def test_triangulations_takes_no_rank():
     """The pair test reads affine independence off the chirotope's minor
-    and the configuration's circuits; the one rank the triangulations
-    module takes is _affine_basis's, behind placing's default order."""
+    and the configuration's circuits, and placing's default order reads
+    the configuration's cached affine basis: the triangulations module
+    takes no rank.  Only linalg reaches into its reduction."""
     source = (ROOT / "src" / "regtri" / "triangulations.py").read_text()
-    assert callers_of(source, "rank") == ["_affine_basis"]
+    assert callers_of(source, "rank") == []
+    assert {path.name for path in PACKAGE if reads_of(path.read_text(), "_rref")} == {"linalg.py"}
 
 
 def test_regular_subdivision_reads_no_hyperplanes():
