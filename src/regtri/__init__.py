@@ -51,7 +51,6 @@ from .errors import (
     ValidationFailed,
 )
 from .geometry import (
-    FaceRecord,
     PointConfiguration,
     Rational,
     classify_visibility,

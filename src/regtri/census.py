@@ -45,7 +45,7 @@ def is_k_neighborly(config: PointConfiguration, k: int) -> NeighborlinessResult:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return NeighborlinessResult(True)
-    facet_sets = [f.labels for f in _uncached_facets(config)]
+    facet_sets = _uncached_facets(config)
     for subset in itertools.combinations(sorted(config.labels), k):
         if not is_facet_meet(facet_sets, subset):
             return NeighborlinessResult(False, frozenset(subset))
@@ -118,7 +118,7 @@ def recover_sigma_suffix(config: PointConfiguration, r: int) -> tuple:
     current = config
     remaining = list(base_labels)
     while len(remaining) > base_dim + 2:
-        facet_sets = [f.labels for f in _uncached_facets(current)]
+        facet_sets = _uncached_facets(current)
         candidates = []
         for k in remaining:
             pair = {apex, k}
@@ -194,7 +194,7 @@ class FacetFingerprint:
 
 
 def fingerprint(config: PointConfiguration) -> FacetFingerprint:
-    sets = sorted(sorted(f.labels) for f in _uncached_facets(config))
+    sets = sorted(map(sorted, _uncached_facets(config)))
     return FacetFingerprint(json.dumps(sets, separators=(",", ":")).encode())
 
 

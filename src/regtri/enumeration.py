@@ -47,7 +47,6 @@ from .triangulations import (
     Triangulation,
     _folding_pass,
     _properly_intersect,
-    barycentric,
     is_regular,
     placing_triangulation,
     regular_subdivision,
@@ -142,15 +141,6 @@ def _heights_at(w: dict, t: Fraction, p: int, pp: int) -> dict:
     return wt
 
 
-def _cell_height(config, w, cell, label):
-    """Height at the point `label` of the hyperplane through the lifted
-    points of `cell`; None when the cell is affinely degenerate."""
-    coords = barycentric(config, cell, label)
-    if coords is None:
-        return None
-    return sum(lam * w[l] for l, lam in coords.items())
-
-
 def t_sweep(pair: SplitPair, t: Triangulation, w: dict) -> SweepTrace:
     """Sweep the one-parameter family of liftings w_t that raises p'
     for t < 0 and p for t > 0, collecting the triangulation on each
@@ -182,22 +172,21 @@ def t_sweep(pair: SplitPair, t: Triangulation, w: dict) -> SweepTrace:
     if sub2.cells != t.cells:
         raise ValueError("heights are not a shared inseparability witness")
 
-    link = t.link(p)
+    # The lifted flat lies in one hyperplane when lam.w_t = 0, lam its
+    # affine dependence (Chirotope.dependence); let s = lam.w.  w_t
+    # raises p' by -t for t <= 0, so t = s/lam_p' there, and p by t for
+    # t >= 0, so t = -s/lam_p; a zero lam_p' (lam_p) is the degenerate
+    # cell tau + p (tau + p').
     candidates = []
-    for tau in link.cells:
+    for tau in t.link(p).cells:
         flat = tau | {p, pp}
-        # t <= 0 side: lifted p' meets the hyperplane of tau ∪ {p}
-        h = _cell_height(config, w, tau | {p}, pp)
-        if h is not None:
-            tv = w[pp] - h
-            if tv <= 0:
-                candidates.append((tv, flat))
-        # t >= 0 side: lifted p meets the hyperplane of tau ∪ {p'}
-        h = _cell_height(config, w, tau | {pp}, p)
-        if h is not None:
-            tv = h - w[p]
-            if tv >= 0:
-                candidates.append((tv, flat))
+        key = tuple(sorted(flat))
+        lam = dict(zip(key, config.chirotope.dependence(key)))
+        s = sum(v * w[l] for l, v in lam.items())
+        if lam[pp] and (tv := s / lam[pp]) <= 0:
+            candidates.append((tv, flat))
+        if lam[p] and (tv := -s / lam[p]) >= 0:
+            candidates.append((tv, flat))
 
     breakpoints = []
     for tv, flat in sorted(set(candidates)):
@@ -382,12 +371,10 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")
     d = config.dim
-    hull = facets(config)
-    for f in hull:
-        if len(f.labels) != d:
-            raise GenericityFailure("non-simplicial hull facet; oracle needs "
-                                    "general position")
-    boundary = {f.labels for f in hull}
+    boundary = set(facets(config))
+    if any(len(f) != d for f in boundary):
+        raise GenericityFailure("non-simplicial hull facet; oracle needs "
+                                "general position")
     results = set()
 
     def place(frontier, cell):

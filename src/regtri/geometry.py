@@ -258,20 +258,6 @@ class PointConfiguration:
             return cls(dim=data["dim"], points=pts, labels=labels)
 
 
-@dataclass(frozen=True)
-class FaceRecord:
-    """A facet given by its label set and a certified supporting
-    functional: normal.x - offset vanishes on the face and is strictly
-    negative on every other configuration point."""
-
-    labels: frozenset[int]
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-
-    def value(self, point) -> Fraction:
-        return functional_value((self.normal, self.offset), point)
-
-
 def homogenized(config: PointConfiguration, labels: Iterable[int]) -> list:
     """The row [p, 1] of each labeled point, in the given order, as the
     tuple of ints config.integer_rows caches: every determinant, rank
@@ -455,8 +441,9 @@ def functional_value(fn, x) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def facets(config: PointConfiguration):
-    """All facets of the convex hull, by brute force over d-subsets.
+def facets(config: PointConfiguration) -> tuple[frozenset, ...]:
+    """The label sets of the facets of the convex hull, by brute force
+    over d-subsets, sorted by their sorted labels.
 
     Points lying on a facet hyperplane are merged into the facet's label
     set, so non-simplicial facets come out as maximal coplanar sets.
@@ -464,7 +451,7 @@ def facets(config: PointConfiguration):
     d = config.dim
     if affine_dim(config) != d:
         raise NotFullDimensional(f"configuration does not span dimension {d}")
-    found: dict[frozenset, FaceRecord] = {}
+    found = set()
     for subset in _colex(config.labels, d):
         fn = hyperplane_functional(config, subset)
         if fn is None:
@@ -480,23 +467,16 @@ def facets(config: PointConfiguration):
                 neg = True
             if pos and neg:
                 break
-        if pos and neg:
-            continue
-        normal, offset = fn
-        if pos:
-            normal = tuple(-a for a in normal)
-            offset = -offset
-        key = frozenset(on)
-        if key not in found:
-            found[key] = FaceRecord(key, normal, offset)
-    return tuple(sorted(found.values(), key=lambda f: sorted(f.labels)))
+        if not (pos and neg):
+            found.add(frozenset(on))
+    return tuple(sorted(found, key=sorted))
 
 
 @lru_cache(maxsize=1024)
 def proper_faces(config: PointConfiguration) -> set[frozenset]:
     """Label sets of all proper nonempty faces of the hull, obtained by
     closing the facet family under intersection."""
-    sets = {f.labels for f in facets(config)}
+    sets = set(facets(config))
     frontier = set(sets)
     while frontier:
         new = set()
@@ -533,7 +513,7 @@ def is_facet_meet(facet_sets, labels: Iterable[int]) -> bool:
 def is_face(config: PointConfiguration, labels: Iterable[int]) -> bool:
     """Whether the label set is exactly the set of configuration points
     of some proper face of the hull."""
-    return is_facet_meet((f.labels for f in facets(config)), labels)
+    return is_facet_meet(facets(config), labels)
 
 
 def _strictly_separable(base, below, on=()):

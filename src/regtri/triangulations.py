@@ -325,7 +325,7 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
             raise NotATriangulation(("non-simplicial cell", tuple(sorted(cell))))
         if cell in coords and coords[cell] is None:
             raise NotATriangulation(("degenerate cell", tuple(sorted(cell))))
-    boundary = [f.labels for f in facets(config)] if validate else []
+    boundary = facets(config) if validate else ()
     for ridge, pairs in owners.items():
         if len(pairs) > 2:
             raise NotATriangulation(("overcrowded ridge", tuple(sorted(ridge))))
@@ -519,11 +519,11 @@ def pulling_triangulation(config: PointConfiguration) -> Triangulation:
     last = config.labels[-1]
     cells = []
     for f in facets(config):
-        if last in f.labels:
+        if last in f:
             continue
-        if len(f.labels) != config.dim:
+        if len(f) != config.dim:
             raise GenericityFailure("non-simplicial facet; not in general position")
-        cells.append(f.labels | {last})
+        cells.append(f | {last})
     return Triangulation(make_cells(cells))
 
 

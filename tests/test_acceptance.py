@@ -174,7 +174,7 @@ def test_criterion_03_splitting_counting_inequality():
 
 def test_criterion_04_cell_bound_and_h_identity():
     cfg = cyclic_configuration(4, list(range(1, 9)))
-    boundary = [set(f.labels) for f in facets(cfg)]
+    boundary = [set(f) for f in facets(cfg)]
     h_b = h_vector(boundary) + [0, 0]
     tris = enumerate_all_oracle(cfg)
     d = 4
@@ -196,7 +196,7 @@ def test_criterion_05_neighborly_h_entries():
     for d in (3, 4, 5, 6):
         for n in range(d + 1, 11):
             cfg = cyclic_configuration(d, list(range(1, n + 1)))
-            cells = [set(f.labels) for f in facets(cfg)]
+            cells = [set(f) for f in facets(cfg)]
             h = h_vector(cells)
             for k in range(d // 2 + 1):
                 ok = ok and h[k] == math.comb(n - d - 1 + k, k)
@@ -249,16 +249,16 @@ def lift_faces_agree(base):
     apex_pt = lc.lifted.point(lc.apex_label)
     hidden, visible = set(), set()
     for f in facets(lifted):
-        cls = classify_visibility(lifted, f.labels, apex_pt)
+        cls = classify_visibility(lifted, f, apex_pt)
         if cls in ("hidden", "both"):
-            hidden.add(f.labels)
+            hidden.add(f)
         if cls in ("visible", "both"):
-            visible.add(f.labels)
+            visible.add(f)
     ok = hidden == set(placing_triangulation(base).cells)
     if in_convex_position(base):
         ok = ok and visible == set(pulling_triangulation(base).cells)
-    full = {f.labels for f in facets(lc.lifted)}
-    coned = {f.labels | {lc.apex_label} for f in facets(base)}
+    full = set(facets(lc.lifted))
+    coned = {f | {lc.apex_label} for f in facets(base)}
     return ok and full == hidden | coned
 
 

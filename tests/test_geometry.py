@@ -17,6 +17,7 @@ from regtri.geometry import (
     cyclic_configuration,
     face_lattice_faces,
     facets,
+    functional_value,
     homogenized,
     hyperplane_functional,
     is_face,
@@ -83,7 +84,7 @@ def test_orientation_triangle():
 
 
 def test_facets_square():
-    got = {f.labels for f in facets(square())}
+    got = set(facets(square()))
     assert got == {
         frozenset({1, 2}),
         frozenset({1, 3}),
@@ -92,12 +93,26 @@ def test_facets_square():
     }
 
 
+def facet_functional(cfg, facet):
+    """hyperplane_functional of the first d labels of the facet that
+    span a hyperplane, negated if need be so that it is negative at a
+    configuration point off the facet."""
+    fn = next(fn for s in itertools.combinations(sorted(facet), cfg.dim)
+              if (fn := hyperplane_functional(cfg, s)) is not None)
+    off = next(lab for lab in cfg.labels if lab not in facet)
+    if functional_value(fn, cfg.point(off)) < 0:
+        return fn
+    normal, offset = fn
+    return tuple(-a for a in normal), -offset
+
+
 def test_facet_functional_signs():
     cfg = square()
     for f in facets(cfg):
+        fn = facet_functional(cfg, f)
         for lab in cfg.labels:
-            v = f.value(cfg.point(lab))
-            assert (v == 0) == (lab in f.labels)
+            v = functional_value(fn, cfg.point(lab))
+            assert (v == 0) == (lab in f)
             assert v <= 0
 
 
@@ -106,7 +121,7 @@ def test_facets_merge_coplanar_points():
     cube = PointConfiguration.from_rows(
         [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     )
-    fs = {f.labels for f in facets(cube)}
+    fs = set(facets(cube))
     assert len(fs) == 6
     assert all(len(f) == 4 for f in fs)
     assert fs == brute_force_facets(cube.points)
@@ -121,16 +136,38 @@ def test_facets_random_against_oracle():
         pts = sorted(pts)
         cfg = PointConfiguration.from_rows(pts)
         try:
-            got = {f.labels for f in facets(cfg)}
+            got = set(facets(cfg))
         except NotFullDimensional:
             continue
         assert got == brute_force_facets(pts)
 
 
+def test_facets_merge_points_placed_on_facet_hyperplanes():
+    # midpoints of two vertices of a facet and facet barycentres lie on
+    # the facet, so they join its label set, in 3-D and 4-D
+    rng = random.Random(33)
+    for d in (3, 4):
+        for _ in range(4):
+            pts = set()
+            while len(pts) < d + 3:
+                pts.add(tuple(rng.randint(-6, 6) for _ in range(d)))
+            pts = sorted(pts)
+            assert affine_dim(PointConfiguration.from_rows(pts)) == d
+            on = set()
+            for f in rng.sample(sorted(map(sorted, brute_force_facets(pts))), 3):
+                a, b = rng.sample(f, 2)
+                on.add(tuple(F(x + y, 2) for x, y in zip(pts[a - 1], pts[b - 1])))
+                on.add(tuple(F(sum(pts[l - 1][i] for l in f), len(f)) for i in range(d)))
+            pts += sorted(on - set(pts))
+            got = set(facets(PointConfiguration.from_rows(pts)))
+            assert got == brute_force_facets(pts)
+            assert any(len(f) > d for f in got)
+
+
 def test_facets_cyclic_gale_evenness():
     for d, n in [(3, 6), (3, 7), (4, 7), (4, 8), (5, 8)]:
         cfg = cyclic_configuration(d, list(range(1, n + 1)))
-        got = {f.labels for f in facets(cfg)}
+        got = set(facets(cfg))
         assert got == gale_evenness_facets(d, n), (d, n)
 
 
@@ -175,7 +212,7 @@ def test_every_facet_visible_or_hidden_from_generic_point():
     q = (F(7, 3), F(31, 7), F(11, 2))
     if is_general_position(cfg, q):
         for f in facets(cfg):
-            assert classify_visibility(cfg, f.labels, q) in ("visible", "hidden")
+            assert classify_visibility(cfg, f, q) in ("visible", "hidden")
 
 
 def test_general_position():
@@ -226,8 +263,8 @@ def test_separation_lps_agree_with_brute_force_facets(case):
     for lab in cfg.labels:
         assert is_vertex(cfg, lab) == is_face(cfg, {lab})
     for f in facets(cfg):
-        v = f.value(p)
-        assert visibility(cfg, f.labels, p) == (v > 0, v < 0)
+        v = functional_value(facet_functional(cfg, f), p)
+        assert visibility(cfg, f, p) == (v > 0, v < 0)
 
 
 # grid coordinates, where affinely dependent tuples come up often, or

@@ -238,12 +238,13 @@ def test_cramers_rule_lives_in_one_helper():
     """The affine dependence of a (d+2)-subset is Chirotope.dependence,
     read by the circuits of a configuration (which the circuit table and
     the oracle's pair test read), the affine coordinates of a point over
-    a cell, the oracle's facet test, the lower hull and a lift's
-    same-side check; no other code writes the alternating signs of its
-    minors."""
+    a cell, the oracle's facet test, the lower hull, a lift's same-side
+    check and the sweep's breakpoints; no other code writes the
+    alternating signs of its minors."""
     found = {f"{path.stem}.{caller}" for path in PACKAGE
              for caller in callers_of(path.read_text(), "dependence")}
-    assert found == {"geometry.Chirotope.coordinates",
+    assert found == {"enumeration.t_sweep",
+                     "geometry.Chirotope.coordinates",
                      "geometry.PointConfiguration.circuits",
                      "lifting._validate_same_side",
                      "triangulations._facet_separates",
@@ -291,16 +292,18 @@ def test_in_convex_position_has_two_callers():
 
 def test_fraction_functionals_are_evaluated_only_in_facets():
     """Side-of-hyperplane tests read integer side values
-    (geometry.side_value); Fraction evaluation is left to facets and
-    FaceRecord.value."""
-    found = {}
-    for path in PACKAGE:
-        calls = set(callers_of(path.read_text(), "functional_value"))
-        if path.name == "geometry.py":
-            calls -= {"facets", "FaceRecord.value"}
-        if calls:
-            found[path.name] = calls
-    assert found == {}
+    (geometry.side_value); Fraction evaluation is left to facets."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "functional_value")}
+    assert found == {"geometry.facets"}
+
+
+def test_hyperplane_functional_has_one_caller():
+    """facets is the one reader of the Fraction functional of a
+    hyperplane, so its side test can change inside one function."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "hyperplane_functional")}
+    assert found == {"geometry.facets"}
 
 
 def floor_divisions_by(source: str, name: str) -> list:

@@ -202,8 +202,8 @@ def test_contraction_cyclic_gives_lower_cyclic():
         cfg = cyclic_configuration(d, list(range(1, n + 1)))
         fig = contraction(cfg, n)
         low = cyclic_configuration(d - 1, list(range(1, n)))
-        got = {frozenset(f.labels) for f in facets(fig)}
-        expect = {frozenset(f.labels) for f in facets(low)}
+        got = set(facets(fig))
+        expect = set(facets(low))
         assert got == expect, (d, n)
 
 
@@ -222,14 +222,14 @@ def test_contraction_solves_one_lp(monkeypatch):
 
 
 def vertex_figure_facets(cfg, k):
-    return {f.labels - {k} for f in facets(cfg) if k in f.labels}
+    return {f - {k} for f in facets(cfg) if k in f}
 
 
 def test_contraction_facets_are_the_vertex_figures_of_cyclic_polytopes():
     for d, n in [(3, 7), (4, 8)]:
         cfg = cyclic_configuration(d, range(1, n + 1))
         for k in cfg.labels:
-            got = {f.labels for f in facets(contraction(cfg, k))}
+            got = set(facets(contraction(cfg, k)))
             assert got == vertex_figure_facets(cfg, k), (d, n, k)
 
 
@@ -243,7 +243,7 @@ def test_contraction_facets_are_the_vertex_figures_of_simplicial_polytopes(xy):
     cfg = PointConfiguration.from_rows([(x, y, x * x + y * y) for x, y in xy])
     assume(configuration_in_general_position(cfg))
     for k in cfg.labels:
-        got = {f.labels for f in facets(contraction(cfg, k))}
+        got = set(facets(contraction(cfg, k)))
         assert got == vertex_figure_facets(cfg, k), k
 
 
@@ -275,7 +275,7 @@ def test_contraction_facets_are_the_vertex_figures_of_grid_configurations(cfg):
             # two points on one half-line from k meet the cut in one point
             assert "duplicate points" in str(exc)
             continue
-        got = {f.labels for f in facets(figure)}
+        got = set(facets(figure))
         assert got == vertex_figure_facets(cfg, k), k
 
 
@@ -356,7 +356,7 @@ def test_double_contraction_of_double_lift_recovers_base_facets():
     mid = lc1.lifted
     lc2 = lex_lift(mid, auto_epsilons(mid, apex_over(mid)))
     back = double_contraction(lc2.lifted, lc1.apex_label, lc2.apex_label)
-    assert {f.labels for f in facets(back)} == {f.labels for f in facets(base)}
+    assert facets(back) == facets(base)
 
 
 def test_perturb_general():
