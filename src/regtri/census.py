@@ -17,7 +17,7 @@ import math
 import os
 import random
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import NonUniqueIndex, TooFewPoints, wire_format
@@ -141,7 +141,6 @@ class SewingRun:
     d: int
     permutations: tuple  # one label order per stage
     stage_configs: tuple  # P_0, P_2, ..., final
-    specs: tuple = field(default=(), repr=False)
 
 
 def degenerate_base(n_points: int) -> PointConfiguration:
@@ -159,21 +158,19 @@ def sew(n: int, d: int) -> SewingRun:
     current = degenerate_base(n - d)
     used_perms = []
     stage_configs = [current]
-    specs = []
     for _ in range(d // 2):
         sigma = tuple(sorted(current.labels))
-        current = double_lift(current, sigma, specs=specs)
+        current = double_lift(current, sigma)
         used_perms.append(sigma)
         stage_configs.append(current)
     if d % 2:
         sigma = tuple(sorted(current.labels))
-        current, spec = single_lift(current, sigma)
-        specs.append(spec)
+        current = single_lift(current, sigma)[0]
         used_perms.append(sigma)
         stage_configs.append(current)
         if not is_k_neighborly(current, d // 2):
             raise ValueError("final lift lost neighborliness")
-    return SewingRun(n, d, tuple(used_perms), tuple(stage_configs), tuple(specs))
+    return SewingRun(n, d, tuple(used_perms), tuple(stage_configs))
 
 
 @dataclass(frozen=True)
@@ -320,16 +317,12 @@ def census(
     total = math.factorial(n)
     if budget is not None and total > budget:
         rng = random.Random(seed)
-        seen = set()
-        perms = []
+        perms = {}  # the distinct draws, in the order drawn
         while len(perms) < budget:
-            p = tuple(rng.sample(labels, len(labels)))
-            if p not in seen:
-                seen.add(p)
-                perms.append(p)
+            perms[tuple(rng.sample(labels, len(labels)))] = None
         budget_hit = True
     else:
-        perms = [tuple(p) for p in itertools.permutations(labels)]
+        perms = list(itertools.permutations(labels))
         budget_hit = False
     produced = set()
     for sigma in perms:

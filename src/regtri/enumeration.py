@@ -31,7 +31,9 @@ from .errors import (
 )
 from .geometry import (
     PointConfiguration,
+    _near_point,
     configuration_in_general_position,
+    cyclic_configuration,
     facets,
     is_general_position,
     is_vertex,
@@ -115,13 +117,9 @@ def split_point(
     p = config.point(p_label)
     rng = random.Random(seed)
     for _ in range(1000):
-        offset = tuple(
-            Fraction(rng.randint(-(10**6), 10**6), 10**6) * epsilon
-            for _ in range(config.dim)
-        )
-        if all(o == 0 for o in offset):
+        cand = _near_point(rng, p, epsilon)
+        if cand == p:
             continue
-        cand = tuple(x + o for x, o in zip(p, offset))
         if not is_general_position(config, cand):
             continue
         new = config.append_point(cand)
@@ -161,15 +159,10 @@ def t_sweep(pair: SplitPair, t: Triangulation, w: dict) -> SweepTrace:
         raise ValueError(f"heights missing for labels {missing}")
     w = {l: parse_rational(w[l]) for l in config.labels}
 
-    without_pp = config.delete([pp])
-    without_p = config.delete([p]).relabel({pp: p})
-    sub = regular_subdivision(without_pp, {l: w[l] for l in without_pp.labels})
-    if sub.cells != t.cells:
+    if regular_subdivision(config.delete([pp]), w).cells != t.cells:
         raise ValueError("heights do not induce the given triangulation")
-    w_other = {l: w[l] for l in config.labels if l != p}
-    w_other[p] = w_other.pop(pp)
-    sub2 = regular_subdivision(without_p, w_other)
-    if sub2.cells != t.cells:
+    other = Triangulation(regular_subdivision(config.delete([p]), w).cells)
+    if other.relabel({pp: p}).cells != t.cells:
         raise ValueError("heights are not a shared inseparability witness")
 
     # The lifted flat lies in one hyperplane when lam.w_t = 0, lam its
@@ -463,8 +456,7 @@ def cyclic_inseparable_realization(d: int, n: int) -> RealizationRun:
     params = {k: Fraction(k) for k in range(1, d + 1)}
     q_label = d + 1
     params[q_label] = q_param
-    rows = [moment_curve_point(params[l], d) for l in sorted(params)]
-    config = PointConfiguration.from_rows(rows, sorted(params))
+    config = cyclic_configuration(d, [params[l] for l in sorted(params)])
     halvings = []
     gap = Fraction(1)
     for i in range(d + 2, n + 1):

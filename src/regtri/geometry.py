@@ -584,6 +584,12 @@ def is_general_position(config: PointConfiguration, q) -> bool:
     return all(sum(map(mul, h, row)) for _, h in spanned_hyperplanes(config))
 
 
+def _near_point(rng, p, scale) -> tuple[Fraction, ...]:
+    """p with each coordinate moved by a draw of rng from the multiples
+    of scale / 10^6 in [-scale, scale], one randint per coordinate."""
+    return tuple(x + Fraction(rng.randint(-(10**6), 10**6), 10**6) * scale for x in p)
+
+
 def configuration_in_general_position(config: PointConfiguration) -> bool:
     """No d+1 points on a common hyperplane: no zero in the chirotope."""
     subsets = itertools.combinations(config.labels, config.dim + 1)

@@ -14,6 +14,7 @@ from .errors import NotAVertex, RegtriError, ValidationFailed, wire_format
 from .geometry import (
     PointConfiguration,
     _colex,
+    _near_point,
     _strictly_separable,
     format_rational,
     homogenized,
@@ -235,11 +236,7 @@ def perturb_general(
     rng = random.Random(seed)
     scale = Fraction(1, 100)
     for attempt in range(200):
-        offset = tuple(
-            Fraction(rng.randint(-(10**6), 10**6), 10**6) * scale
-            for _ in range(config.dim)
-        )
-        cand = tuple(x + o for x, o in zip(p, offset))
+        cand = _near_point(rng, p, scale)
         if cand in rest.points:
             continue
         if is_general_position(rest, cand):

@@ -210,10 +210,6 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
                 bounded.setdefault(j, []).append((nvars + i, ints[j], ints[nvars]))
                 continue
         basis.append(nvars + i)
-    if not rows:
-        if all(v <= 0 for v in c):
-            return LPResult("optimal", Z, 1, [0] * nvars, [], 1)
-        return LPResult("unbounded")
 
     # The tableau keeps only the nonbasic columns, cols[k] naming
     # compact column k's variable, then the right-hand side.  The

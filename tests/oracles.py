@@ -70,18 +70,20 @@ def naive_det(m):
 
 def brute_force_facets(points):
     """Facet label sets of conv(points) by checking every hyperplane
-    spanned by d of the points; labels are 1-based indices."""
+    spanned by d of the points; labels are 1-based indices.  A point's
+    side is det([p, 1] + rows), expanded along its first row: the d+1
+    cofactors are taken once per subset, then one dot product per
+    point."""
     points = [tuple(Fraction(x) for x in p) for p in points]
     d = len(points[0])
     labels = list(range(1, len(points) + 1))
     facets = set()
     for subset in combinations(labels, d):
         rows = [list(points[i - 1]) + [1] for i in subset]
-
-        def val(p):
-            return naive_det([list(p) + [1]] + rows)
-
-        vals = [(l, val(points[l - 1])) for l in labels]
+        cofactors = [(-1) ** j * naive_det([r[:j] + r[j + 1:] for r in rows])
+                     for j in range(d + 1)]
+        vals = [(l, sum(x * c for x, c in zip(points[l - 1] + (1,), cofactors)))
+                for l in labels]
         if all(v >= 0 for _, v in vals) or all(v <= 0 for _, v in vals):
             if any(v != 0 for _, v in vals):
                 facets.add(frozenset(l for l, v in vals if v == 0))

@@ -398,8 +398,20 @@ def test_split_point_refuses_an_epsilon_that_is_not_positive(epsilon):
 
 
 def test_split_point_deterministic():
+    """The same seed gives the same p', and p' of hexagon vertex 3
+    (epsilon 2/5) is pinned for three seeds, so that a change to the
+    seeded draw shows."""
     cfg = hexagon()
     assert split_point(cfg, 3, seed=5) == split_point(cfg, 3, seed=5)
+    pinned = {
+        0: (F(-382091, 500000), F(183343, 78125)),
+        1: (F(-1609109, 1250000), F(5193707, 2500000)),
+        5: (F(-1832359, 2500000), F(5447971, 2500000)),
+    }
+    for seed, p_prime in pinned.items():
+        pair = split_point(cfg, 3, seed=seed)
+        assert (pair.p_prime_label, pair.epsilon) == (7, F(2, 5))
+        assert pair.config.point(7) == p_prime
 
 
 def test_split_simplex_vertex():
@@ -517,9 +529,16 @@ def test_t_sweep_split_simplex():
 
 
 def test_t_sweep_rejects_non_witness_heights():
+    """Zero heights fail the check without p'.  Raising p' above a
+    shared witness leaves t induced without p', so only the check
+    without p fails."""
     pair, t = figure_pair()
     w = {l: F(0) for l in pair.config.labels}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="heights do not induce the given triangulation"):
+        t_sweep(pair, t, w)
+    w = dict(check_inseparable(pair.config, 6, 7).witnesses[t])
+    w[7] += 10
+    with pytest.raises(ValueError, match="heights are not a shared inseparability witness"):
         t_sweep(pair, t, w)
 
 

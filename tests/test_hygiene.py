@@ -306,6 +306,14 @@ def test_hyperplane_functional_has_one_caller():
     assert found == {"geometry.facets"}
 
 
+def test_one_helper_draws_the_seeded_offsets():
+    """split_point and perturb_general move a point by the same seeded
+    draw, geometry._near_point."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "randint")}
+    assert found == {"geometry._near_point"}
+
+
 def floor_divisions_by(source: str, name: str) -> list:
     """The definitions (see scopes_where) whose own bodies floor-divide
     by the bare name `name`, with // or //=, one entry per division;

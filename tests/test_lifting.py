@@ -373,5 +373,17 @@ def test_perturb_general():
 
 
 def test_perturb_deterministic():
+    """The same seed gives the same point, and the moved centre of the
+    square is pinned for three seeds, so that a change to the seeded
+    draw shows."""
     cfg = PointConfiguration.from_rows([[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]])
     assert perturb_general(cfg, 5, seed=9) == perturb_general(cfg, 5, seed=9)
+    pinned = {
+        0: (F(314909, 312500), F(99807917, 100000000)),
+        2: (F(100810071, 100000000), F(50493869, 50000000)),
+        9: (F(24992749, 25000000), F(20057201, 20000000)),
+    }
+    for seed, moved in pinned.items():
+        out = perturb_general(cfg, 5, seed=seed)
+        assert out.point(5) == moved
+        assert out.delete([5]) == cfg.delete([5])

@@ -37,6 +37,14 @@ def test_unbounded():
     assert res.status == "unbounded"
 
 
+def test_a_system_without_rows_is_optimal_at_the_origin_when_no_cost_is_positive():
+    res = solve_lp([0, -1], [], [])
+    assert res.status == "optimal"
+    assert res.value == 0
+    assert res.x == [0, 0]
+    assert res.dual == []
+
+
 def test_a_negative_right_hand_side_is_refused():
     with pytest.raises(ValueError):
         solve_lp([1, 1], [[1, 0], [0, 1]], [2, F(-1, 3)])
