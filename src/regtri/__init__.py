@@ -52,7 +52,6 @@ from .errors import (
 )
 from .geometry import (
     PointConfiguration,
-    Rational,
     classify_visibility,
     configuration_in_general_position,
     cyclic_configuration,

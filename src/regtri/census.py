@@ -153,6 +153,8 @@ def sew(n: int, d: int) -> SewingRun:
     0-dimensional configuration: one double lift per two dimensions and
     a single lift when d is odd, each in increasing label order and
     certified neighborly."""
+    if d < 0:
+        raise ValueError(f"negative dimension {d}")
     if n <= d:
         raise ValueError("need n > d")
     current = degenerate_base(n - d)
@@ -180,14 +182,6 @@ class FacetFingerprint:
     polytopes."""
 
     data: bytes
-
-    @property
-    def hex(self) -> str:
-        return self.data.hex()
-
-    @classmethod
-    def from_hex(cls, s: str) -> "FacetFingerprint":
-        return cls(bytes.fromhex(s))
 
 
 def fingerprint(config: PointConfiguration) -> FacetFingerprint:

@@ -16,7 +16,6 @@ their cell objects.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,6 +49,7 @@ from .triangulations import (
     _folding_pass,
     _properly_intersect,
     is_regular,
+    min_cells_bound,
     placing_triangulation,
     regular_subdivision,
 )
@@ -84,10 +84,9 @@ def _hyperplane_gap(config: PointConfiguration, p_label: int) -> Fraction:
     spanned by the other points; an exact lower bound (up to the norm
     choice) on how far p can move before crossing one.  Each margin is
     read in integers: |h.row_p| over the 1-norm of h's normal."""
-    others = [l for l in config.labels if l != p_label]
     gaps = [
         Fraction(abs(side_value(config, h, p_label)), normal_l1(config, h))
-        for _, h in spanned_hyperplanes(config, others)
+        for _, h in spanned_hyperplanes(config.delete([p_label]))
     ]
     if not any(gaps):
         raise RegtriError("no spanned hyperplane; configuration too small")
@@ -432,15 +431,18 @@ def triangulation_count_bound(n: int, d: int) -> int:
     """Lower bound on the number of regular triangulations of the
     inseparable cyclic realization.  Adding the point m+1 next to its
     inseparable partner multiplies the count by at least C + 1, where
-    C = C(m-d-1+k, k) is the fewest cells in a triangulation of the
-    vertex figure, a k-neighborly (d-1)-polytope on m-1 vertices, and
-    k = (d-1)//2 (the splitting inequality of criterion 3)."""
+    C = min_cells_bound(m-1, d-1, k) is the fewest cells in a
+    triangulation of the vertex figure, a k-neighborly (d-1)-polytope on
+    m-1 vertices, and k = (d-1)//2 (the splitting inequality of
+    criterion 3)."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     k = (d - 1) // 2
     if k == 0:
         return 1
     out = 1
-    for m in range(d, n):
-        out *= math.comb(m - d - 1 + k, k) + 1
+    for m in range(d + 1, n):
+        out *= min_cells_bound(m - 1, d - 1, k) + 1
     return out
 
 
@@ -450,6 +452,8 @@ def cyclic_inseparable_realization(d: int, n: int) -> RealizationRun:
     at its insertion stage, which forces the regular triangulation
     count to multiply by at least one more than the cell bound of the
     vertex figure at every step (40 tries per point, halving its gap)."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     if n < d + 2:
         raise ValueError("need n >= d + 2")
     q_param = Fraction(n)
@@ -463,8 +467,6 @@ def cyclic_inseparable_realization(d: int, n: int) -> RealizationRun:
         for h in range(40):
             t_new = q_param - gap
             gap /= 2
-            if t_new in params.values():
-                continue
             cand = config.append_point(moment_curve_point(t_new, d), i)
             if check_inseparable(cand, i, q_label).inseparable:
                 config = cand

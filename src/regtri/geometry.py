@@ -28,8 +28,6 @@ from . import linalg
 from .errors import NotAFace, NotFullDimensional, wire_format
 from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 
-Rational = Fraction
-
 
 def parse_rational(s) -> Fraction:
     """A Fraction; malformed text, a zero denominator too, is a ValueError."""
@@ -63,6 +61,8 @@ class PointConfiguration:
     labels: tuple[int, ...]
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise ValueError(f"negative dimension {self.dim}")
         if len(self.points) != len(self.labels):
             raise ValueError("points/labels length mismatch")
         if len(set(self.labels)) != len(self.labels):
@@ -411,11 +411,11 @@ def _colex(labels, k):
         yield rev[::-1]
 
 
-def spanned_hyperplanes(config: PointConfiguration, labels=None):
-    """Yield (subset, h) for each d-subset of labels (default: all)
-    that spans a hyperplane, in colexicographic order, h its integer
-    functional on the homogenized rows; `side_value` reads it at a point."""
-    for subset in _colex(config.labels if labels is None else labels, config.dim):
+def spanned_hyperplanes(config: PointConfiguration):
+    """Yield (subset, h) for each d-subset of the labels that spans a
+    hyperplane, in colexicographic order, h its integer functional on
+    the homogenized rows; `side_value` reads it at a point."""
+    for subset in _colex(config.labels, config.dim):
         h = _integer_functional(config, subset)
         if h is not None:
             yield subset, h
@@ -612,6 +612,8 @@ def in_convex_position(config: PointConfiguration) -> bool:
 
 def centroid(config: PointConfiguration) -> tuple[Fraction, ...]:
     n = config.n
+    if not n:
+        raise ValueError("the centroid of no points")
     return tuple(
         sum(p[j] for p in config.points) / n for j in range(config.dim)
     )

@@ -1,14 +1,13 @@
 """Small exact linear algebra helpers over the rationals.
 
 Elimination runs on integers, each row cleared of denominators once
-(`clear_denominators`).  `det`, `det_sign`, `solve_integral`,
-`pivot_columns` (and `rank`, their number) and `kernel_integral` share
-one Gauss-Jordan reduction, `_rref`, built
-on `pivot`, the fraction-free step; `solve` and `kernel_vector` are the
-`Fraction` views of `solve_integral` and `kernel_integral`.  Fractions
-appear only in results.  `pivot` is also the step of the simplex
-(`linprog._exchange`), so it is the one place that writes Edmonds'
-update.
+(`clear_denominators`).  `det`, `det_sign`, `solve`, `pivot_columns`
+(and `rank`, their number) and `kernel_integral` share one
+Gauss-Jordan reduction, `_rref`, built on `pivot`, the fraction-free
+step; `kernel_vector` is the `Fraction` view of `kernel_integral`.
+Fractions appear only in results.  `pivot` is also the step of the
+simplex (`linprog._exchange`), so it is the one place that writes
+Edmonds' update.
 
 Both eliminations keep each integer row (v_0, ..., v_{n-1}) packed into
 one int, X = sum_j v_j 2^(jB), in signed fields of B bits (Kronecker
@@ -194,31 +193,14 @@ def det_sign(rows) -> int:
     return sign if len(pivots) == len(rows) else 0
 
 
-def solve_integral(a, b):
-    """Solve the square system a x = b, b a matrix (a list of rows), in
-    one reduction: (den, integer rows) with x = rows / den and den > 0,
-    or None if a is singular.  The fractions are not reduced, so signs
-    and sums of a row of x read off its integers."""
+def solve(a, b):
+    """Solve the square system a x = b, b a vector, exactly; None if a
+    is singular."""
     n = len(a)
-    m, packing, den, pivots, _ = _rref([list(row) + list(rhs) for row, rhs in zip(a, b)])
+    m, packing, den, pivots, _ = _rref([list(row) + [rhs] for row, rhs in zip(a, b)])
     if pivots != list(range(n)):
         return None
-    return den, [packing.row(x)[n:] for x in m]
-
-
-def solve(a, b):
-    """Solve the square system a x = b exactly; None if singular.
-
-    As in numpy, b may instead be a matrix (a list of rows): all its
-    columns are then solved in one reduction, and x is a matrix with
-    one column per column of b."""
-    matrix = len(a) > 0 and isinstance(b[0], (list, tuple))
-    sol = solve_integral(a, b if matrix else [[r] for r in b])
-    if sol is None:
-        return None
-    den, rows = sol
-    x = [[Fraction(v, den) for v in row] for row in rows]
-    return x if matrix else [row[0] for row in x]
+    return [Fraction(v, den) for v in packing.column(m, n)]
 
 
 def pivot_columns(rows) -> list:

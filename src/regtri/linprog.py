@@ -258,15 +258,12 @@ def max_margin(rows, nv: int):
     return c, a_ub, b_ub, solve_lp(c, a_ub, b_ub)
 
 
-def lp_feasible(a_ub, b_ub, a_eq=(), b_eq=()):
-    """A point x >= 0 with a_ub x <= b_ub and a_eq x = b_eq, or None if
-    there is none.  The right-hand sides may have either sign: the
-    margin LP runs on the homogenized rows (a, -b).(x, t) <= 0, an
-    equality as two opposite rows, and a positive margin t gives x / t.
-    """
+def lp_feasible(a_ub, b_ub):
+    """A point x >= 0 with a_ub x <= b_ub, or None if there is none.
+    The right-hand sides may have either sign: the margin LP runs on the
+    homogenized rows (a, -b).(x, t) <= 0, and a positive margin t gives
+    x / t.  An equality is two opposite rows."""
     rows = [list(a) + [-b] for a, b in zip(a_ub, b_ub)]
-    for a, b in zip(a_eq, b_eq):
-        rows += [list(a) + [-b], [-v for v in a] + [b]]
     res = max_margin(rows, len(rows[0]))[3]
     if res.value <= 0:
         return None

@@ -96,7 +96,10 @@ def lower_hull_cells(points, heights):
     is below or through every other lifted point, with merging of
     cospanning subsets.  When every lifted point lies on that
     hyperplane (affine heights) its one cell is all the labels, the
-    trivial subdivision.  Labels are 1-based indices."""
+    trivial subdivision.  Labels are 1-based indices.  A lifted point's
+    side is det([q, 1] + rows), expanded along its first row as in
+    brute_force_facets: the d+2 cofactors are taken once per subset,
+    and the height's cofactor is the side of the height unit direction."""
     points = [tuple(Fraction(x) for x in p) for p in points]
     heights = [Fraction(h) for h in heights]
     lifted = [p + (h,) for p, h in zip(points, heights)]
@@ -105,18 +108,13 @@ def lower_hull_cells(points, heights):
     cells = set()
     for subset in combinations(labels, d1):
         rows = [list(lifted[i - 1]) + [1] for i in subset]
-
-        def val(p):
-            return naive_det([list(p) + [1]] + rows)
-
-        # normal's last-coordinate sign via the height unit direction
-        base = val(lifted[subset[0] - 1][:-1] + (lifted[subset[0] - 1][-1],))
-        e = list(lifted[subset[0] - 1])
-        e[-1] += 1
-        up = val(tuple(e))
+        cofactors = [(-1) ** j * naive_det([r[:j] + r[j + 1:] for r in rows])
+                     for j in range(d1 + 1)]
+        up = cofactors[d1 - 1]
         if up == 0:
             continue  # vertical hyperplane
-        vals = [(l, val(lifted[l - 1])) for l in labels]
+        vals = [(l, sum(x * c for x, c in zip(lifted[l - 1] + (1,), cofactors)))
+                for l in labels]
         sgn = 1 if up > 0 else -1
         # lower facet: every lifted point weakly above the hyperplane
         if all(sgn * v >= 0 for _, v in vals):

@@ -203,7 +203,6 @@ def test_fingerprint_labeled_comparison():
     assert fingerprint(cfg) == fp
     relabeled = cfg.relabel({1: 2, 2: 1})
     assert fingerprint(relabeled) != fp
-    assert FacetFingerprint.from_hex(fp.hex) == fp
 
 
 def test_fingerprint_independent_of_liftspec():

@@ -411,6 +411,37 @@ def test_sweep_heights_missing_a_label_is_a_json_error(tmp_path):
     assert "[3, 7]" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "args, says",
+    [(["enumerate", "{config}"], "negative dimension -1"),
+     (["enumerate", "{config}", "--oracle"], "negative dimension -1"),
+     (["sew", "--n", "3", "--d", "-2"], "negative dimension -2"),
+     (["verify-bounds", "--construction", "cyclic", "--n", "5", "--d", "-1"], "need d >= 1"),
+     (["verify-bounds", "--construction", "cyclic", "--n", "5", "--d", "0"], "need d >= 1")],
+    ids=["enumerate", "enumerate-oracle", "sew", "verify-bounds-d-1", "verify-bounds-d0"],
+)
+def test_a_dimension_below_the_least_is_a_json_error(tmp_path, args, says):
+    config = tmp_path / "negative.json"
+    config.write_text(json.dumps({"dim": -1, "points": []}))
+    result = CliRunner().invoke(main, [a.format(config=config) for a in args])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "ValueError" and says in error["message"]
+
+
+def test_lift_of_no_points_is_a_json_error(tmp_path):
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({"dim": 2, "points": []}))
+    result = CliRunner().invoke(main, ["lift", str(config)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"error": "ValueError",
+                                         "message": "the centroid of no points"}
+
+
 def test_sew_command(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["sew", "--n", "6", "--d", "3"])

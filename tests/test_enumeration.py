@@ -180,9 +180,9 @@ def test_enumerate_regular_computes_each_circuit_once(monkeypatch):
     # the circuit table takes every minor once, and the folding rows
     # read their coordinates off the same chirotope by Cramer's rule
     dets, solves = [], []
-    real_det, real_solve = linalg.det, linalg.solve_integral
+    real_det, real_solve = linalg.det, linalg.solve
     monkeypatch.setattr(linalg, "det", lambda rows: dets.append(rows) or real_det(rows))
-    monkeypatch.setattr(linalg, "solve_integral",
+    monkeypatch.setattr(linalg, "solve",
                         lambda a, b: solves.append(a) or real_solve(a, b))
     cfg = cyclic_configuration(4, range(1, 9))
     assert len(cfg.circuit_table) == math.comb(8, 6)
@@ -561,6 +561,16 @@ def test_triangulation_count_bound():
     # inequality's factor, not by C(m-d+k, k)
     assert [triangulation_count_bound(n, d)
             for d, n in ((5, 8), (5, 9), (6, 9), (6, 10))] == [8, 56, 8, 56]
+
+
+def test_a_dimension_below_the_least_is_refused():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            triangulation_count_bound(5, d)
+        with pytest.raises(ValueError, match="need d >= 1"):
+            cyclic_inseparable_realization(d, 5)
+    with pytest.raises(ValueError, match="negative dimension -1"):
+        PointConfiguration(-1, (), ())
 
 
 def test_cyclic_inseparable_realization_small():

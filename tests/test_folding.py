@@ -237,10 +237,9 @@ def counting_det(monkeypatch):
 
 
 def test_memo_reduces_only_missing_labels_to_the_integers_of_one_reduction(monkeypatch):
-    """Cramer's rule on the chirotope gives the integers of one
-    fraction-free reduction of the cell's rows (linalg.solve_integral),
-    den included, and a later request takes only the minors its labels
-    still miss."""
+    """Cramer's rule on the chirotope gives den = |det| of the cell's
+    rows and, over den, the affine coordinates linalg.solve finds, and a
+    later request takes only the minors its labels still miss."""
     cfg = cyclic_configuration(3, range(1, 8))
     dets = counting_det(monkeypatch)
     chi = cfg.chirotope
@@ -253,9 +252,9 @@ def test_memo_reduces_only_missing_labels_to_the_integers_of_one_reduction(monke
     assert chi.coordinates(cell, [7, 2]) == (den, {7: more[7], 2: (0, den, 0, 0)})
     assert len(dets) == 13
     columns = list(zip(*homogenized(cfg, sorted(cell))))
-    rhs = list(zip(*homogenized(cfg, [5, 6, 7])))
-    one_den, x = linalg.solve_integral(columns, rhs)
-    assert (den, [more[l] for l in (5, 6, 7)]) == (one_den, list(zip(*x)))
+    assert den == abs(linalg.det(columns))
+    for l in (5, 6, 7):
+        assert [F(v, den) for v in more[l]] == linalg.solve(columns, homogenized(cfg, [l])[0])
     # a degenerate cell reads its one minor
     flat = PointConfiguration.from_rows([[0, 0], [1, 0], [2, 0], [0, 1]])
     dets.clear()

@@ -1,11 +1,16 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "regtri").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import spans  # noqa: E402
 
 
 def unused_imports(source: str) -> list:
@@ -58,28 +63,34 @@ def test_every_import_is_used():
     assert found == {}
 
 
-def unreferenced_private_names(sources: dict) -> list:
-    """(module, name) of each top-level private function, class or
-    assignment in the given {module: source} that no module reads, by
-    name or as an attribute: a helper that nothing calls any more."""
+def top_level_names(sources: dict):
+    """(module, name, node) of each top-level function, class or
+    assigned name in the given {module: source}, and the names that
+    any of them reads, by name or as an attribute."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                defined.append((module, node.name, node))
             elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined += [(module, n) for n in names
-                        if n.startswith("_") and not n.startswith("__")]
+                defined += [(module, t.id, node) for t in node.targets
+                            if isinstance(t, ast.Name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted((module, name) for module, name in defined if name not in read)
+    return defined, read
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) of each top-level private function, class or
+    assignment in the given {module: source} that no module reads, by
+    name or as an attribute: a helper that nothing calls any more."""
+    defined, read = top_level_names(sources)
+    return sorted((module, name) for module, name, _ in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
 def test_unreferenced_private_names_are_found():
@@ -374,14 +385,6 @@ def test_only_linalg_knows_the_packed_layout():
     assert found == {}
 
 
-def test_solve_integral_has_one_caller():
-    """Affine coordinates are read off the chirotope by Cramer's rule;
-    the one linear solve left is linalg.solve's."""
-    found = {f"{path.stem}.{caller}" for path in PACKAGE
-             for caller in callers_of(path.read_text(), "solve_integral")}
-    assert found == {"linalg.solve"}
-
-
 def test_no_second_coordinate_memo_is_left():
     """A configuration keeps one memo of its linear algebra, the
     chirotope: no name of the per-cell reduction memo it replaced."""
@@ -403,3 +406,54 @@ def test_cell_coordinates_serve_only_magnitudes():
     found = {f"{path.stem}.{caller}" for path in PACKAGE
              for caller in callers_of(path.read_text(), "coordinates")}
     assert found == {"triangulations._folding_pass", "triangulations.barycentric"}
+
+
+def unread_public_names(sources: dict) -> list:
+    """(module, name) of each public top-level function, class or
+    assignment in the given {module: source} that no module reads, by
+    name or as an attribute, and that "__init__" does not import: a
+    name only an outside caller keeps.  A function registered as a CLI
+    command, by a @command(...) decorator, is not counted."""
+    exported = {alias.asname or alias.name for node in ast.parse(sources["__init__"]).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined, read = top_level_names(sources)
+
+    def command(node):
+        return any(isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "command"
+                   for dec in getattr(node, "decorator_list", ()))
+
+    return sorted((module, name) for module, name, node in defined
+                  if not name.startswith("_") and name not in read
+                  and name not in exported and not command(node))
+
+
+def test_unread_public_names_are_found():
+    sources = {
+        "__init__": "from .a import Exported\n",
+        "a": "class Exported: pass\nKEPT = 1\nLEFT = 2\ndef _private(): pass\n"
+             "def used():\n    return KEPT\ndef unused(): pass\n"
+             "@command('run')\ndef run(): pass\n",
+        "b": "import a\na.used()\n",
+    }
+    assert unread_public_names(sources) == [("a", "LEFT"), ("a", "unused")]
+
+
+# What no package module reads and the package does not export, kept
+# only because perfbench traces it; drop one here when the benchmark
+# stops tracing it.
+KEPT_FOR_PERFBENCH = {
+    ("linalg", "det_sign"), ("linalg", "solve"), ("linalg", "rank"),
+    ("linalg", "kernel_vector"), ("linprog", "lp_feasible"),
+    ("triangulations", "barycentric"),
+    ("triangulations", "simplices_properly_intersect"),
+}
+
+
+def test_every_public_name_is_read_exported_or_traced():
+    """Every public top-level name of the package is read in it,
+    exported by regtri/__init__.py, the heights wire writer, or kept
+    only for perfbench, which must trace it in its module."""
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    unread = set(unread_public_names(sources)) - {("triangulations", "heights_to_json")}
+    assert unread == KEPT_FOR_PERFBENCH
+    assert {(m, n) for m, n in KEPT_FOR_PERFBENCH if n not in spans.TRACED[m]} == set()

@@ -211,7 +211,9 @@ def test_wide_lps_equal_fraction_simplex(lp):
 def test_lp_feasible_finds_a_point_exactly_when_one_exists(lp):
     _, a_ub, b_ub, a_eq, b_eq = lp
     assume(a_ub or a_eq)
-    x = lp_feasible(a_ub, b_ub, a_eq, b_eq)
+    # each equality as two opposite rows
+    x = lp_feasible(a_ub + [r for a in a_eq for r in (a, [-v for v in a])],
+                    b_ub + [r for b in b_eq for r in (b, -b)])
     assert (x is not None) == (fraction_simplex(*lp, nonneg=True)[0] != "infeasible")
     if x is not None:
         assert all(v >= 0 for v in x)

@@ -269,7 +269,7 @@ def test_is_triangulation_solves_no_lp(monkeypatch):
 
 
 def test_one_reduction_per_cell(monkeypatch):
-    calls = {"det": 0, "solve_integral": 0, "det_sign": 0}
+    calls = {"det": 0, "solve": 0, "det_sign": 0}
     for name in calls:
         real = getattr(linalg, name)
 
@@ -289,9 +289,9 @@ def test_one_reduction_per_cell(monkeypatch):
     for minors, check in ((48, lambda: is_regular(t, fresh, validate=True).regular),
                           (0, lambda: is_triangulation(t.cells, fresh)[0]),
                           (0, lambda: is_regular(t, fresh, validate=True).regular)):
-        calls.update(det=0, solve_integral=0, det_sign=0)
+        calls.update(det=0, solve=0, det_sign=0)
         assert check()
-        assert calls == {"det": minors, "solve_integral": 0, "det_sign": 0}
+        assert calls == {"det": minors, "solve": 0, "det_sign": 0}
     assert len(fresh.chirotope._minors) == 48
 
 
@@ -627,6 +627,27 @@ def test_nonregular_fixture_certified():
     assert not res.regular
     assert res.margin == 0
     assert res.certificate_valid
+
+
+def test_certificate_check_refuses_edited_duals():
+    """The recheck accepts the fixture's refutation over the rational
+    margin LP, rebuilt as test_folding's folding_rows builds it, and
+    refuses the certificate with one dual negated, one dual dropped to
+    0, or the first box row's dual raised by 1."""
+    cfg, t = nonregular_fixture()
+    labels = sorted(cfg.labels)
+    nv = len(labels) + 1
+    rows, mults = _folding_pass(cfg, t.cells, {l: i for i, l in enumerate(labels)}, nv,
+                                validate=False)
+    c, a_ub, b_ub, _ = linprog.max_margin(
+        [[F(v, m) for v in row] for row, m in zip(rows, mults)], nv)
+    dual = list(is_regular(t, cfg).certificate)
+    assert triangulations._check_certificate(c, a_ub, b_ub, dual)
+    i = next(i for i, y in enumerate(dual) if y)
+    box = len(rows)  # the first box row, x_0 <= 2
+    for k, y in ((i, -dual[i]), (i, 0), (box, dual[box] + 1)):
+        edited = dual[:k] + [y] + dual[k + 1:]
+        assert not triangulations._check_certificate(c, a_ub, b_ub, edited)
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
