@@ -358,7 +358,7 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
     the search solves no LP.  Every cell is a d-simplex, a hull facet
     or an open ridge joined to a point off its hyperplane, so the pair
     test runs without simplices_properly_intersect's refusal of
-    dependent label sets.
+    dependent label sets.  In R^0 each point alone is a triangulation.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"negative budget {budget}")
@@ -404,6 +404,10 @@ def enumerate_all_oracle(config: PointConfiguration, budget=None) -> set:
         for cand in apex_candidates(cells, ridge, frontier[ridge]):
             extend(cells | {cand}, place(frontier, cand))
 
+    if d == 0:  # no facet to start from: each point is a cell
+        for lab in config.labels:
+            extend({frozenset({lab})}, {})
+        return results
     start_facet = min(boundary, key=sorted)
     for lab in config.labels:
         if lab not in start_facet:

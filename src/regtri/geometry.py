@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import NotAFace, NotFullDimensional, wire_format
-from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
+from .linprog import solve_lp  # noqa: F401  (perfbench traces this import site)
 
 
 def parse_rational(s) -> Fraction:
@@ -516,25 +516,32 @@ def is_face(config: PointConfiguration, labels: Iterable[int]) -> bool:
     return is_facet_meet(facets(config), labels)
 
 
-def _strictly_separable(base, below, on=()):
-    """Some a with a.(x - base) = 0 for every x in `on` and
-    a.(x - base) < 0 for every x in `below`, or None if there is none.
-    One max_margin LP over nonnegative (u, v, delta) with a = u - v:
-    a.(x - base) + delta <= 0 for each point below, a.(x - base) <= 0
-    and -a.(x - base) <= 0 for each point on."""
-    d = len(base)
-    rows = []
-    for q in below:
-        diff = [x - y for x, y in zip(q, base)]
-        rows.append(diff + [-x for x in diff] + [1])
-    for q in on:
-        diff = [x - y for x, y in zip(q, base)]
-        neg = [-x for x in diff]
-        rows += [diff + neg + [0], neg + diff + [0]]
-    res = max_margin(rows, 2 * d + 1)[3]
-    if res.value <= 0:
-        return None
-    return tuple(u - v for u, v in zip(res.x[:d], res.x[d : 2 * d]))
+def _integer_row(config: PointConfiguration, q) -> list:
+    """The row [q, 1] of a point, scaled like integer_rows and then by a
+    positive integer, so that an integer functional's sign at it is its
+    side of the hyperplane; a point of another dimension is a
+    ValueError."""
+    q = [parse_rational(x) for x in q]
+    if len(q) != config.dim:
+        raise ValueError(f"point has dimension {len(q)}, configuration {config.dim}")
+    return linalg.clear_denominators([x * s for x, s in zip(q, config._axis_scales)] + [1])[1]
+
+
+def _outward_functionals(config: PointConfiguration, face) -> list:
+    """The outward integer functional of each facet of the hull that
+    holds the labels of face: the functional of d labels spanning the
+    facet (_integer_functional), signed so that side_value is 0 on the
+    facet and negative at every point off it.  The functionals that are
+    0 on a face and negative off it are the positive combinations of
+    these (the face's normal cone)."""
+    out = []
+    for f in facets(config):
+        if face <= f:
+            spans = itertools.combinations(sorted(f), config.dim)
+            h = next(filter(None, (_integer_functional(config, s) for s in spans)))
+            off = next(l for l in config.labels if l not in f)
+            out.append([-v for v in h] if side_value(config, h, off) > 0 else h)
+    return out
 
 
 def visibility(config: PointConfiguration, face: Iterable[int], p) -> tuple[bool, bool]:
@@ -543,23 +550,17 @@ def visibility(config: PointConfiguration, face: Iterable[int], p) -> tuple[bool
     Visible means some affine functional is zero on the face, strictly
     positive at p, strictly negative on the remaining configuration
     points; hidden asks for strictly negative at p instead.  A face that
-    is not a facet can be both.  Decided by exact LP feasibility with a
-    maximized margin, with the functional's offset fixed by a face point.
+    is not a facet can be both.  Such functionals are the positive
+    combinations of the outward functionals of the facets through the
+    face, so p is visible when one of those is positive at p, and
+    hidden when one is negative there.
     """
     face = frozenset(face)
     if not is_face(config, face):
         raise NotAFace(f"{sorted(face)} is not a face")
-    p = tuple(parse_rational(x) for x in p)
-    first, *rest = sorted(face)
-    base = config.point(first)
-    on = [config.point(lab) for lab in rest]
-    others = [q for lab, q in zip(config.labels, config.points) if lab not in face]
-    # a.(mirror - base) = -a.(p - base): mirror below means p above
-    mirror = tuple(2 * b - x for b, x in zip(base, p))
-    return (
-        _strictly_separable(base, [mirror] + others, on) is not None,
-        _strictly_separable(base, [p] + others, on) is not None,
-    )
+    row = _integer_row(config, p)
+    values = [sum(map(mul, h, row)) for h in _outward_functionals(config, face)]
+    return any(v > 0 for v in values), any(v < 0 for v in values)
 
 
 def classify_visibility(config: PointConfiguration, face, p) -> str:
@@ -576,11 +577,7 @@ def classify_visibility(config: PointConfiguration, face, p) -> str:
 def is_general_position(config: PointConfiguration, q) -> bool:
     """True iff no hyperplane spanned by d configuration points
     contains q."""
-    q = [parse_rational(x) for x in q]
-    if len(q) != config.dim:
-        raise ValueError(f"point has dimension {len(q)}, configuration {config.dim}")
-    # q's row [q, 1] scaled like integer_rows, then by a positive integer
-    row = linalg.clear_denominators([x * s for x, s in zip(q, config._axis_scales)] + [1])[1]
+    row = _integer_row(config, q)
     return all(sum(map(mul, h, row)) for _, h in spanned_hyperplanes(config))
 
 
@@ -597,16 +594,18 @@ def configuration_in_general_position(config: PointConfiguration) -> bool:
 
 
 def is_vertex(config: PointConfiguration, label: int) -> bool:
-    """Exact test for p being a vertex of the hull."""
-    if config.dim == 0:
-        return config.n == 1
-    others = [q for lab, q in zip(config.labels, config.points) if lab != label]
-    return _strictly_separable(config.point(label), others) is not None
+    """Whether the labeled point is a vertex of the hull: it is the one
+    point, or no circuit has it alone as its positive or negative part
+    (a point in the hull of others is, with some of them, a circuit
+    whose positive part is the point alone, by Carathéodory: De Loera,
+    Rambau and Santos, Triangulations, 2010).  Copies of the point of
+    R^0 make such circuits too.  Two or more points that do not span
+    are NotFullDimensional, as config.circuits is."""
+    config.index(label)  # an unknown label is a ValueError
+    return config.n == 1 or all({label} not in (pos, neg) for _, pos, neg in config.circuits)
 
 
 def in_convex_position(config: PointConfiguration) -> bool:
-    if config.dim == 0:
-        return True
     return all(is_vertex(config, lab) for lab in config.labels)
 
 

@@ -8,6 +8,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from . import linalg
 from .errors import NotAVertex, RegtriError, ValidationFailed, wire_format
@@ -15,7 +17,7 @@ from .geometry import (
     PointConfiguration,
     _colex,
     _near_point,
-    _strictly_separable,
+    _outward_functionals,
     format_rational,
     homogenized,
     is_general_position,
@@ -191,23 +193,32 @@ def contraction(config: PointConfiguration, p_label: int) -> PointConfiguration:
     chart of that hyperplane.  Labels of the surviving points are kept.
     p must be a vertex, and no two other points may lie on one half-line
     from p (they would meet the cut in one point: "duplicate points").
+    The cut's normal is minus the sum of the primitive outward normals
+    of the facets through p, in the configuration's own axes: it is
+    positive on every q - p exactly when p is a vertex.  A configuration
+    that does not span is NotFullDimensional, and a 0-dimensional one a
+    ValueError, its figure having dimension -1.
     """
-    p = config.point(p_label)
     d = config.dim
-    others = [l for l in config.labels if l != p_label]
-    # the vertex LP's a has a.(q - p) < 0 for every other point q
-    sep = _strictly_separable(p, [config.point(l) for l in others])
-    if sep is None:
+    if d == 0:
+        raise ValueError("a vertex figure in dimension 0 would have dimension -1")
+    p = config.point(p_label)
+    normal = [0] * d
+    for h in _outward_functionals(config, {p_label}):
+        a = [v * s for v, s in zip(h, config._axis_scales)]
+        g = gcd(*a)
+        normal = [n - v // g for n, v in zip(normal, a)]
+    rays = {l: [x - y for x, y in zip(q, p)]
+            for l, q in zip(config.labels, config.points) if l != p_label}
+    levels = {l: sum(map(mul, normal, u)) for l, u in rays.items()}
+    if not all(t > 0 for t in levels.values()):
         raise NotAVertex(f"label {p_label} is not a vertex")
-    normal = [-x for x in sep]
     # cutting hyperplane: normal.x = normal.p + 1; drop a coordinate with
     # nonzero normal entry to get chart coordinates
     j = max(range(d), key=lambda k: abs(normal[k]))
     pts = {}  # chart point -> label
-    for l in others:
-        u = [x - y for x, y in zip(config.point(l), p)]
-        s = Fraction(1) / sum(a * x for a, x in zip(normal, u))
-        y = tuple(pc + s * xc for pc, xc in zip(p, u))
+    for l, u in rays.items():
+        y = tuple(pc + xc / levels[l] for pc, xc in zip(p, u))
         y = tuple(y[k] for k in range(d) if k != j)
         if y in pts:
             raise ValueError(

@@ -513,12 +513,15 @@ def pulling_triangulation(config: PointConfiguration) -> Triangulation:
     """Cone the last-labeled point over the hull facets avoiding it;
     valid for configurations in convex and general position.  A
     non-simplicial facet avoiding it, as on the cube, is a
-    GenericityFailure."""
+    GenericityFailure.  Points that do not span, none included, are
+    NotFullDimensional, and the one point of R^0 is its own cell, as
+    in placing."""
+    boundary = facets(config)  # refuses points that do not span
     if not in_convex_position(config):
         raise NotConvexPosition("pulling needs a configuration in convex position")
     last = config.labels[-1]
-    cells = []
-    for f in facets(config):
+    cells = [] if config.dim else [{last}]  # the point of R^0 has no facet
+    for f in boundary:
         if last in f:
             continue
         if len(f) != config.dim:

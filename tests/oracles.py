@@ -500,6 +500,17 @@ def fraction_simplex(c, a_ub, b_ub, a_eq=(), b_eq=(), nonneg=False):
     return "optimal", x, value, dual
 
 
+def strictly_separable_reference(base, below, on=()) -> bool:
+    """Whether some a has a.(x - base) < 0 for every x in below and
+    a.(x - base) = 0 for every x in on.  Scaling a, that is whether
+    a.(x - base) <= -1 below and = 0 on is feasible: one fraction_simplex
+    LP over the free a with a zero objective."""
+    rows = [[Fraction(x) - y for x, y in zip(q, base)] for q in below]
+    eq = [[Fraction(x) - y for x, y in zip(q, base)] for q in on]
+    status = fraction_simplex([0] * len(base), rows, [-1] * len(rows), eq, [0] * len(eq))[0]
+    return status == "optimal"
+
+
 def simplices_properly_intersect_reference(points, s1, s2) -> bool:
     """Whether two simplices, given by 1-based labels into points, meet
     in a common face (possibly empty): an LP over barycentric weights of
@@ -595,8 +606,9 @@ def height_separation_rows_reference(points, cells, column, nv):
 def recover_sigma_suffix_reference(config, r):
     """The lift-order suffix of a double lift, read geometrically: each
     candidate's double vertex figure with the inner apex is built by two
-    contractions (a separation LP and chart coordinates each) and tested
-    for r-neighborliness on the facets of that configuration."""
+    contractions (a cut normal from the facets through the vertex and
+    chart coordinates each) and tested for r-neighborliness on the
+    facets of that configuration."""
     from regtri.census import is_k_neighborly
     from regtri.errors import NonUniqueIndex, TooFewPoints
     from regtri.lifting import contraction

@@ -442,6 +442,64 @@ def test_lift_of_no_points_is_a_json_error(tmp_path):
                                          "message": "the centroid of no points"}
 
 
+DEGENERATE_INPUTS = {
+    "no-points-in-r2": {"dim": 2, "points": []},
+    "the-point-of-r0": {"dim": 0, "points": [[]]},
+    "coplanar-in-r3": json.loads(PointConfiguration.from_rows(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]).to_json()),
+}
+DEGENERATE_RUNS = {
+    "lift": ["lift"],
+    "contract": ["contract", "--label", "1"],
+    "placing": ["triangulate", "--method", "placing"],
+    "pulling": ["triangulate", "--method", "pulling"],
+    "flips": ["enumerate"],
+    "oracle": ["enumerate", "--oracle"],
+}
+ONE_TRIANGULATION = {"count": 1, "certified_regular": 1, "budget_hit": False}
+# input -> run -> the error kind of a run that exits 1, or the last
+# output line of a run that exits 0
+DEGENERATE_OUTCOMES = {
+    "no-points-in-r2": {**dict.fromkeys(DEGENERATE_RUNS, "NotFullDimensional"),
+                        "lift": "ValueError", "contract": "ValueError"},
+    "the-point-of-r0": {
+        "lift": {"dim": 1, "labels": [1, 2], "points": [[["1", "2"]], [["1", "1"]]]},
+        "contract": "ValueError",
+        "placing": {"config": None, "cells": [[1]]},
+        "pulling": {"config": None, "cells": [[1]]},
+        "flips": ONE_TRIANGULATION,
+        "oracle": ONE_TRIANGULATION,
+    },
+    "coplanar-in-r3": dict.fromkeys(DEGENERATE_RUNS, "NotFullDimensional"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(DEGENERATE_RUNS))
+@pytest.mark.parametrize("name", sorted(DEGENERATE_INPUTS))
+def test_degenerate_inputs_keep_the_exit_code_contract(tmp_path, name, run):
+    # each run exits 0 with JSON lines on stdout, or 1 with one JSON
+    # error line on stderr, never a traceback or a bare Python message
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(DEGENERATE_INPUTS[name]))
+    command, *options = DEGENERATE_RUNS[run]
+    result = CliRunner().invoke(main, [command, str(config), *options])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    expected = DEGENERATE_OUTCOMES[name][run]
+    if result.exit_code == 0:
+        assert result.stderr == ""
+        lines = [json.loads(line) for line in result.stdout.splitlines() if line]
+        assert lines[-1] == expected
+        return
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    error = json.loads(result.stderr)
+    assert set(error) == {"error", "message"}
+    for text in ("Traceback", "arg is an empty sequence", "index out of range"):
+        assert text not in error["message"]
+    assert error["error"] == expected
+
+
 def test_sew_command(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["sew", "--n", "6", "--d", "3"])

@@ -83,6 +83,15 @@ def test_oracle_square():
     assert len(enumerate_all_oracle(square())) == 2
 
 
+def test_oracle_triangulates_the_point_of_r0():
+    # the point has no facet to start from; it is its own cell, and the
+    # flip search agrees
+    point = PointConfiguration(0, ((),), (1,))
+    assert enumerate_all_oracle(point) == enumerate_regular(point) == {Triangulation([{1}])}
+    with pytest.raises(BudgetExceeded):
+        enumerate_all_oracle(point, budget=0)
+
+
 def test_oracle_polygons_match_catalan_and_recursion():
     for cfg, n in ((hexagon(), 6),):
         got = enumerate_all_oracle(cfg)

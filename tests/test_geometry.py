@@ -29,7 +29,13 @@ from regtri.geometry import (
     visibility,
 )
 
-from oracles import brute_force_facets, circuits_reference, gale_evenness_facets, naive_det
+from oracles import (
+    brute_force_facets,
+    circuits_reference,
+    gale_evenness_facets,
+    naive_det,
+    strictly_separable_reference,
+)
 
 
 def square():
@@ -259,12 +265,28 @@ def small_configurations(draw):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(small_configurations())
 def test_separation_lps_agree_with_brute_force_facets(case):
+    """is_vertex and visibility, read off circuits and facet normals,
+    agree with the strict-separation LP they replaced and with the
+    brute-force facets."""
     cfg, p = case
     for lab in cfg.labels:
+        others = [q for l, q in zip(cfg.labels, cfg.points) if l != lab]
         assert is_vertex(cfg, lab) == is_face(cfg, {lab})
+        assert is_vertex(cfg, lab) == strictly_separable_reference(cfg.point(lab), others)
     for f in facets(cfg):
         v = functional_value(facet_functional(cfg, f), p)
         assert visibility(cfg, f, p) == (v > 0, v < 0)
+    for face in proper_faces(cfg):
+        first, *rest = sorted(face)
+        base = cfg.point(first)
+        on = [cfg.point(l) for l in rest]
+        others = [q for l, q in zip(cfg.labels, cfg.points) if l not in face]
+        # a.(mirror - base) = -a.(p - base): mirror below means p above
+        mirror = tuple(2 * b - x for b, x in zip(base, p))
+        assert visibility(cfg, face, p) == (
+            strictly_separable_reference(base, [mirror] + others, on),
+            strictly_separable_reference(base, [p] + others, on),
+        )
 
 
 # grid coordinates, where affinely dependent tuples come up often, or

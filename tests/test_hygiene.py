@@ -228,6 +228,16 @@ def test_solve_lp_has_one_caller():
     assert found == {"linprog.max_margin"}
 
 
+def test_max_margin_has_three_callers():
+    """The margin LP is built for regularity, shared witnesses and
+    feasibility only: vertices, visibility and vertex figures are read
+    off circuits and facets, so geometry and lifting solve no LP."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "max_margin")}
+    assert found == {"triangulations.is_regular", "enumeration.shared_witness",
+                     "linprog.lp_feasible"}
+
+
 def test_triangulations_solves_one_lp():
     """The regularity LP is the one LP of the triangulations module:
     the oracle's pair test reads circuits off the chirotope."""
