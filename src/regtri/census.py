@@ -139,7 +139,6 @@ def recover_sigma_suffix(config: PointConfiguration, r: int) -> tuple:
 class SewingRun:
     n: int
     d: int
-    permutations: tuple  # one label order per stage
     stage_configs: tuple  # P_0, P_2, ..., final
 
 
@@ -158,21 +157,16 @@ def sew(n: int, d: int) -> SewingRun:
     if n <= d:
         raise ValueError("need n > d")
     current = degenerate_base(n - d)
-    used_perms = []
     stage_configs = [current]
     for _ in range(d // 2):
-        sigma = tuple(sorted(current.labels))
-        current = double_lift(current, sigma)
-        used_perms.append(sigma)
+        current = double_lift(current, tuple(sorted(current.labels)))
         stage_configs.append(current)
     if d % 2:
-        sigma = tuple(sorted(current.labels))
-        current = single_lift(current, sigma)[0]
-        used_perms.append(sigma)
+        current = single_lift(current, tuple(sorted(current.labels)))[0]
         stage_configs.append(current)
         if not is_k_neighborly(current, d // 2):
             raise ValueError("final lift lost neighborliness")
-    return SewingRun(n, d, tuple(used_perms), tuple(stage_configs))
+    return SewingRun(n, d, tuple(stage_configs))
 
 
 @dataclass(frozen=True)

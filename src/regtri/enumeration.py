@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -30,7 +31,9 @@ from .errors import (
 )
 from .geometry import (
     PointConfiguration,
+    _integer_row,
     _near_point,
+    _outward_functionals,
     configuration_in_general_position,
     cyclic_configuration,
     facets,
@@ -41,7 +44,6 @@ from .geometry import (
     orientation,
     parse_rational,
     side_value,
-    spanned_hyperplanes,
 )
 from .linprog import max_margin, solve_lp  # noqa: F401  (perfbench traces this import site)
 from .triangulations import (
@@ -81,12 +83,14 @@ class SweepTrace:
 
 def _hyperplane_gap(config: PointConfiguration, p_label: int) -> Fraction:
     """Smallest normalized margin |f(p)| / |f|_1 over hyperplanes
-    spanned by the other points; an exact lower bound (up to the norm
-    choice) on how far p can move before crossing one.  Each margin is
-    read in integers: |h.row_p| over the 1-norm of h's normal."""
+    spanned by the other points, the configuration's hyperplanes whose
+    subsets leave p out; an exact lower bound (up to the norm choice)
+    on how far p can move before crossing one.  Each margin is read in
+    integers: |h.row_p| over the 1-norm of h's normal."""
+    config.index(p_label)  # an unknown label is a ValueError
     gaps = [
         Fraction(abs(side_value(config, h, p_label)), normal_l1(config, h))
-        for _, h in spanned_hyperplanes(config.delete([p_label]))
+        for subset, h in config.hyperplanes if p_label not in subset
     ]
     if not any(gaps):
         raise RegtriError("no spanned hyperplane; configuration too small")
@@ -104,6 +108,13 @@ def split_point(
     and a vertex of the new configuration.
     Default epsilon is half the gap from p to the nearest spanned
     hyperplane, so p' inherits p's cell of the hyperplane arrangement.
+    Both checks read the configuration's cached hyperplanes and its
+    facets: p' is in general position when it lies off every
+    hyperplane they span (is_general_position), which also keeps p'
+    off p, and such a p' is a vertex exactly when it lies outside the
+    hull, that is when some facet's outward integer functional is
+    positive at it (the values visibility reads).  A configuration
+    that does not span is NotFullDimensional, as facets is.
     """
     if not is_vertex(config, p_label):
         raise NotAVertex(f"label {p_label} is not a vertex")
@@ -113,19 +124,15 @@ def split_point(
         epsilon = parse_rational(epsilon)
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
+    outward = _outward_functionals(config, frozenset())  # of every facet
     p = config.point(p_label)
     rng = random.Random(seed)
     for _ in range(1000):
         cand = _near_point(rng, p, epsilon)
-        if cand == p:
-            continue
-        if not is_general_position(config, cand):
-            continue
-        new = config.append_point(cand)
-        p_prime = new.labels[-1]
-        if not is_vertex(new, p_prime):
-            continue
-        return SplitPair(new, p_label, p_prime, epsilon)
+        row = _integer_row(config, cand)
+        if is_general_position(config, cand) and any(sum(map(mul, h, row)) > 0 for h in outward):
+            new = config.append_point(cand)
+            return SplitPair(new, p_label, new.labels[-1], epsilon)
     raise RegtriError("could not sample a general-position split point")
 
 

@@ -2,7 +2,8 @@
 
 Point configurations over arbitrary-precision rationals, with the
 orientation predicate, brute-force facet enumeration, face lattice
-extraction, and the visibility predicates used by lifting construction.
+extraction, and the visibility predicates, whose outward facet
+functionals vertex-figure contraction and point splitting read.
 Every function is pure.  Configurations are immutable, and the facts
 they cache are filled at most once per key by one thread, always with
 equal values, so concurrent callers need no locking: a race costs
@@ -51,9 +52,9 @@ class PointConfiguration:
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
     Facts derived from the points alone, such as the integer rows, the
-    chirotope, the affine basis, the circuits and the circuit table,
-    are computed once per object and are not part of equality, hashing
-    or the JSON form.
+    chirotope, the affine basis, the spanned hyperplanes, the circuits
+    and the circuit table, are computed once per object and are not
+    part of equality, hashing or the JSON form.
     """
 
     dim: int
@@ -187,6 +188,15 @@ class PointConfiguration:
         reduction.  Fewer than d+1 when the points do not span."""
         columns = zip(*homogenized(self, self.labels))
         return tuple(self.labels[j] for j in linalg.pivot_columns(columns))
+
+    @cached_property
+    def hyperplanes(self) -> tuple:
+        """(subset, h) for each d-subset of the labels that spans a
+        hyperplane, in colexicographic order, h its integer functional
+        on the homogenized rows (_integer_functional); `side_value`
+        reads it at a point."""
+        return tuple((subset, h) for subset in _colex(self.labels, self.dim)
+                     if (h := _integer_functional(self, subset)) is not None)
 
     @cached_property
     def circuits(self) -> tuple:
@@ -411,16 +421,6 @@ def _colex(labels, k):
         yield rev[::-1]
 
 
-def spanned_hyperplanes(config: PointConfiguration):
-    """Yield (subset, h) for each d-subset of the labels that spans a
-    hyperplane, in colexicographic order, h its integer functional on
-    the homogenized rows; `side_value` reads it at a point."""
-    for subset in _colex(config.labels, config.dim):
-        h = _integer_functional(config, subset)
-        if h is not None:
-            yield subset, h
-
-
 def side_value(config: PointConfiguration, h, label: int) -> int:
     """h.row at the labeled point's integer row: positive, zero or
     negative as the point lies on the positive side of the hyperplane,
@@ -576,9 +576,10 @@ def classify_visibility(config: PointConfiguration, face, p) -> str:
 
 def is_general_position(config: PointConfiguration, q) -> bool:
     """True iff no hyperplane spanned by d configuration points
-    contains q."""
+    contains q: no zero among the side values of q's integer row on the
+    configuration's cached hyperplanes."""
     row = _integer_row(config, q)
-    return all(sum(map(mul, h, row)) for _, h in spanned_hyperplanes(config))
+    return all(sum(map(mul, h, row)) for _, h in config.hyperplanes)
 
 
 def _near_point(rng, p, scale) -> tuple[Fraction, ...]:

@@ -240,8 +240,8 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
 
 
 def max_margin(rows, nv: int):
-    """The one margin LP (regularity, shared witnesses, strict
-    separation): maximize the margin, the last of nv nonnegative
+    """The one margin LP (regularity, shared witnesses and
+    lp_feasible): maximize the margin, the last of nv nonnegative
     variables, over the homogeneous rows (row . x <= 0), the others at
     most 2 and the margin at most 1.  The origin is feasible and the
     box bounds the LP, so its result is always optimal.  The box rows, right-hand sides and objective are

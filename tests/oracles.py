@@ -2,8 +2,10 @@
 
 Everything here is deliberately written from textbook definitions,
 without importing the package under test, so agreement is meaningful.
-The one exception, recover_sigma_suffix_reference, keeps the geometric
-route (contractions) that the library's label-set recovery replaced.
+Two exceptions keep a route that the library replaced:
+recover_sigma_suffix_reference the geometric one (contractions) of the
+lift-order suffix, and split_point_reference the vertex test of each
+split candidate on the circuits of the configuration it makes.
 """
 
 from fractions import Fraction
@@ -632,3 +634,37 @@ def recover_sigma_suffix_reference(config, r):
         remaining.remove(candidates[0])
         current = current.delete([candidates[0]])
     return tuple(reversed(suffix))
+
+
+def split_point_reference(config, p_label, epsilon=None, seed=0):
+    """split_point as a loop over the same seeded draws: skip a draw
+    equal to p, then one on a hyperplane spanned by the configuration
+    (is_general_position), then one that is no vertex of the
+    configuration with it appended (is_vertex, on that configuration's
+    circuits).  The default epsilon is half the Fraction gap of
+    hyperplane_gap_fraction.  Returns the SplitPair of the first draw
+    that passes."""
+    import random
+
+    from regtri.enumeration import SplitPair
+    from regtri.errors import NotAVertex, RegtriError
+    from regtri.geometry import _near_point, is_general_position, is_vertex
+
+    if not is_vertex(config, p_label):
+        raise NotAVertex(f"label {p_label} is not a vertex")
+    p = config.point(p_label)
+    if epsilon is None:
+        others = [q for l, q in zip(config.labels, config.points) if l != p_label]
+        gap = hyperplane_gap_fraction(others, p)
+        if gap is None:
+            raise RegtriError("no spanned hyperplane; configuration too small")
+        epsilon = gap / 2
+    rng = random.Random(seed)
+    for _ in range(1000):
+        cand = _near_point(rng, p, epsilon)
+        if cand == p or not is_general_position(config, cand):
+            continue
+        new = config.append_point(cand)
+        if is_vertex(new, new.labels[-1]):
+            return SplitPair(new, p_label, new.labels[-1], epsilon)
+    raise RegtriError("could not sample a general-position split point")

@@ -25,6 +25,7 @@ from regtri.errors import (
     GenericityFailure,
     NotAVertex,
     NotFullDimensional,
+    RegtriError,
 )
 from regtri.geometry import (
     PointConfiguration,
@@ -421,6 +422,25 @@ def test_split_point_deterministic():
         pair = split_point(cfg, 3, seed=seed)
         assert (pair.p_prime_label, pair.epsilon) == (7, F(2, 5))
         assert pair.config.point(7) == p_prime
+
+
+def test_split_point_computes_no_circuits_of_its_result():
+    """p' is checked against the hyperplanes and facets of the given
+    configuration, so the configuration returned has no circuits yet."""
+    pair = split_point(hexagon(), 2, seed=1)
+    assert "circuits" not in pair.config.__dict__
+
+
+def test_split_point_refuses_a_configuration_that_does_not_span():
+    """A lone point has no facets, so it cannot be split with a given
+    epsilon in any dimension; with the default epsilon it has no
+    hyperplane to measure its gap from."""
+    for rows in ([[0]], [[0, 0]]):
+        lone = PointConfiguration.from_rows(rows)
+        with pytest.raises(NotFullDimensional):
+            split_point(lone, 1, epsilon=F(1, 10))
+        with pytest.raises(RegtriError, match="no spanned hyperplane"):
+            split_point(lone, 1)
 
 
 def test_split_simplex_vertex():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from regtri import linalg
+from regtri import geometry, linalg
 from regtri.errors import NotAFace, NotFullDimensional
 from regtri.geometry import (
     PointConfiguration,
@@ -229,6 +230,21 @@ def test_general_position():
     assert configuration_in_general_position(
         cyclic_configuration(3, [1, 2, 3, 4, 5, 6])
     )
+
+
+def test_general_position_takes_each_hyperplane_once_per_configuration(monkeypatch):
+    """The hyperplanes are cached on the configuration: two questions
+    about one object take C(n, d) kernels, not one walk each."""
+    calls = []
+    real = geometry._integer_functional
+    monkeypatch.setattr(geometry, "_integer_functional",
+                        lambda config, labels: calls.append(labels) or real(config, labels))
+    cfg = cyclic_configuration(3, [1, 2, 3, 4, 5, 6])
+    assert is_general_position(cfg, (F(7, 3), F(31, 7), F(11, 2)))
+    assert not is_general_position(cfg, cfg.point(4))
+    assert len(calls) == math.comb(6, 3)
+    assert "hyperplanes" not in json.loads(cfg.to_json())
+    assert cfg == cyclic_configuration(3, [1, 2, 3, 4, 5, 6])
 
 
 def test_general_position_refuses_a_point_of_another_dimension():

@@ -284,23 +284,38 @@ def test_triangulations_takes_no_rank():
 
 def test_regular_subdivision_reads_no_hyperplanes():
     """The lower hull is read off the base's minors: no lifted
-    configuration, no hyperplane kernel and no side value."""
+    configuration, no hyperplane kernel and no side value, and no read
+    of a configuration's cached hyperplanes."""
     source = (ROOT / "src" / "regtri" / "triangulations.py").read_text()
     found = {name: callers for name in ("spanned_hyperplanes", "side_value",
                                         "hyperplane_functional", "PointConfiguration")
              if (callers := callers_of(source, name))}
     assert found == {}
+    assert reads_of(source, "hyperplanes") == []
 
 
 def test_lift_validation_reads_no_hyperplanes():
     """A lift's same-side check is read off the base's minors: lifting
-    calls no hyperplane kernel or side value, and the check builds no
-    lifted configuration."""
+    calls no hyperplane kernel or side value, reads no configuration's
+    cached hyperplanes, and the check builds no lifted configuration."""
     source = (ROOT / "src" / "regtri" / "lifting.py").read_text()
     found = {name: callers for name in ("spanned_hyperplanes", "side_value")
              if (callers := callers_of(source, name))}
     assert found == {}
+    assert reads_of(source, "hyperplanes") == []
     assert "_validate_same_side" not in callers_of(source, "PointConfiguration")
+
+
+def test_hyperplane_kernels_are_taken_in_three_places():
+    """Every spanned hyperplane's integer functional is taken once per
+    configuration, by the cached PointConfiguration.hyperplanes, which
+    general position and the split gap read; besides it only facets
+    (through hyperplane_functional) and the facet normals of
+    _outward_functionals take one."""
+    found = {f"{path.stem}.{caller}" for path in PACKAGE
+             for caller in callers_of(path.read_text(), "_integer_functional")}
+    assert found == {"geometry.PointConfiguration.hyperplanes",
+                     "geometry.hyperplane_functional", "geometry._outward_functionals"}
 
 
 def test_in_convex_position_has_two_callers():

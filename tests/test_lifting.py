@@ -372,6 +372,19 @@ def test_perturb_general():
     assert again == out
 
 
+def test_perturb_general_takes_each_hyperplane_of_the_rest_once(monkeypatch):
+    """perturb_general asks is_general_position about one configuration
+    without p for every candidate, so its C(n-1, d) hyperplane kernels
+    are taken once, not once per candidate."""
+    calls = []
+    real = geometry._integer_functional
+    monkeypatch.setattr(geometry, "_integer_functional",
+                        lambda config, labels: calls.append(labels) or real(config, labels))
+    cfg = PointConfiguration.from_rows([[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]])
+    perturb_general(cfg, 5, seed=2)
+    assert len(calls) == comb(4, 2)
+
+
 def test_perturb_deterministic():
     """The same seed gives the same point, and the moved centre of the
     square is pinned for three seeds, so that a change to the seeded

@@ -1,6 +1,7 @@
 """Side-of-hyperplane tests in integers against Fraction references:
-the sign of each integer side value, general position, the split gap
-and the same-side check of a lexicographic lift."""
+the sign of each integer side value, general position, the split gap,
+the split point itself and the same-side check of a lexicographic
+lift."""
 
 from fractions import Fraction as F
 from itertools import combinations
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regtri.enumeration import _hyperplane_gap
+from regtri.enumeration import _hyperplane_gap, split_point
 from regtri.errors import RegtriError, ValidationFailed
 from regtri.geometry import (
     PointConfiguration,
+    affine_dim,
     is_general_position,
+    is_vertex,
     side_value,
-    spanned_hyperplanes,
 )
 from regtri.lifting import LiftSpec, lex_lift
 
@@ -25,6 +27,7 @@ from oracles import (
     hyperplane_gap_fraction,
     is_general_position_fraction,
     same_side_fraction,
+    split_point_reference,
 )
 
 # pairwise coprime denominators, so each axis scale is a large lcm
@@ -73,7 +76,7 @@ def outside_points(draw, cfg):
 @given(configurations())
 def test_side_values_have_the_sign_of_the_fraction_functional(cfg):
     spanned = []
-    for subset, h in spanned_hyperplanes(cfg):
+    for subset, h in cfg.hyperplanes:
         fn = fraction_functional([cfg.point(l) for l in subset])
         assert fn is not None
         spanned.append(subset)
@@ -103,6 +106,30 @@ def test_hyperplane_gap_equals_fraction_reference(case):
             _hyperplane_gap(cfg, lab)
     else:
         assert _hyperplane_gap(cfg, lab) == expected
+
+
+def split_outcome(split, config, label, epsilon, seed):
+    """The split pair, compared field by field, or the type and text of
+    its error."""
+    try:
+        return split(config, label, epsilon=epsilon, seed=seed)
+    except RegtriError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(configurations(dims=(1, 2, 3)).filter(lambda c: affine_dim(c) == c.dim),
+       st.sampled_from([F(1, 10), F(3, 7), F(2)]))
+def test_split_point_equals_the_candidate_configuration_loop(cfg, epsilon):
+    """p' off every spanned hyperplane is a vertex exactly when a facet
+    of the configuration is visible from it: split_point gives the
+    reference loop's fields, with the default and a given epsilon, at
+    every vertex and several seeds."""
+    for label in filter(lambda l: is_vertex(cfg, l), cfg.labels):
+        for eps in (None, epsilon):
+            for seed in (0, 1, 7):
+                assert (split_outcome(split_point, cfg, label, eps, seed)
+                        == split_outcome(split_point_reference, cfg, label, eps, seed))
 
 
 @st.composite
