@@ -229,7 +229,9 @@ def shared_witness(config: PointConfiguration, i: int, j: int, t: Triangulation)
     the second system p_j takes p_i's place and reads p_i's height, so
     the returned heights give p_j that height too: read per label, they
     induce both triangulations, as t_sweep reads them.  Both deletions
-    read config's memo of minors (PointConfiguration.delete).
+    read config's memo of minors and of hull volumes
+    (PointConfiguration.delete), so validating takes one placing per
+    deletion for all the calls on config.
     """
     labels = sorted(config.labels)
     idx = {l: k for k, l in enumerate(labels)}

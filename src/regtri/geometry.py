@@ -52,9 +52,11 @@ class PointConfiguration:
     Labels are the permanent identity of each point: configurations
     derived by deletion or contraction carry the original labels.
     Facts derived from the points alone, such as the integer rows, the
-    chirotope, the affine basis, the spanned hyperplanes, the circuits
-    and the circuit table, are computed once per object and are not
-    part of equality, hashing or the JSON form.
+    chirotope, the affine basis, the spanned hyperplanes, the circuits,
+    the circuit table and the hull's volume, are computed once per
+    object and are not part of equality, hashing or the JSON form.  So
+    is the hash itself, which would otherwise hash every Fraction on
+    each lookup of a cache keyed by the configuration (facets).
     """
 
     dim: int
@@ -73,6 +75,13 @@ class PointConfiguration:
                 raise ValueError("point dimension mismatch")
         if self.dim > 0 and len(set(self.points)) != len(self.points):
             raise ValueError("duplicate points")
+
+    def __hash__(self):  # the dataclass would hash the fields on every call
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.points, self.labels))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], labels=None) -> "PointConfiguration":
@@ -237,6 +246,24 @@ class PointConfiguration:
                               frozenset(s - {l} for l in pos)))
         return tuple(table)
 
+    @cached_property
+    def volume(self) -> int:
+        """The hull's volume in the units of the minors (d! times the
+        volume of the points scaled by _axis_scales): the sum of |minor|
+        over the cells of the placing triangulation.  A validated fold
+        compares its cells' summed minors with it.  Kept in the
+        chirotope's memo by label set, so a configuration derived with
+        the same points (_derived), as each shared witness derives its
+        two deletions, reads it there.  A configuration that does not
+        span is NotFullDimensional, as in placing."""
+        from .triangulations import placing_triangulation  # which imports this module
+        chi = self.chirotope
+        key = frozenset(self.labels)
+        if key not in chi._volumes:
+            chi._volumes[key] = sum(abs(chi.minor(tuple(sorted(c))))
+                                    for c in placing_triangulation(self).cells)
+        return chi._volumes[key]
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -290,10 +317,11 @@ class Chirotope:
     (d+2)-tuple (`dependence`, also kept) and so a point's affine
     coordinates over a cell (`coordinates`).  The chirotope of a
     configuration derived from a parent's (PointConfiguration._derived)
-    keeps its minors and dependences in the parent's dicts, whose keys
-    may hold labels the derived one dropped: those it refuses."""
+    keeps its minors, dependences and hull volumes in the parent's
+    dicts, whose keys may hold labels the derived one dropped: those it
+    refuses."""
 
-    __slots__ = ("config", "_minors", "_dependences", "_dropped")
+    __slots__ = ("config", "_minors", "_dependences", "_volumes", "_dropped")
 
     def __init__(self, config: PointConfiguration, parent: Chirotope | None = None):
         self.config = config
@@ -301,6 +329,8 @@ class Chirotope:
         self._minors = parent._minors if parent else {}
         # sorted (d+2)-tuple -> its affine dependence
         self._dependences = parent._dependences if parent else {}
+        # label set -> the volume of its hull (PointConfiguration.volume)
+        self._volumes = parent._volumes if parent else {}
         # labels the keys may hold that config does not
         self._dropped = (parent._dropped.union(parent.config.labels).difference(config.labels)
                          if parent else frozenset())

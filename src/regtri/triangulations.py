@@ -235,12 +235,17 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
     """The one pass over a cell set behind is_triangulation, is_regular
     and shared_witness: one ridge -> (cell, apex) map and, from
     Chirotope.coordinates, the affine coordinates of the points each
-    cell reads.  These are the points its folding rows lift and, when
-    validating, the first cell's vertices over every other cell, whose
-    summed coordinates place the first cell's barycentre.  Validating
-    checks the conditions of is_triangulation in its order, from the
-    signs of the integer numerators; without it, a cell that reads no
-    point is skipped.
+    cell reads, the points its folding rows lift.  Validating checks
+    the conditions of is_triangulation in its order, from the signs of
+    the integer numerators, and reads no other coordinate once the
+    hull's volume is known: a cell that reads no point is checked by its
+    minor (without validating it is skipped), and the covering by the
+    cells' summed |minor|, the den of their coordinates, against
+    config.volume.  The ridge checks that run first make the covering
+    number a constant k, so the sum is k times the volume.  Only when
+    they differ are the first cell's vertices read over the other
+    cells, whose summed coordinates place the first cell's barycentre,
+    to name the cell that covers it again.
 
     The rows are those of the height-separation LP on the local folding
     conditions: each asks a lifted point to clear a cell's lifted
@@ -290,24 +295,25 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
                 pairs.reverse()
             targets[pairs[0][0]].add(pairs[1][1])
     unplaced = set(column).difference(*cells)
-    first = sorted(ordered[0]) if validate else []
-    coords = {}  # cell -> {label: coordinate numerators}, None if degenerate
+    chi = config.chirotope
+    coords = {}  # cell -> (den, {label: coordinate numerators}), None if degenerate
     rows, mults = [], []
-    for k, cell in enumerate(ordered):
+    for cell in ordered:
         wanted = targets[cell] | unplaced
         points = [lab for lab in column if lab in wanted]
         if len(cell) != d + 1 or not (points or validate):
             continue
-        # the barycentre check reads the first cell's vertices over the others
-        extra = [v for v in first if v not in wanted] if k else []
-        sol = config.chirotope.coordinates(cell, points + extra)
-        coords[cell] = sol and sol[1]
+        if not points:  # validating a cell that reads no point needs only its minor
+            den = abs(chi.minor(tuple(sorted(cell))))
+            coords[cell] = (den, {}) if den else None
+            continue
+        sol = coords[cell] = chi.coordinates(cell, points)
         if sol is None:
             continue
-        den = sol[0]
+        den, numerators = sol
         vertices = sorted(cell)
         for lab in points:
-            nums = coords[cell][lab]
+            nums = numerators[lab]
             if lab in unplaced:
                 if any(v < 0 for v in nums):
                     continue
@@ -329,18 +335,23 @@ def _folding_pass(config: PointConfiguration, cells, column, nv: int, validate: 
     for ridge, pairs in owners.items():
         if len(pairs) > 2:
             raise NotATriangulation(("overcrowded ridge", tuple(sorted(ridge))))
-        # one cell on a boundary ridge, two on an interior one
-        if validate and (len(pairs) == 2) == any(ridge <= b for b in boundary):
+        # one cell on a boundary ridge, two on an interior one; in
+        # dimension 0 the empty ridge is the boundary
+        if validate and (len(pairs) == 2) == (not d or any(ridge <= b for b in boundary)):
             kind = "uncovered ridge" if len(pairs) == 1 else "boundary ridge shared twice"
             raise NotATriangulation((kind, tuple(sorted(ridge))))
     if validate:  # an apex on its neighbour's side, or a point covered twice
-        first, *rest = ordered
         for (c1, a1), (c2, a2) in (p for p in owners.values() if len(p) == 2):
-            if coords[c1][a2][sorted(c1).index(a1)] > 0:
+            if coords[c1][1][a2][sorted(c1).index(a1)] > 0:
                 raise NotATriangulation(("improper pair", tuple(sorted(c1)), tuple(sorted(c2))))
-        for c in rest:
-            if all(sum(nums) >= 0 for nums in zip(*(coords[c][v] for v in first))):
-                raise NotATriangulation(("improper pair", tuple(sorted(first)), tuple(sorted(c))))
+        # the ridge checks make the covering number a constant k >= 1
+        if sum(sol[0] for sol in coords.values()) != config.volume:
+            # k > 1: some other closed cell holds the first cell's barycentre
+            first, *rest = ordered
+            vertices = sorted(first)
+            c = next(c for c in rest if all(
+                sum(nums) >= 0 for nums in zip(*chi.coordinates(c, vertices)[1].values())))
+            raise NotATriangulation(("improper pair", tuple(vertices), tuple(sorted(c))))
     if unplaced:
         raise NotATriangulation(("point in no cell", min(unplaced)))
     return rows, mults
@@ -356,16 +367,20 @@ def is_triangulation(cells, config: PointConfiguration):
     cell, or lies in two cells on opposite sides of it, and some point
     is covered by exactly one cell (De Loera, Rambau and Santos,
     Triangulations, 2010, section 4.5).  The ridge conditions make the
-    cells cover every generic point of the hull equally often: a
-    path between two of them crosses only interior ridges, each from
-    one cell into the other.  The barycentre of the first cell, in
-    sorted order, lies in no other closed cell exactly when a
-    neighbourhood of it is covered once, so that number is 1.  A
-    violation of either condition is reported as an improper pair: two
-    cells that do not meet in a common face.  Each check reads affine
-    coordinates off the chirotope: two cells lie on opposite sides of
-    their ridge when the later one's apex has a negative coordinate at
-    the earlier one's apex."""
+    cells cover every generic point of the hull the same number k >= 1
+    of times: a path between two of them crosses only interior ridges,
+    each from one cell into the other.  So the cells' volumes sum to k
+    times the hull's (PointConfiguration.volume, in the units of the
+    minors), and k is 1 exactly when the two are equal: one exact
+    integer comparison.  When k > 1 the barycentre of the first cell,
+    in sorted order, lies in some other closed cell, and the first
+    such cell is named.  A violation of either condition is reported
+    as an improper pair: two cells that do not meet in a common face.
+    The ridge checks read affine coordinates off the chirotope: two
+    cells lie on opposite sides of their ridge when the later one's
+    apex has a negative coordinate at the earlier one's apex.  In
+    dimension 0 the empty ridge is the hull's boundary, so one copy of
+    the point is a triangulation and two or more are not."""
     try:
         _folding_pass(config, cells, {l: k for k, l in enumerate(config.labels)},
                       config.n + 1, validate=True)

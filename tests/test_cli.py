@@ -455,13 +455,15 @@ DEGENERATE_RUNS = {
     "pulling": ["triangulate", "--method", "pulling"],
     "flips": ["enumerate"],
     "oracle": ["enumerate", "--oracle"],
+    "regular": ["regular", "{triangulation}"],  # the one cell [1]
 }
 ONE_TRIANGULATION = {"count": 1, "certified_regular": 1, "budget_hit": False}
 # input -> run -> the error kind of a run that exits 1, or the last
 # output line of a run that exits 0
 DEGENERATE_OUTCOMES = {
     "no-points-in-r2": {**dict.fromkeys(DEGENERATE_RUNS, "NotFullDimensional"),
-                        "lift": "ValueError", "contract": "ValueError"},
+                        "lift": "ValueError", "contract": "ValueError",
+                        "regular": "NotATriangulation"},
     "the-point-of-r0": {
         "lift": {"dim": 1, "labels": [1, 2], "points": [[["1", "2"]], [["1", "1"]]]},
         "contract": "ValueError",
@@ -469,8 +471,10 @@ DEGENERATE_OUTCOMES = {
         "pulling": {"config": None, "cells": [[1]]},
         "flips": ONE_TRIANGULATION,
         "oracle": ONE_TRIANGULATION,
+        "regular": {"regular": True, "witness": {"1": "-1/1"}},
     },
-    "coplanar-in-r3": dict.fromkeys(DEGENERATE_RUNS, "NotFullDimensional"),
+    "coplanar-in-r3": {**dict.fromkeys(DEGENERATE_RUNS, "NotFullDimensional"),
+                       "regular": "NotATriangulation"},
 }
 
 
@@ -481,7 +485,10 @@ def test_degenerate_inputs_keep_the_exit_code_contract(tmp_path, name, run):
     # error line on stderr, never a traceback or a bare Python message
     config = tmp_path / "config.json"
     config.write_text(json.dumps(DEGENERATE_INPUTS[name]))
+    triangulation = tmp_path / "triangulation.json"
+    triangulation.write_text(json.dumps({"config": None, "cells": [[1]]}))
     command, *options = DEGENERATE_RUNS[run]
+    options = [o.format(triangulation=triangulation) for o in options]
     result = CliRunner().invoke(main, [command, str(config), *options])
     assert result.exception is None or isinstance(result.exception, SystemExit)
     expected = DEGENERATE_OUTCOMES[name][run]

@@ -5,6 +5,7 @@ same labeled points reads, and a label they dropped stays unknown to
 them."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtri import triangulations
 from regtri.enumeration import flip_neighbors
 from regtri.errors import RegtriError
 from regtri.geometry import (
@@ -94,6 +96,8 @@ def facts(cfg, seed, twisted=None):
                         for s in itertools.combinations(cfg.labels, d)],
         "general": is_general_position(
             cfg, [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(d)]),
+        # in the units of the minors, which a derived one takes in its parent's scales
+        "volume": outcome(lambda: F(cfg.volume, math.prod(cfg._axis_scales))),
     }
     w = {l: F(rng.randint(-9, 9), rng.randint(1, 4)) for l in labels}
     sub = outcome(regular_subdivision, cfg, w)
@@ -145,3 +149,15 @@ def test_derived_configurations_read_what_fresh_ones_read(seed, d, nested):
                 orientation(derived, with_dropped)
             with pytest.raises(ValueError, match=f"label {dropped} not in configuration"):
                 derived.chirotope.dependence(tuple(sorted(with_dropped + (cell[0],))))
+
+
+def test_a_derived_configuration_reads_its_hull_volume_from_its_parent(monkeypatch):
+    parent = PointConfiguration.from_rows(NESTED)
+    without_6 = parent.delete([6])
+    assert without_6.volume == PointConfiguration.from_rows(NESTED[:5]).volume == 16
+    placed = []
+    monkeypatch.setattr(triangulations, "placing_triangulation", placed.append)
+    # the same labels, derived again or in another order, take no placing
+    assert parent.delete([6]).volume == without_6.volume
+    assert without_6.reordered([5, 4, 3, 2, 1]).volume == without_6.volume
+    assert placed == []

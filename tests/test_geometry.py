@@ -495,6 +495,31 @@ def test_hyperplane_functional_is_a_multiple_of_the_cofactor_functional(rows):
     assert list(normal) + [-offset] == [b / last for b in g]
 
 
+def test_a_configuration_hashes_its_fractions_once(monkeypatch):
+    cfg = PointConfiguration.from_rows([[F(1, 2), 0], [3, F(1, 3)], [0, 5], [F(7, 4), F(9, 5)]])
+    expected = hash((cfg.dim, cfg.points, cfg.labels))
+    facets(cfg)
+    hashed = []
+    real = F.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(F, "__hash__", counting)
+    hits = facets.cache_info().hits
+    assert facets(cfg) and hash(cfg) == expected
+    assert facets.cache_info().hits == hits + 1 and hashed == []
+    monkeypatch.undo()
+    # equal configurations hash equal, however they were made
+    pairs = [(PointConfiguration.from_json(cfg.to_json()), cfg),
+             (cfg.delete([2]), PointConfiguration(2, cfg.points[::2] + cfg.points[3:], (1, 3, 4))),
+             (cfg.reordered((4, 3, 2, 1)), PointConfiguration(2, cfg.points[::-1], (4, 3, 2, 1)))]
+    for made, built in pairs:
+        assert made == built and hash(made) == hash(built)
+        assert hash(made) == hash((made.dim, made.points, made.labels))
+
+
 def test_facets_memo_holds_at_most_256_configurations():
     for k in range(300):
         facets(PointConfiguration.from_rows([[0, 0], [k + 1, 0], [0, 1]]))

@@ -482,3 +482,64 @@ def test_every_public_name_is_read_exported_or_traced():
     unread = set(unread_public_names(sources)) - {("triangulations", "heights_to_json")}
     assert unread == KEPT_FOR_PERFBENCH
     assert {(m, n) for m, n in KEPT_FOR_PERFBENCH if n not in spans.TRACED[m]} == set()
+
+
+CONTAINERS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter",
+              "deque", "WeakKeyDictionary", "WeakValueDictionary"}
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def module_level_caches(source: str) -> list:
+    """Names of what outlives a call at module level: each function or
+    method under an lru_cache or cache decorator, and each top-level
+    name bound to a mutable container (a dict, set or list display or
+    comprehension, or a call of a container type)."""
+    found = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+                if name in MEMO_DECORATORS:
+                    found.append(node.name)
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        value = getattr(node, "value", None)
+        func = value.func if isinstance(value, ast.Call) else None
+        mutable = (isinstance(value, (ast.Dict, ast.Set, ast.List, ast.DictComp,
+                                      ast.SetComp, ast.ListComp))
+                   or getattr(func, "id", getattr(func, "attr", None)) in CONTAINERS)
+        if mutable:
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_module_level_caches_are_found():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "_MEMO = {}\nSEEN: set = set()\nORDER = [1]\nKEYS = tuple(x for x in 'ab')\n"
+        "BY = collections.defaultdict(list)\n"
+        "@lru_cache(maxsize=8)\ndef a(x): pass\n"
+        "@functools.cache\ndef b(x): pass\n"
+        "class C:\n    @functools.cached_property\n    def c(self): pass\n"
+        "    @lru_cache\n    def d(self): pass\n"
+    )
+    assert module_level_caches(source) == ["BY", "ORDER", "SEEN", "_MEMO", "a", "b", "d"]
+
+
+def test_geometry_and_triangulations_cache_only_what_perfbench_clears():
+    """A configuration keeps the facts derived from its points on
+    itself and its chirotope, so they go with it; the only module-level
+    caches are the two lru_caches that perfbench/run.py clears between
+    passes."""
+    found = {f"{path.stem}.{name}" for path in PACKAGE
+             if path.stem in ("geometry", "triangulations")
+             for name in module_level_caches(path.read_text())}
+    run = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    cleared = {f"{node.func.value.value.attr}.{node.func.value.attr}"
+               for node in ast.walk(run)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "cache_clear"}
+    assert found == cleared == {"geometry.facets", "geometry.proper_faces"}

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from regtri import linalg, linprog, triangulations
-from regtri.enumeration import flip_neighbors
+from regtri.enumeration import enumerate_all_oracle, flip_neighbors
 from regtri.errors import (
     DegenerateStep,
     NonPureComplex,
@@ -21,6 +21,7 @@ from regtri.errors import (
     PointUnused,
 )
 from regtri.geometry import (
+    Chirotope,
     PointConfiguration,
     affine_dim,
     configuration_in_general_position,
@@ -198,6 +199,22 @@ def test_is_triangulation_rejects_overlap():
     assert not ok
 
 
+def test_one_point_of_r0_is_a_triangulation_and_more_are_not():
+    # in dimension 0 the empty ridge is the boundary of the hull
+    one = PointConfiguration(0, ((),), (1,))
+    copies = PointConfiguration(0, ((), (), ()), (1, 2, 3))
+    assert is_triangulation([[1]], one) == (True, None)
+    oracle = enumerate_all_oracle(copies)
+    assert oracle == {Triangulation([{l}]) for l in copies.labels}
+    assert placing_triangulation(copies) in oracle
+    for t in oracle:
+        assert is_triangulation(t.cells, copies) == (True, None)
+        assert is_regular(t, copies, validate=True).regular
+    assert is_triangulation([[1], [2], [3]], copies) == (False, ("overcrowded ridge", ()))
+    assert is_triangulation([[1], [2]], copies) == (
+        False, ("boundary ridge shared twice", ()))
+
+
 def test_is_triangulation_accepts_both_square_triangulations():
     cfg = square()
     for cells in ([{1, 2, 3}, {2, 3, 4}], [{1, 2, 4}, {1, 3, 4}]):
@@ -283,16 +300,40 @@ def test_one_reduction_per_cell(monkeypatch):
     assert len(t.cells) == 10
     assert is_triangulation(t.cells, cfg)[0]  # warms the facets memo
     # a fresh equal configuration takes each minor its cells' coordinates
-    # read once, by Cramer's rule with no reduction, and a second check
-    # of the same object reads the minors the first took
+    # and its hull's placing cells read once, by Cramer's rule with no
+    # reduction, and a second check of the same object reads the minors
+    # the first took
     fresh = PointConfiguration.from_json(cfg.to_json())
-    for minors, check in ((48, lambda: is_regular(t, fresh, validate=True).regular),
+    for minors, check in ((44, lambda: is_regular(t, fresh, validate=True).regular),
                           (0, lambda: is_triangulation(t.cells, fresh)[0]),
                           (0, lambda: is_regular(t, fresh, validate=True).regular)):
         calls.update(det=0, solve=0, det_sign=0)
         assert check()
         assert calls == {"det": minors, "solve": 0, "det_sign": 0}
-    assert len(fresh.chirotope._minors) == 48
+    assert len(fresh.chirotope._minors) == 44
+
+
+def test_a_validated_fold_reads_the_coordinates_an_unvalidated_one_reads(monkeypatch):
+    # once the hull's volume and facets are known, validating reads no
+    # coordinate beyond the folding rows': the covering is checked by
+    # volume, and a cell that reads no point by its minor
+    read = []
+    real = Chirotope.coordinates
+
+    def recording(self, cell, labels):
+        read.append((tuple(sorted(cell)), tuple(labels)))
+        return real(self, cell, labels)
+
+    monkeypatch.setattr(Chirotope, "coordinates", recording)
+    cyclic = cyclic_configuration(4, range(1, 9))
+    for cfg, t in ((cyclic, placing_triangulation(cyclic)), nonregular_fixture()):
+        is_regular(t, cfg, validate=True)
+        seen = []
+        for validate in (False, True):
+            read.clear()
+            is_regular(t, cfg, validate=validate)
+            seen.append(list(read))
+        assert seen[0] and seen[1] == seen[0]
 
 
 @st.composite
