@@ -22,6 +22,12 @@ Decoding.  Let H = sum_j 2^(B-1) 2^(jB).  While every field v lies in
 [-2^(B-1), 2^(B-1)), field j of X + H holds v_j + 2^(B-1), in [0, 2^B),
 with no carry between fields: so v_j = ((X + H) >> jB) & (2^B - 1) -
 2^(B-1), and v_j < 0 exactly when the top bit of that field is clear.
+One entry can be read without H: the fields below j sum to less than
+2^(jB) / 2 in absolute value (each is at most 2^(B-2), see the width),
+so X / 2^(jB) rounded to the nearest integer is sum_{i>=j} v_i
+2^((i-j)B), whose low B bits are v_j in two's complement.  That shift
+comes first, so reading the last field, a right-hand side, touches one
+field's bits after it.
 
 The width.  After any number of steps, every entry of Edmonds' tableau
 is, up to sign, a minor of the starting rows (Sylvester's identity;
@@ -64,7 +70,7 @@ class Packing:
     """The layout of the packed rows of one elimination on the given
     integer rows, all of one length n: width is the B of the module
     docstring, from the rows' largest entries.  pack makes the rows'
-    ints; column, row and negative read them, and unit(j) is
+    ints; column, row, entry and negative read them, and unit(j) is
     the packed row that is 1 in column j and 0 elsewhere."""
 
     __slots__ = ("width", "_ncols", "_mask", "_half", "_bias")
@@ -104,6 +110,14 @@ class Packing:
         b, mask, half = self.width, self._mask, self._half
         x += self._bias
         return [(x >> (j * b) & mask) - half for j in range(self._ncols)]
+
+    def entry(self, x, j) -> int:
+        """Entry j of the packed row x, by rounding (module docstring):
+        x >> (jB - 1) is x / 2^(jB) with one fraction bit, and adding 1
+        before dropping it rounds to nearest."""
+        if j:
+            x = (x >> (j * self.width - 1)) + 1 >> 1
+        return (x + self._half & self._mask) - self._half
 
     def negative(self, x) -> list:
         """The columns where the packed row x is negative: the fields

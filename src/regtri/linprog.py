@@ -18,11 +18,14 @@ column is den times a unit vector.  Each row is one int, its entries
 packed by `linalg.Packing`, so an exchange (`_exchange`) is `pivot`'s
 three big-integer operations per row and two adds on the pivot row,
 which hand column k from the entering variable to the leaving one.
-The simplex decodes only what it reads: the signs of the reduced costs
-(Bland's rule), the entering column and the right-hand sides of the
-rows it may leave on (the ratio test), and at the end the solution and
-the duals, which `LPResult` keeps as integers over den until a caller
-reads them as Fractions.
+The simplex decodes only what it reads, in one pass per exchange and
+with no list of candidates: the signs of the reduced costs, whose
+smallest variable enters (Bland's rule, a running minimum), the
+entering column, and the right-hand side of each row it may leave on,
+one field each (`Packing.entry`), compared with the best ratio so far
+(the ratio test).  At the end it decodes the solution and the duals,
+which `LPResult` keeps as integers over den until a caller reads them
+as Fractions.
 
 The packed fields are as wide as linalg's rule makes them for the rows
 of [A b; -c 0], cleared of denominators: every entry of the tableau of
@@ -129,35 +132,49 @@ def _run_simplex(tab, packing, cols, basis, den, bounded):
     basis[r]'s.  bounded maps a variable j to the bound rows on it that
     are still out of tab, each as (slack, a, u); a bound row that wins
     the ratio test is packed and appended to the rows.  Returns the
-    status and the final denominator."""
+    status and the final denominator.
+
+    The ratio test is one pass over the entering column.  Bland's rule
+    leaves on the argmin of (ratio, leaving variable), and the leaving
+    variables are distinct, so comparing each candidate with the best
+    so far picks that argmin in any order of visits.  The best starts
+    as the ratio 1 / 0, which every candidate beats: its entry is
+    positive."""
     rhs = len(cols)
+    entry = packing.entry
     while True:
-        negative = [(cols[k], k) for k in packing.negative(tab[-1]) if k < rhs]
-        if not negative:
+        enter = None
+        for k in packing.negative(tab[-1]):
+            if k < rhs and (enter is None or cols[k] < cols[enter]):
+                enter = k
+        if enter is None:
             return "optimal", den
-        enter = min(negative)[1]
         col = packing.column(tab, enter)
         nrows = len(basis)
-        # a row with a positive entry, or a negative one on a variable
-        # whose bound row then has a positive entry -a col[r]
-        read = [r for r in range(nrows) if col[r] > 0 or col[r] and basis[r] in bounded]
-        # (right-hand side, entry, leaving variable, row, bound or None)
-        cands = []
-        for r, b in zip(read, packing.column([tab[r] for r in read], rhs)):
-            f = col[r]
+        # the leaving variable v, on row r (None for the entering
+        # variable's own bound), with its bound (a, u) or None; ratios
+        # b / f are compared by cross-multiplication
+        v, best_b, best_f = None, 1, 0
+        for i in range(nrows):
+            f = col[i]
             if f > 0:
-                cands.append((b, f, basis[r], r, None))
-            else:
-                cands += [(den * u - a * b, -a * f, s, r, (a, u)) for s, a, u in bounded[basis[r]]]
+                b = entry(tab[i], rhs)
+                d = b * best_f - best_b * f
+                if d < 0 or not d and basis[i] < v:
+                    v, r, bound, best_b, best_f = basis[i], i, None, b, f
+            elif f and basis[i] in bounded:
+                # a bound row on basis[i] has entry -a f and right-hand
+                # side den u - a b
+                b = entry(tab[i], rhs)
+                for s, a, u in bounded[basis[i]]:
+                    d = (den * u - a * b) * best_f + best_b * a * f
+                    if d < 0 or not d and s < v:
+                        v, r, bound, best_b, best_f = s, i, (a, u), den * u - a * b, -a * f
         # a bound on the entering variable: den u over den a
-        cands += [(u, a, s, None, (a, u)) for s, a, u in bounded.get(cols[enter], ())]
-        v = None
-        for b, a, s, row, bnd in cands:
-            # compare ratios b / a by cross-multiplication
-            if v is None or b * best_a < best_b * a or (
-                b * best_a == best_b * a and s < v
-            ):
-                v, r, bound, best_b, best_a = s, row, bnd, b, a
+        for s, a, u in bounded.get(cols[enter], ()):
+            d = u * best_f - best_b * a
+            if d < 0 or not d and s < v:
+                v, r, bound, best_b, best_f = s, None, (a, u), u, a
         if v is None:
             return "unbounded", den
         if bound:
@@ -167,11 +184,11 @@ def _run_simplex(tab, packing, cols, basis, den, bounded):
             if not bounded[j]:
                 del bounded[j]
             if r is None:
-                row, entry = den * a * packing.unit(enter), den * a
+                row, piv = den * a * packing.unit(enter), den * a
             else:
-                row, entry = -a * tab[r], -a * col[r]
+                row, piv = -a * tab[r], -a * col[r]
             tab.insert(nrows, row + den * u * packing.unit(rhs))
-            col.insert(nrows, entry)
+            col.insert(nrows, piv)
             basis.append(v)
             r = nrows
         den = _exchange(tab, packing, cols, basis, r, enter, col, den)

@@ -410,16 +410,18 @@ def _check_certificate(c, a_ub, b_ub, dual, mults=()) -> bool:
     vector achieves a positive margin.  Row i of a_ub, with its bound,
     stands for itself divided by mults[i] (1 past the end of mults), so
     integer rows with their multipliers check a certificate over the
-    rational rows.  Both sides of each check are multiplied by the
-    common denominator of the duals and the lcm of the multipliers, so
-    on integer rows it runs in integers."""
-    scale, ys = linalg.clear_denominators(dual)
+    rational rows.  A zero dual drops its row; both sides of each check
+    are multiplied by the common denominator of the other duals and the
+    lcm of their rows' multipliers, so on integer rows it runs in
+    integers."""
+    ms = itertools.chain(mults, itertools.repeat(1))
+    used = [(y, m, row, b) for y, m, row, b in zip(dual, ms, a_ub, b_ub) if y]
+    scale, ys = linalg.clear_denominators([y for y, _, _, _ in used])
     if any(y < 0 for y in ys):
         return False
-    ms = list(mults) + [1] * (len(ys) - len(mults))
-    big = math.lcm(*ms)
+    big = math.lcm(*(m for _, m, _, _ in used))
     scale *= big
-    used = [(y * (big // m), row, b) for y, m, row, b in zip(ys, ms, a_ub, b_ub) if y]
+    used = [(y * (big // m), row, b) for y, (_, m, row, b) in zip(ys, used)]
     for j, cj in enumerate(c):
         if sum(y * row[j] for y, row, _ in used) < cj * scale:
             return False

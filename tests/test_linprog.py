@@ -269,6 +269,12 @@ def test_bound_rows_equal_fraction_simplex_with_the_full_tableaus_pivots(pivots)
         # x1's bound ties with row 1 at ratio 2; its slack is the smaller
         # variable, so Bland's rule packs it and x1 enters there
         "bound first, tied": ([1, 1], [[1, 0], [1, 1], [0, 1]], [2, 2, 5], [1, 1]),
+        # x1 enters on row 2, then x2 enters and three candidates tie at
+        # ratio 2: row 1 (slack 3), x1's bound row 0 (slack 2, x1 basic on
+        # row 2) and x2's own bound row 3 (slack 5), visited in that order;
+        # Bland's rule takes the smallest, slack 2, visited second
+        "three-way tie": ([1, 1], [[1, 0], [1, 1], [1, -1], [0, 1]], [3, 5, 1, 2],
+                          [1, 1, 1]),
     }
     for name, (c, a_ub, b_ub, expected) in cases.items():
         pivots.clear()

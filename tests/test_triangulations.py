@@ -691,6 +691,19 @@ def test_certificate_check_refuses_edited_duals():
         assert not triangulations._check_certificate(c, a_ub, b_ub, edited)
 
 
+def test_certificate_check_refuses_a_negative_dual_whose_sums_hold():
+    """max x over x <= 0 and x <= 1/2, the second row given as 2x <= 1
+    with its multiplier 2: the duals (1, 0) prove that x is not
+    positive.  (2, -1/2) also dominates c, 3/2 >= 1, and prices the
+    bounds to -1/4, but a negative dual proves nothing, with or without
+    zero duals beside it."""
+    c, a_ub, b_ub, mults = [1], [[1], [2]], [0, 1], [1, 2]
+    assert triangulations._check_certificate(c, a_ub, b_ub, [F(1), F(0)], mults)
+    assert not triangulations._check_certificate(c, a_ub, b_ub, [F(2), F(-1, 2)], mults)
+    assert not triangulations._check_certificate(c, a_ub + [[0]], b_ub + [5],
+                                                 [F(2), F(-1, 2), F(0)], mults)
+
+
 rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
 
 
